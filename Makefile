@@ -1,4 +1,4 @@
-.PHONY: build test bench smoke fault-smoke check fmt bench-baseline artifacts top-demo flame-demo runs-demo census-demo
+.PHONY: build test bench smoke fault-smoke perfbench-smoke check fmt bench-baseline artifacts top-demo flame-demo runs-demo census-demo
 
 build:
 	dune build
@@ -17,6 +17,11 @@ smoke:
 # injections against the CLI, asserting artifact and exit-code contracts
 fault-smoke:
 	sh bin/fault_smoke.sh
+
+# one short run of each whole-scenario benchmark workload; fails unless
+# every run's oracles pass ("correct": true on its result line)
+perfbench-smoke:
+	sh bin/perfbench_smoke.sh
 
 # build + tests + bench smoke + report-format validation + bench diff
 check:

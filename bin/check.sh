@@ -60,6 +60,12 @@ echo "== fault-matrix smoke =="
 # inputs must exit with their taxonomy codes (see bin/fault_smoke.sh)
 sh bin/fault_smoke.sh
 
+echo "== perfbench correctness smoke =="
+# the whole-scenario benchmark's oracles, one short run per workload:
+# witness certificates re-verify, dynamics converge to a Nash profile,
+# and the n=7 census artifact is byte-equal to its golden file
+sh bin/perfbench_smoke.sh
+
 echo "== live telemetry: heartbeats, OpenMetrics snapshot, top =="
 # a dynamics run with a fast ticker must leave a heartbeat-bearing
 # report, a parseable OpenMetrics snapshot, and a recording the live

@@ -178,16 +178,6 @@ let scan_for_improvement ctx ~stop_at_first =
     result
   end
 
-let exact_improvement ?budget ?engine game profile player =
-  scan_for_improvement
-    (make_context ?scan_budget:budget ?engine game profile player)
-    ~stop_at_first:true
-
-let best_improvement ?budget ?engine game profile player =
-  scan_for_improvement
-    (make_context ?scan_budget:budget ?engine game profile player)
-    ~stop_at_first:false
-
 let swap_candidates ctx =
   (* (kept-set, replacement) pairs: drop each owned arc in turn, try
      every replacement target not already owned and not the player. *)
@@ -241,15 +231,36 @@ let swap_scan ctx ~stop_at_first =
     result
   end
 
+type search = Exact_best | First_improving | Best_swap | First_swap
+
+type priced = { current : int; improving : move option }
+
+(* The context already priced the player's current strategy exactly, so
+   the search hands that cost back with its verdict: callers that need
+   it (a refutation, a dynamics step's gain) must not re-realize the
+   profile to get it again. *)
+let improve ?budget ?engine search game profile player =
+  let ctx = make_context ?scan_budget:budget ?engine game profile player in
+  let improving =
+    match search with
+    | Exact_best -> scan_for_improvement ctx ~stop_at_first:false
+    | First_improving -> scan_for_improvement ctx ~stop_at_first:true
+    | Best_swap -> swap_scan ctx ~stop_at_first:false
+    | First_swap -> swap_scan ctx ~stop_at_first:true
+  in
+  { current = ctx.current_cost; improving }
+
+let exact_improvement ?budget ?engine game profile player =
+  (improve ?budget ?engine First_improving game profile player).improving
+
+let best_improvement ?budget ?engine game profile player =
+  (improve ?budget ?engine Exact_best game profile player).improving
+
 let swap_best ?budget ?engine game profile player =
-  swap_scan
-    (make_context ?scan_budget:budget ?engine game profile player)
-    ~stop_at_first:false
+  (improve ?budget ?engine Best_swap game profile player).improving
 
 let first_improving_swap ?budget ?engine game profile player =
-  swap_scan
-    (make_context ?scan_budget:budget ?engine game profile player)
-    ~stop_at_first:true
+  (improve ?budget ?engine First_swap game profile player).improving
 
 (* --- audited checks: the same ladder, with evidence --- *)
 

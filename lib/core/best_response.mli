@@ -83,6 +83,29 @@ val first_improving_swap :
     increasing, replacement targets increasing.
     @raise Bbng_obs.Budgeted.Expired if the token trips mid-scan. *)
 
+type search =
+  | Exact_best       (** {!best_improvement} *)
+  | First_improving  (** {!exact_improvement} *)
+  | Best_swap        (** {!swap_best} *)
+  | First_swap       (** {!first_improving_swap} *)
+(** The four improvement searches above, as data. *)
+
+type priced = {
+  current : int;  (** the player's cost under the profile *)
+  improving : move option;  (** what the search returned *)
+}
+
+val improve :
+  ?budget:Bbng_obs.Budgeted.t ->
+  ?engine:Deviation_eval.choice ->
+  search -> Game.t -> Strategy.t -> int -> priced
+(** [improve search] runs the named search and also returns the current
+    cost its evaluation context priced, exactly and before any pruning
+    tier, so callers never re-price the player through
+    {!Game.player_cost}.  Each plain search above is
+    [(improve s ...).improving].
+    @raise Bbng_obs.Budgeted.Expired if the token trips mid-scan. *)
+
 (** {1 Audited checks}
 
     The equilibrium certifier's evidence-producing layer: the same

@@ -9,10 +9,10 @@ let c_verified = Bbng_obs.Counter.make "equilibrium.certificates_verified"
 (* Every per-player best-response check in a certification funnels
    through here: one span (coarse enough for the mutex-protected span
    table, even from Parallel domains) and one counter bump. *)
-let check_player finder game profile player =
+let check_player search game profile player =
   Bbng_obs.Counter.bump c_players;
   Bbng_obs.Span.time "equilibrium.certify_player" (fun () ->
-      finder game profile player)
+      Best_response.improve search game profile player)
 
 type refutation = {
   player : int;
@@ -25,47 +25,51 @@ type verdict =
   | Refuted of refutation
   | Degraded of int list
 
-let certify_with deviation_finder game profile =
+(* The refutation's current cost is the one the search priced: no second
+   realization of the profile. *)
+let refute search game profile player =
+  let r = check_player search game profile player in
+  Option.map
+    (fun better -> { player; better; current_cost = r.Best_response.current })
+    r.Best_response.improving
+
+(* An early exit is a refutation that left players unchecked, under
+   either certifier. *)
+let note_refutation n (r : refutation) =
+  if r.player < n - 1 then Bbng_obs.Counter.bump c_early_exits;
+  Refuted r
+
+let certify_with search game profile =
   let n = Game.n game in
   let rec scan player =
     if player >= n then Equilibrium
     else
-      match check_player deviation_finder game profile player with
-      | Some better ->
-          if player < n - 1 then Bbng_obs.Counter.bump c_early_exits;
-          Refuted { player; better; current_cost = Game.player_cost game profile player }
+      match refute search game profile player with
+      | Some r -> note_refutation n r
       | None -> scan (player + 1)
   in
   scan 0
 
-let certify game profile = certify_with Best_response.exact_improvement game profile
+let certify game profile = certify_with Best_response.First_improving game profile
 let is_nash game profile = certify game profile = Equilibrium
 
 let certify_parallel ?domains game profile =
   let n = Game.n game in
-  let witness =
-    Parallel.find_map ?domains ~n (fun player ->
-        match check_player Best_response.exact_improvement game profile player with
-        | Some better ->
-            Some
-              (Refuted
-                 {
-                   player;
-                   better;
-                   current_cost = Game.player_cost game profile player;
-                 })
-        | None -> None)
-  in
-  (match witness with Some _ -> Bbng_obs.Counter.bump c_early_exits | None -> ());
-  match witness with Some v -> v | None -> Equilibrium
+  match
+    Parallel.find_map ?domains ~n
+      (refute Best_response.First_improving game profile)
+  with
+  | Some r -> note_refutation n r
+  | None -> Equilibrium
 
 let is_nash_parallel ?domains game profile =
   let n = Game.n game in
   Parallel.for_all ?domains ~n (fun player ->
-      check_player Best_response.exact_improvement game profile player = None)
+      (check_player Best_response.First_improving game profile player)
+        .Best_response.improving = None)
 
 let certify_swap game profile =
-  certify_with Best_response.first_improving_swap game profile
+  certify_with Best_response.First_swap game profile
 
 let is_swap_stable game profile = certify_swap game profile = Equilibrium
 

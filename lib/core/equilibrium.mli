@@ -15,6 +15,8 @@ type refutation = {
   player : int;
   better : Best_response.move;  (** a strictly improving deviation *)
   current_cost : int;
+      (** the player's cost under the profile, as the search that found
+          [better] priced it ({!Best_response.improve}) *)
 }
 
 type verdict =
@@ -38,7 +40,9 @@ val certify_parallel : ?domains:int -> Game.t -> Strategy.t -> verdict
 (** Like {!certify}, with the per-player best-response checks fanned
     out over OCaml 5 domains (see {!Parallel}).  When refuted, the
     returned witness may belong to any deviating player (whichever
-    domain finished first), not necessarily the smallest index. *)
+    domain finished first), not necessarily the smallest index.  Both
+    certifiers count a refutation in [equilibrium.early_exits] only
+    when the refuted player is not the last one. *)
 
 val is_nash_parallel : ?domains:int -> Game.t -> Strategy.t -> bool
 

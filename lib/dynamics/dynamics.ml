@@ -1,7 +1,11 @@
 open Bbng_core
 module Obs = Bbng_obs
 
-type rule = Exact_best | First_improving | Best_swap | First_swap
+type rule = Best_response.search =
+  | Exact_best
+  | First_improving
+  | Best_swap
+  | First_swap
 
 let rule_name = function
   | Exact_best -> "exact-best"
@@ -20,16 +24,7 @@ let mover ?budget rule game profile player =
   (* one span per best-response probe: its p50/p99 is the per-player
      move-selection latency distribution of the whole dynamics run *)
   Obs.Span.with_ "dynamics.select_move" (fun () ->
-      match rule with
-      | Exact_best | First_improving ->
-          (* Both rules apply an exact improving move; Exact_best prefers
-             the best one. *)
-          if rule = Exact_best then
-            Best_response.best_improvement ?budget game profile player
-          else Best_response.exact_improvement ?budget game profile player
-      | Best_swap -> Best_response.swap_best ?budget game profile player
-      | First_swap ->
-          Best_response.first_improving_swap ?budget game profile player)
+      Best_response.improve ?budget rule game profile player)
 
 type outcome =
   | Converged of { profile : Strategy.t; steps : int }
@@ -282,8 +277,10 @@ let run ?(max_steps = 10_000) ?(detect_cycles = true) ?(meta = []) ?on_step
       finish (Interrupted { profile; steps = step })
     else begin
       (* The schedule probes players through this memoized move lookup,
-         so Max_gain's n probes and the final application share work. *)
-      let cache : (int, Best_response.move option) Hashtbl.t = Hashtbl.create 8 in
+         so Max_gain's n probes and the final application share work.
+         Each entry keeps the current cost its search priced, which is
+         both the probe's gain baseline and the step's [old_cost]. *)
+      let cache : (int, Best_response.priced) Hashtbl.t = Hashtbl.create 8 in
       let move_of p =
         match Hashtbl.find_opt cache p with
         | Some m -> m
@@ -294,10 +291,11 @@ let run ?(max_steps = 10_000) ?(detect_cycles = true) ?(meta = []) ?on_step
       in
       let step_max_regret = ref 0 in
       let improving p =
-        match move_of p with
+        let r = move_of p in
+        match r.Best_response.improving with
         | None -> None
         | Some m ->
-            let gain = Game.player_cost game profile p - m.Best_response.cost in
+            let gain = r.Best_response.current - m.Best_response.cost in
             if gain > !step_max_regret then step_max_regret := gain;
             Some gain
       in
@@ -319,10 +317,11 @@ let run ?(max_steps = 10_000) ?(detect_cycles = true) ?(meta = []) ?on_step
           last_regret := 0;
           finish (Converged { profile; steps = step })
       | `Next (Some (player, sched_state)) -> (
-          match move_of player with
+          let r = move_of player in
+          match r.Best_response.improving with
           | None -> assert false (* the schedule only returns improvers *)
           | Some m ->
-              let old_cost = Game.player_cost game profile player in
+              let old_cost = r.Best_response.current in
               let old_targets = Strategy.strategy profile player in
               let profile =
                 Strategy.with_strategy profile ~player ~targets:m.Best_response.targets
@@ -369,6 +368,8 @@ let run ?(max_steps = 10_000) ?(detect_cycles = true) ?(meta = []) ?on_step
 let stable game rule profile =
   let n = Game.n game in
   let rec check p =
-    p >= n || (mover rule game profile p = None && check (p + 1))
+    p >= n
+    || ((mover rule game profile p).Best_response.improving = None
+       && check (p + 1))
   in
   check 0

@@ -9,7 +9,7 @@ open Bbng_core
     Laoutaris et al. exhibited in the directed variant, left open for
     this game by Section 8), or a step bound is hit. *)
 
-type rule =
+type rule = Best_response.search =
   | Exact_best       (** move to an exact best response *)
   | First_improving  (** first strictly improving strategy found *)
   | Best_swap        (** best single-arc swap *)

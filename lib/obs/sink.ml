@@ -70,7 +70,7 @@ let is_milestone name =
         it is emitted, and the ticker already rate-limits them *)
   || String.length name >= 9 && String.sub name 0 9 = "dynamics."
 
-let deliver sink name fields =
+let deliver sink name fields line =
   match sink with
   | Null -> ()
   | Stderr_pretty ->
@@ -88,7 +88,6 @@ let deliver sink name fields =
       output_string stderr (Buffer.contents buf);
       flush stderr
   | Jsonl oc ->
-      let line = Json.to_string (Json.Obj (("event", Json.Str name) :: fields)) in
       output_string oc line;
       output_char oc '\n';
       if is_milestone name then flush oc
@@ -102,5 +101,13 @@ let emit name fields =
          and then assert the artifact is still a valid prefix *)
       if Fault.armed () then Fault.hit ("sink." ^ name);
       let fields = ("ts_us", Json.Float (now_us ())) :: fields in
+      (* the JSONL line is rendered before taking the lock: rendering is
+         most of an emit, and domains emitting span events concurrently
+         must not queue behind each other's serialization *)
+      let line =
+        if List.exists (function Jsonl _ -> true | _ -> false) installed then
+          Json.to_string (Json.Obj (("event", Json.Str name) :: fields))
+        else ""
+      in
       Mutex.protect out_mutex (fun () ->
-          List.iter (fun s -> deliver s name fields) installed)
+          List.iter (fun s -> deliver s name fields line) installed)

@@ -81,3 +81,16 @@ let random_profile_of (n, total, seed) =
   let st = rng seed in
   let b = Budget.random_partition st ~n ~total in
   Strategy.random st b
+
+(* Like [random_budget_gen], but half the cases draw a total budget
+   below n - 1, so disconnected profiles (whose costs carry the C_inf
+   penalty) are well represented. *)
+let sparse_or_dense_budget_gen ~n_min ~n_max =
+  QCheck.make
+    ~print:(fun (n, total, seed) ->
+      Printf.sprintf "n=%d total=%d seed=%d" n total seed)
+    QCheck.Gen.(
+      int_range n_min n_max >>= fun n ->
+      oneof [ int_range 0 (max 0 (n - 2)); int_range 0 (n * (n - 1)) ]
+      >>= fun total ->
+      int_range 0 10_000 >>= fun seed -> return (n, total, seed))

@@ -421,6 +421,30 @@ let test_work_single_process () =
       | Ok (Census.Partial _) -> Alcotest.fail "unlimited worker degraded"
       | Error e -> Alcotest.fail e)
 
+(* Mechanism pin: certifying a profile prices its players through the
+   deviation evaluator alone, so graph snapshots are built per
+   equilibrium (its diameter, its isomorphism class), never per scanned
+   or refuted profile.  Today an equilibrium costs under 3 snapshots;
+   pricing refuted players through [Game.player_cost] again would cost
+   one per refuted profile and break the bound at n = 4 already. *)
+let test_snapshots_follow_equilibria () =
+  let snapshots_during n =
+    let game = Game.make Cost.Sum (Budget.unit_budgets n) in
+    let before = Bbng_obs.Counter.find "csr.snapshots_built" in
+    let c = complete_exn (Census.run_sharded ~domains:1 game) in
+    (c, Bbng_obs.Counter.find "csr.snapshots_built" - before)
+  in
+  let c4, built4 = snapshots_during 4 in
+  let c5, built5 = snapshots_during 5 in
+  check_true "n=5 has more equilibria" (c5.Census.equilibria > c4.Census.equilibria);
+  List.iter
+    (fun (c, built) ->
+      check_true
+        (Printf.sprintf "%d snapshots for %d equilibria of %d profiles" built
+           c.Census.equilibria c.Census.total_profiles)
+        (built <= 4 * c.Census.equilibria))
+    [ (c4, built4); (c5, built5) ]
+
 let test_work_needs_a_plan () =
   let path = fresh_path () in
   check_true "no checkpoint and no seed is an error"
@@ -534,6 +558,7 @@ let suite =
     case "resume missing file" test_resume_missing;
     slow_case "worker drains a checkpoint" test_work_single_process;
     case "worker needs a plan" test_work_needs_a_plan;
+    case "snapshots follow equilibria, not profiles" test_snapshots_follow_equilibria;
     slow_case "stale claims superseded" test_work_supersedes_stale_claim;
     case "own claim is claimable" test_work_own_claim_is_claimable;
     case "worker budget expiry" test_work_budget_expiry_is_partial;

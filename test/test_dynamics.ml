@@ -149,6 +149,43 @@ let prop_convergence_on_small_tree_instances =
       | Dynamics.Cycle _ -> true
       | Dynamics.Step_limit _ | Dynamics.Interrupted _ -> false)
 
+(* The step's old_cost is the one the move search priced; re-pricing the
+   pre-step profile through the generic path must agree, on connected and
+   disconnected starts, under every rule, schedule and version. *)
+let prop_old_cost_is_exact =
+  qcheck ~count:40 "trace old_cost == Game.player_cost before the step"
+    (sparse_or_dense_budget_gen ~n_min:2 ~n_max:6) (fun input ->
+      let start = random_profile_of input in
+      List.for_all
+        (fun (version, rule, schedule) ->
+          let game = Game.make version (Strategy.budgets start) in
+          let current = ref start and ok = ref true in
+          let on_step e =
+            let player = e.Dynamics.player in
+            if e.Dynamics.old_cost <> Game.player_cost game !current player then
+              ok := false;
+            current :=
+              Strategy.with_strategy !current ~player
+                ~targets:e.Dynamics.new_targets
+          in
+          ignore
+            (Dynamics.run ~max_steps:200 game ~schedule ~rule ~on_step start);
+          !ok)
+        (List.concat_map
+           (fun version ->
+             List.concat_map
+               (fun rule ->
+                 List.map
+                   (fun schedule -> (version, rule, schedule))
+                   [ Schedule.Round_robin; Schedule.Max_gain ])
+               [
+                 Dynamics.Exact_best;
+                 Dynamics.First_improving;
+                 Dynamics.Best_swap;
+                 Dynamics.First_swap;
+               ])
+           Cost.all_versions))
+
 (* Convergence diagnostics: a recorded converging run must carry
    dynamics.diagnosis events whose final verdict aligns with the typed
    outcome, and the outcome event must expose max_regret = 0 (every
@@ -204,6 +241,7 @@ let suite =
     case "convergence reaches Nash" test_convergence_reaches_nash;
     case "swap rule reaches swap stability" test_swap_rule_reaches_swap_stability;
     case "steps strictly improve" test_each_step_strictly_improves;
+    prop_old_cost_is_exact;
     case "step limit" test_step_limit;
     case "all schedules work" test_schedules_agree_on_stability;
     case "max-gain picks the largest gain" test_max_gain_picks_largest;

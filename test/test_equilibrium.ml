@@ -193,6 +193,73 @@ let prop_range_partition_agrees =
       profiles_in_range b ~lo:0 ~hi:mid @ profiles_in_range b ~lo:mid ~hi:space
       = List.rev !all)
 
+(* --- the refutation's current cost comes from the search --- *)
+
+let refutation_cost_is_exact game profile = function
+  | Equilibrium.Refuted r ->
+      r.Equilibrium.current_cost
+      = Game.player_cost game profile r.Equilibrium.player
+  | Equilibrium.Equilibrium -> true
+  | Equilibrium.Degraded _ -> false
+
+let prop_refutation_current_cost =
+  qcheck ~count:80 "refutation current_cost == Game.player_cost"
+    (sparse_or_dense_budget_gen ~n_min:2 ~n_max:6) (fun input ->
+      let p = random_profile_of input in
+      List.for_all
+        (fun version ->
+          let game = Game.make version (Strategy.budgets p) in
+          List.for_all
+            (refutation_cost_is_exact game p)
+            [
+              Equilibrium.certify game p;
+              Equilibrium.certify_parallel ~domains:2 game p;
+              Equilibrium.certify_swap game p;
+            ])
+        Cost.all_versions)
+
+(* --- equilibrium.early_exits: a refutation that skipped players --- *)
+
+(* Directed path k-1 -> ... -> 1 -> 0 (budgets 0,1,...,1) under SUM:
+   only the head k-1 has an improving move, and it is the last player. *)
+let reversed_path k =
+  let g = Bbng_graph.Generators.directed_path k in
+  Strategy.of_digraph
+    (Bbng_graph.Digraph.of_arcs ~n:k
+       (List.map (fun (u, v) -> (k - 1 - u, k - 1 - v)) (Bbng_graph.Digraph.arcs g)))
+
+let early_exits_during f =
+  let before = Bbng_obs.Counter.find "equilibrium.early_exits" in
+  let v = f () in
+  (v, Bbng_obs.Counter.find "equilibrium.early_exits" - before)
+
+let test_early_exits_on_last_player () =
+  let p = reversed_path 4 in
+  let game = Game.make Cost.Sum (Strategy.budgets p) in
+  List.iter
+    (fun (name, certifier) ->
+      match early_exits_during (fun () -> certifier game p) with
+      | Equilibrium.Refuted r, exits ->
+          check_int (name ^ ": refuted by the last player") 3 r.Equilibrium.player;
+          check_int (name ^ ": no player was skipped") 0 exits
+      | v, _ -> Alcotest.failf "%s: %a" name Equilibrium.pp_verdict v)
+    [
+      ("certify", Equilibrium.certify);
+      ("parallel/1", Equilibrium.certify_parallel ~domains:1);
+      ("parallel/2", Equilibrium.certify_parallel ~domains:2);
+    ];
+  (* the forward path refutes on player 0: players were skipped *)
+  let p = Strategy.of_digraph (Bbng_graph.Generators.directed_path 4) in
+  let game = Game.make Cost.Sum (Strategy.budgets p) in
+  List.iter
+    (fun (name, certifier) ->
+      let _, exits = early_exits_during (fun () -> certifier game p) in
+      check_int (name ^ ": early exit counted") 1 exits)
+    [
+      ("certify", Equilibrium.certify);
+      ("parallel/1", Equilibrium.certify_parallel ~domains:1);
+    ]
+
 let suite =
   [
     case "certify equilibrium" test_certify_equilibrium;
@@ -212,5 +279,7 @@ let suite =
       test_tree_instances_have_tree_equilibria;
     case "iter_profiles_range replays" test_iter_profiles_range_replays;
     case "iter_profiles_range guards" test_iter_profiles_range_guards;
+    prop_refutation_current_cost;
+    case "early exits skip players" test_early_exits_on_last_player;
     prop_range_partition_agrees;
   ]
