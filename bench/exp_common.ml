@@ -131,6 +131,29 @@ let time_it f =
 
 let verdict_cell ok = if ok then "ok" else "VIOLATED"
 
+(* Engine ablation: price every one of a player's C(n-1, b) candidate
+   strategies through a context forced onto [engine].  Production
+   searches let the player's budget pick the engine; this scan is how
+   the bench times both engines over the same candidates, in the same
+   lexicographic order.  Returns the first cheapest strategy and its
+   cost. *)
+let forced_engine_scan ~engine version profile player =
+  let ctx = Deviation_eval.make ~engine version profile ~player in
+  let n = Strategy.n profile in
+  let b = Budget.get (Strategy.budgets profile) player in
+  let buf = Array.make b 0 in
+  let best = ref None in
+  Bbng_graph.Combinatorics.iter_combinations ~n:(n - 1) ~k:b (fun c ->
+      (* subsets of {0..n-2}, shifted past the player *)
+      for i = 0 to b - 1 do
+        buf.(i) <- (if c.(i) < player then c.(i) else c.(i) + 1)
+      done;
+      let cost = Deviation_eval.cost ctx buf in
+      match !best with
+      | Some (_, best_cost) when best_cost <= cost -> ()
+      | _ -> best := Some (Array.copy buf, cost));
+  !best
+
 (* --- machine-readable run reports --- *)
 
 module Json = Bbng_obs.Json

@@ -1,5 +1,6 @@
 (* Engine head-to-head: overlay-BFS vs distance-row exact deviation
-   pricing on exhaustive best-response scans.
+   pricing on exhaustive candidate scans, each engine forced through
+   [Exp_common.forced_engine_scan].
 
    Both engines are exact (the qcheck oracle in test_deviation_eval
    pins rows == bfs on random profiles), so the interesting output is
@@ -8,14 +9,14 @@
    O(b n) min-combine per candidate, dropping the scan from
    O(C(n-1,b) (n+m)) to O(n (n+m) + C(n-1,b) b n).
 
-   The circulant profiles (i -> {i+1..i+b} mod n) keep the diameter
-   well above the Lemma 2.2 threshold, so neither pruning tier fires
-   and every cell really prices all C(n-1, b) candidates per player. *)
+   The circulant profiles (i -> {i+1..i+b} mod n) keep the scans
+   comparable with the production searches: the diameter stays well
+   above the Lemma 2.2 threshold, so neither pruning tier would fire
+   and every cell prices all C(n-1, b) candidates per player. *)
 
 open Bbng_core
 open Exp_common
 module Table = Bbng_analysis.Table
-module Deviation_eval = Bbng_core.Deviation_eval
 
 let circulant ~n ~b =
   Strategy.make
@@ -25,10 +26,8 @@ let circulant ~n ~b =
          Array.sort compare s;
          s))
 
-let scan_all_players ~engine game profile =
-  let n = Strategy.n profile in
-  Array.init n (fun player ->
-      Best_response.best_improvement ~engine game profile player)
+let scan_all_players ~engine version profile =
+  Array.init (Strategy.n profile) (forced_engine_scan ~engine version profile)
 
 let run () =
   section "ENGINES — overlay-BFS vs distance-row exact deviation pricing";
@@ -44,22 +43,18 @@ let run () =
     List.map
       (fun (version, n, b) ->
         let profile = circulant ~n ~b in
-        let game = Game.make version (Strategy.budgets profile) in
         let candidates = Bbng_graph.Combinatorics.binomial (n - 1) b in
         let bfs_moves, bfs_s =
           time_it (fun () ->
-              scan_all_players
-                ~engine:(Deviation_eval.Fixed Deviation_eval.Bfs_overlay)
-                game profile)
+              scan_all_players ~engine:Deviation_eval.Bfs_overlay version
+                profile)
         in
         let rows_moves, rows_s =
           time_it (fun () ->
-              scan_all_players
-                ~engine:(Deviation_eval.Fixed Deviation_eval.Rows)
-                game profile)
+              scan_all_players ~engine:Deviation_eval.Rows version profile)
         in
         (* both engines are exact with the same deterministic scan
-           order, so the full per-player move lists must coincide *)
+           order, so the per-player cheapest strategies must coincide *)
         let agree = bfs_moves = rows_moves in
         let speedup = if rows_s > 0. then Some (bfs_s /. rows_s) else None in
         if version = Cost.Sum && n = 30 && b = 2 then headline := speedup;

@@ -14,11 +14,12 @@ let sun_game = Game.make Cost.Sum (Strategy.budgets sun30)
 let tripod8 = Bbng_constructions.Tripod.profile ~k:8
 let tripod_game = Game.make Cost.Max (Strategy.budgets tripod8)
 
-(* Engine head-to-head: exhaustive best response on a circulant profile
-   (i -> {i+1, i+2} mod n) sized so neither the cost floor nor Lemma 2.2
-   prunes — the scan really prices all C(n-1, b) candidate strategies,
-   which is what separates the overlay-BFS engine from the
-   distance-row engine. *)
+(* Engine head-to-head: one player's exhaustive scan of all C(n-1, b)
+   candidate strategies on a circulant profile (i -> {i+1, i+2} mod n),
+   priced once per engine through [Exp_common.forced_engine_scan] —
+   the per-candidate cost is what separates the overlay-BFS engine
+   from the distance-row engine.  The profile is sized so neither the
+   cost floor nor Lemma 2.2 would prune a production search either. *)
 let circ30 =
   let n = 30 in
   Strategy.make
@@ -27,8 +28,6 @@ let circ30 =
          let s = [| (i + 1) mod n; (i + 2) mod n |] in
          Array.sort compare s;
          s))
-
-let circ_game = Game.make Cost.Sum (Strategy.budgets circ30)
 
 (* Census pipeline: the end-to-end scan of a full unit-budget space,
    and the merge step in isolation (pre-scanned shard results), so the
@@ -95,15 +94,13 @@ let workloads =
     ( "br-exact-bfs-n30b2",
       fun () ->
         ignore
-          (Best_response.best_improvement
-             ~engine:(Deviation_eval.Fixed Deviation_eval.Bfs_overlay)
-             circ_game circ30 0) );
+          (Exp_common.forced_engine_scan ~engine:Deviation_eval.Bfs_overlay
+             Cost.Sum circ30 0) );
     ( "br-exact-rows-n30b2",
       fun () ->
         ignore
-          (Best_response.best_improvement
-             ~engine:(Deviation_eval.Fixed Deviation_eval.Rows)
-             circ_game circ30 0) );
+          (Exp_common.forced_engine_scan ~engine:Deviation_eval.Rows Cost.Sum
+             circ30 0) );
     ("census-scan-unit4", fun () -> ignore (Census.run census_game));
     ( "census-merge-unit4",
       fun () ->

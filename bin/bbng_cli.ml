@@ -72,18 +72,6 @@ let obs_term =
              dynamics step is emitted.  The $(b,BBNG_FAULT) environment \
              variable takes the same specs, comma-separated.")
   in
-  let engine =
-    Arg.(
-      value & opt string "auto"
-      & info [ "eval-engine" ] ~docv:"bfs|rows|auto"
-          ~doc:
-            "Deviation pricing engine for exact searches: $(b,bfs) runs one \
-             BFS per candidate strategy, $(b,rows) combines cached \
-             per-target distance rows in O(b*n) per candidate, $(b,auto) \
-             (default) picks rows for players with budget >= 2.  Both \
-             engines are exact; certificates record which one priced them \
-             and $(b,verify) re-prices through the other.")
-  in
   let metrics_out =
     Arg.(
       value
@@ -109,7 +97,7 @@ let obs_term =
              compatible.  Implies span collection; see also $(b,bbng_cli \
              flame) for profiling an already-recorded report.")
   in
-  let setup stats report faults engine metrics_out profile_out =
+  let setup stats report faults metrics_out profile_out =
     let rec arm = function
       | [] -> Ok ()
       | s :: rest -> (
@@ -119,17 +107,7 @@ let obs_term =
               arm rest
           | Error msg -> Error (Printf.sprintf "bad --fault spec: %s" msg))
     in
-    match
-      let* () = arm faults in
-      match Bbng_core.Deviation_eval.choice_of_name engine with
-      | Some choice ->
-          Bbng_core.Deviation_eval.set_default_choice choice;
-          Ok ()
-      | None ->
-          Error
-            (Printf.sprintf "bad --eval-engine %S (expected bfs, rows or auto)"
-               engine)
-    with
+    match arm faults with
     | Error _ as e -> e
     | Ok () ->
         if stats || report <> None || profile_out <> None then begin
@@ -218,7 +196,7 @@ let obs_term =
   in
   Term.term_result'
     Term.(
-      const setup $ stats $ report $ fault $ engine $ metrics_out $ profile_out)
+      const setup $ stats $ report $ fault $ metrics_out $ profile_out)
 
 (* Deadline/work-budget flags, shared by the deadline-aware
    subcommands.  Absent flags yield the shared unlimited token, which

@@ -112,17 +112,19 @@ for f in artifacts/DYN_*.jsonl.partial; do
 done
 
 echo "== 8. SIGKILL mid-row-build: rows-engine certify leaves the previous artifact intact =="
-"$CLI" certify "$PROFILE" -c max --eval-engine rows --cert ROWS.json > /dev/null
+# players 0, 2 and 4 have budget 2, so their scans price through the
+# distance-row engine and reach the deveval.row_build probe
+"$CLI" certify "$PROFILE" -c max --cert ROWS.json > /dev/null
 cp ROWS.json ROWS.before.json
 rc=0
-"$CLI" certify "$PROFILE" -c max --eval-engine rows --cert ROWS.json \
+"$CLI" certify "$PROFILE" -c max --cert ROWS.json \
   --fault deveval.row_build@kill@3 > /dev/null 2>&1 || rc=$?
 [ "$rc" = 137 ] || fail "expected SIGKILL exit 137, got $rc"
 cmp -s ROWS.before.json ROWS.json || fail "previous rows certificate was torn"
 "$CLI" verify ROWS.json > /dev/null || fail "previous rows certificate no longer verifies"
 # and a fresh run re-certifies byte-identically (same argv, so the
 # provenance block matches too: run it from a sibling directory)
-mkdir rows2 && (cd rows2 && "$CLI" certify "$PROFILE" -c max --eval-engine rows --cert ROWS.json > /dev/null)
+mkdir rows2 && (cd rows2 && "$CLI" certify "$PROFILE" -c max --cert ROWS.json > /dev/null)
 cmp -s ROWS.json rows2/ROWS.json || fail "rows certify is not deterministic after the kill"
 
 echo "== 9. SIGKILL between heartbeats: fresh .prom survives, .partial carries the beats =="

@@ -181,9 +181,6 @@ let plan_of_fields fields =
       | _ -> None)
   | _ -> None
 
-let engine_provenance () =
-  Deviation_eval.choice_name (Deviation_eval.default_choice ())
-
 let shard_row ~key ~provenance r =
   let base =
     [
@@ -210,17 +207,10 @@ let shard_row ~key ~provenance r =
              r.diameters) );
     ]
   in
-  (* checkpoint rows carry who/how for forensics; the canonical rows of
-     the final artifact drop them, so fresh and resumed runs commit the
-     same bytes *)
-  let prov =
-    if provenance then
-      [
-        ("pid", Json.Int (Unix.getpid ()));
-        ("engine", Json.Str (engine_provenance ()));
-      ]
-    else []
-  in
+  (* checkpoint rows carry the writer's pid for forensics; the
+     canonical rows of the final artifact drop it, so fresh and resumed
+     runs commit the same bytes *)
+  let prov = if provenance then [ ("pid", Json.Int (Unix.getpid ())) ] else [] in
   stamp (base @ prov)
 
 let shard_of_fields plan fields =

@@ -17,7 +17,9 @@ let h_candidates = Bbng_obs.Histogram.make "br.candidates_per_search"
 
 (* All evaluators share one incremental evaluation context: the static
    part of the graph is materialized once and each candidate strategy
-   costs a single overlay BFS (see Deviation_eval). *)
+   is priced by the engine the player's budget selects — one overlay
+   BFS at b <= 1, a min-combine of cached distance rows at b >= 2 (see
+   Deviation_eval). *)
 type context = {
   game : Game.t;
   profile : Strategy.t;
@@ -35,15 +37,13 @@ type context = {
    those must stay available under any deadline.  The caller's token is
    armed only after warm-up, so only the candidate scan can trip.
 
-   [?engine] picks the pricing engine (default: the process-wide
-   choice, see Deviation_eval.set_default_choice).  Contexts are
-   per-search state, so parallel certification naturally gets one
-   context — and one private row cache — per domain. *)
-let make_context ?(scan_budget = Bbng_obs.Budgeted.unlimited) ?engine game
-    profile player =
+   Contexts are per-search state, so parallel certification naturally
+   gets one context — and one private row cache — per domain. *)
+let make_context ?(scan_budget = Bbng_obs.Budgeted.unlimited) game profile
+    player =
   let n = Game.n game in
   let budget = Budget.get (Game.budgets game) player in
-  let eval_ctx = Deviation_eval.make ?engine (Game.version game) profile ~player in
+  let eval_ctx = Deviation_eval.make (Game.version game) profile ~player in
   let in_degree =
     let count = ref 0 in
     for i = 0 to n - 1 do
@@ -119,8 +119,8 @@ let satisfies_lemma_2_2 profile player =
     not (Array.exists (fun m -> m = 0) mark)
   end
 
-let exact ?budget ?engine game profile player =
-  let ctx = make_context ?scan_budget:budget ?engine game profile player in
+let exact ?budget game profile player =
+  let ctx = make_context ?scan_budget:budget game profile player in
   let n = Game.n game in
   let buf = Array.make ctx.budget 0 in
   match
@@ -239,8 +239,8 @@ type priced = { current : int; improving : move option }
    the search hands that cost back with its verdict: callers that need
    it (a refutation, a dynamics step's gain) must not re-realize the
    profile to get it again. *)
-let improve ?budget ?engine search game profile player =
-  let ctx = make_context ?scan_budget:budget ?engine game profile player in
+let improve ?budget search game profile player =
+  let ctx = make_context ?scan_budget:budget game profile player in
   let improving =
     match search with
     | Exact_best -> scan_for_improvement ctx ~stop_at_first:false
@@ -250,17 +250,17 @@ let improve ?budget ?engine search game profile player =
   in
   { current = ctx.current_cost; improving }
 
-let exact_improvement ?budget ?engine game profile player =
-  (improve ?budget ?engine First_improving game profile player).improving
+let exact_improvement ?budget game profile player =
+  (improve ?budget First_improving game profile player).improving
 
-let best_improvement ?budget ?engine game profile player =
-  (improve ?budget ?engine Exact_best game profile player).improving
+let best_improvement ?budget game profile player =
+  (improve ?budget Exact_best game profile player).improving
 
-let swap_best ?budget ?engine game profile player =
-  (improve ?budget ?engine Best_swap game profile player).improving
+let swap_best ?budget game profile player =
+  (improve ?budget Best_swap game profile player).improving
 
-let first_improving_swap ?budget ?engine game profile player =
-  (improve ?budget ?engine First_swap game profile player).improving
+let first_improving_swap ?budget game profile player =
+  (improve ?budget First_swap game profile player).improving
 
 (* --- audited checks: the same ladder, with evidence --- *)
 
@@ -357,8 +357,8 @@ let pruned_audit ctx tier =
     improving = None;
   }
 
-let audit_exact ?budget ?engine game profile player =
-  let ctx = make_context ?scan_budget:budget ?engine game profile player in
+let audit_exact ?budget game profile player =
+  let ctx = make_context ?scan_budget:budget game profile player in
   if ctx.current_cost <= ctx.floor then begin
     Bbng_obs.Counter.bump c_pruned_floor;
     pruned_audit ctx Cost_floor
@@ -375,8 +375,8 @@ let audit_exact ?budget ?engine game profile player =
         Combinatorics.iter_combinations ~n:(n - 1) ~k:ctx.budget (fun c ->
             f (unshift ctx.player c)))
 
-let audit_swap ?budget ?engine game profile player =
-  let ctx = make_context ?scan_budget:budget ?engine game profile player in
+let audit_swap ?budget game profile player =
+  let ctx = make_context ?scan_budget:budget game profile player in
   if ctx.current_cost <= ctx.floor then begin
     Bbng_obs.Counter.bump c_pruned_floor;
     pruned_audit ctx Cost_floor
@@ -387,8 +387,8 @@ let audit_swap ?budget ?engine game profile player =
       ~candidates:(Combinatorics.Exact (ctx.budget * (n - 1 - ctx.budget)))
       (fun f -> List.iter f (swap_candidates ctx))
 
-let greedy ?budget ?engine game profile player =
-  let ctx = make_context ?scan_budget:budget ?engine game profile player in
+let greedy ?budget game profile player =
+  let ctx = make_context ?scan_budget:budget game profile player in
   let n = Game.n game in
   let chosen = ref [] in
   let is_chosen v = List.mem v !chosen in

@@ -21,9 +21,8 @@
     degradation policy); the audited checks convert interruption into a
     typed {!Degraded_scan} audit instead.
 
-    Every search also takes an optional [?engine] picking the pricing
-    engine ({!Deviation_eval.choice}; default is the process-wide
-    choice): the overlay-BFS engine or the distance-row engine.  Both
+    Every search prices candidates through one {!Deviation_eval}
+    context, whose engine the player's budget selects.  Both engines
     are exact, so every result below is engine-independent; audits
     record which engine priced them so a certificate verifier can
     re-price through the other one. *)
@@ -40,7 +39,6 @@ val satisfies_lemma_2_2 : Strategy.t -> int -> bool
 
 val exact :
   ?budget:Bbng_obs.Budgeted.t ->
-  ?engine:Deviation_eval.choice ->
   Game.t -> Strategy.t -> int -> move
 (** The true best response of a player (ties broken toward the
     lexicographically smallest target set; the player's current strategy
@@ -50,7 +48,6 @@ val exact :
 
 val exact_improvement :
   ?budget:Bbng_obs.Budgeted.t ->
-  ?engine:Deviation_eval.choice ->
   Game.t -> Strategy.t -> int -> move option
 (** [Some m] with [m.cost < current cost] if the player can improve
     (the search stops at the first strict improvement found after
@@ -60,7 +57,6 @@ val exact_improvement :
 
 val best_improvement :
   ?budget:Bbng_obs.Budgeted.t ->
-  ?engine:Deviation_eval.choice ->
   Game.t -> Strategy.t -> int -> move option
 (** Like {!exact_improvement} but scans everything: the {e best}
     deviation, or [None] if already optimal.
@@ -68,7 +64,6 @@ val best_improvement :
 
 val swap_best :
   ?budget:Bbng_obs.Budgeted.t ->
-  ?engine:Deviation_eval.choice ->
   Game.t -> Strategy.t -> int -> move option
 (** Best strict improvement obtainable by replacing exactly one owned
     arc (keeping the other [b - 1]); [None] if no swap improves.
@@ -77,7 +72,6 @@ val swap_best :
 
 val first_improving_swap :
   ?budget:Bbng_obs.Budgeted.t ->
-  ?engine:Deviation_eval.choice ->
   Game.t -> Strategy.t -> int -> move option
 (** First strict improvement by a single swap, scan order: owned arcs
     increasing, replacement targets increasing.
@@ -97,7 +91,6 @@ type priced = {
 
 val improve :
   ?budget:Bbng_obs.Budgeted.t ->
-  ?engine:Deviation_eval.choice ->
   search -> Game.t -> Strategy.t -> int -> priced
 (** [improve search] runs the named search and also returns the current
     cost its evaluation context priced, exactly and before any pruning
@@ -150,7 +143,6 @@ type audit = {
 
 val audit_exact :
   ?budget:Bbng_obs.Budgeted.t ->
-  ?engine:Deviation_eval.choice ->
   Game.t -> Strategy.t -> int -> audit
 (** Audited exact check.  Prunes exactly like {!exact_improvement}
     (and agrees with it on [improving = None]); when no pruning fires
@@ -169,7 +161,6 @@ val audit_exact :
 
 val audit_swap :
   ?budget:Bbng_obs.Budgeted.t ->
-  ?engine:Deviation_eval.choice ->
   Game.t -> Strategy.t -> int -> audit
 (** Audited swap-stability check (cost-floor pruning only; Lemma 2.2
     is about exact best responses).  Degrades under an expired
@@ -177,7 +168,6 @@ val audit_swap :
 
 val greedy :
   ?budget:Bbng_obs.Budgeted.t ->
-  ?engine:Deviation_eval.choice ->
   Game.t -> Strategy.t -> int -> move
 (** Heuristic response: pick the [b] targets one at a time, each time
     adding the target that minimizes the player's cost with the partial

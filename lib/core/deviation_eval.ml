@@ -15,21 +15,6 @@ let engine_of_name = function
   | "rows" -> Some Rows
   | _ -> None
 
-type choice = Fixed of engine | Auto
-
-let choice_name = function Fixed e -> engine_name e | Auto -> "auto"
-
-let choice_of_name = function
-  | "auto" -> Some Auto
-  | s -> Option.map (fun e -> Fixed e) (engine_of_name s)
-
-(* Process-wide default, set once by the CLI/bench --eval-engine flag
-   before any context exists; contexts resolve it at [make] time, so
-   domains spawned later inherit it without signature churn. *)
-let default = Atomic.make Auto
-let set_default_choice c = Atomic.set default c
-let default_choice () = Atomic.get default
-
 (* Distance rows of the player-deleted static graph, built lazily one
    BFS at a time.  [rows.(v)] caches dist_{G∖player}(v, ·); [base] is
    the single multi-source row min over staticN(player).  FIFO eviction
@@ -69,14 +54,6 @@ type t = {
   mutable budget : Bbng_obs.Budgeted.t;
 }
 
-(* Rows beat the overlay BFS once a candidate scan re-visits targets,
-   which C(n-1, b) enumeration does heavily for b >= 2; at b <= 1 every
-   row is used once and the overlay's single BFS is already optimal. *)
-let resolve_choice choice ~budget_size =
-  match choice with
-  | Fixed e -> e
-  | Auto -> if budget_size >= 2 then Rows else Bfs_overlay
-
 let make ?(budget = Bbng_obs.Budgeted.unlimited) ?engine ?row_cache_cap version
     profile ~player =
   Bbng_obs.Counter.bump c_contexts;
@@ -109,10 +86,16 @@ let make ?(budget = Bbng_obs.Budgeted.unlimited) ?engine ?row_cache_cap version
         (Strategy.strategy profile i)
   done;
   let own = Array.copy (Strategy.strategy profile player) in
-  let choice =
-    match engine with Some c -> c | None -> Atomic.get default
+  (* Rows beat the overlay BFS once a candidate scan re-visits targets,
+     which C(n-1, b) enumeration does heavily for b >= 2; at b <= 1
+     every row is used once and the overlay's single BFS is already
+     optimal.  The budget is the only selector; [?engine] forces one
+     engine for cross-engine verification and ablations. *)
+  let engine =
+    match engine with
+    | Some e -> e
+    | None -> if Array.length own >= 2 then Rows else Bfs_overlay
   in
-  let engine = resolve_choice choice ~budget_size:(Array.length own) in
   let rows_state =
     match engine with
     | Bfs_overlay -> None
@@ -449,11 +432,18 @@ let rows_cost t rs targets =
         if !reached = n then !mx
         else begin
           (* disconnected under MAX: mark the reach set for the
-             component walk.  Re-gathering the rows is a cache hit
+             component walk.  Re-gathering the rows finds them cached
              (they were just combined; a rebuild after an eviction is
              deterministic, so the mark equals the combine's reach set
-             either way). *)
-          let trows = Array.map row targets in
+             either way), and is not counted again as cache hits. *)
+          let trows =
+            Array.map
+              (fun tg ->
+                match rs.rows.(tg) with
+                | Some r -> r
+                | None -> miss_row t rs tg)
+              targets
+          in
           t.stamp <- t.stamp + 1;
           let stamp = t.stamp in
           t.seen.(t.player) <- stamp;

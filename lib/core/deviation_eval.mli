@@ -39,33 +39,19 @@
 type t
 
 type engine = Bfs_overlay | Rows
-(** The two exact pricing engines (see the module preamble). *)
-
-type choice = Fixed of engine | Auto
-(** Engine selection: [Auto] resolves per context to [Rows] when the
-    player's budget is ≥ 2 (rows amortize only when candidates share
-    first hops) and [Bfs_overlay] otherwise. *)
+(** The two exact pricing engines (see the module preamble).  A context
+    picks one from the player's budget alone: [Rows] when it is ≥ 2
+    (rows amortize only when candidates share first hops), [Bfs_overlay]
+    otherwise. *)
 
 val engine_name : engine -> string
 (** ["bfs"] or ["rows"] — the stable names certificates record. *)
 
 val engine_of_name : string -> engine option
 
-val choice_name : choice -> string
-(** ["bfs"], ["rows"] or ["auto"]. *)
-
-val choice_of_name : string -> choice option
-
-val set_default_choice : choice -> unit
-(** Process-wide default used when {!make} gets no [?engine]; set once
-    by the [--eval-engine] CLI/bench flag.  Contexts resolve it at
-    {!make} time, so parallel domains spawned later inherit it. *)
-
-val default_choice : unit -> choice
-
 val make :
   ?budget:Bbng_obs.Budgeted.t ->
-  ?engine:choice ->
+  ?engine:engine ->
   ?row_cache_cap:int ->
   Cost.version ->
   Strategy.t ->
@@ -73,7 +59,9 @@ val make :
   t
 (** Captures the fixed part.  O(n + m).  [?budget] (default unlimited)
     is the cancellation token every subsequent {!cost} call honours.
-    [?engine] overrides the process default ({!set_default_choice});
+    [?engine] overrides the budget rule (certificate verification
+    re-prices through a forced engine; tests and the bench ablation
+    compare both);
     [?row_cache_cap] bounds how many distance rows the [Rows] engine
     keeps live (FIFO eviction, clamped to ≥ 1; the default keeps the
     cache under ~64 MB and never evicts at paper scales).  Cache
@@ -87,7 +75,7 @@ val player : t -> int
 val version : t -> Cost.version
 
 val engine : t -> engine
-(** The engine this context resolved to ([Auto] already applied). *)
+(** The engine this context prices with. *)
 
 val budget : t -> Bbng_obs.Budgeted.t
 

@@ -203,17 +203,17 @@ let certify_cert_with ?budget auditor mode game profile =
            cert_evidence = scan 0 [];
          })
 
-let certify_cert ?budget ?engine game profile =
+let certify_cert ?budget game profile =
   certify_cert_with ?budget
-    (Best_response.audit_exact ?budget ?engine)
+    (Best_response.audit_exact ?budget)
     Exact_mode game profile
 
-let certify_swap_cert ?budget ?engine game profile =
+let certify_swap_cert ?budget game profile =
   certify_cert_with ?budget
-    (Best_response.audit_swap ?budget ?engine)
+    (Best_response.audit_swap ?budget)
     Swap_mode game profile
 
-let certify_parallel_cert ?domains ?budget ?engine game profile =
+let certify_parallel_cert ?domains ?budget game profile =
   Bbng_obs.Span.time "equilibrium.certify" @@ fun () ->
   Bbng_obs.Counter.bump c_certificates;
   let n = Game.n game in
@@ -227,7 +227,7 @@ let certify_parallel_cert ?domains ?budget ?engine game profile =
         Parallel.map ?domains ~n (fun player ->
             let a =
               audited_player
-                (Best_response.audit_exact ?budget ?engine)
+                (Best_response.audit_exact ?budget)
                 game profile player
             in
             progress_audit progress a;
@@ -567,7 +567,7 @@ let verify_certificate ?(samples = 32) cert =
             let ctx =
               lazy
                 (Deviation_eval.make
-                   ~engine:(Deviation_eval.Fixed Deviation_eval.Rows)
+                   ~engine:Deviation_eval.Rows
                    cert.cert_version profile ~player)
             in
             fun targets -> Deviation_eval.cost (Lazy.force ctx) targets

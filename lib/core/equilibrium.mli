@@ -91,12 +91,11 @@ type certificate = {
 
 val certify_cert :
   ?budget:Bbng_obs.Budgeted.t ->
-  ?engine:Deviation_eval.choice ->
   Game.t -> Strategy.t -> certificate
 (** Certificate-producing {!certify}: same scan order, same pruning,
-    same verdict, plus evidence.  [?engine] picks the pricing engine
-    (default: the process-wide choice); the evidence records the engine
-    each audit resolved to.
+    same verdict, plus evidence.  The evidence records the engine that
+    priced each audit (the player's budget selects it: distance rows at
+    b ≥ 2, overlay BFS otherwise).
 
     [?budget] (default unlimited) bounds the work: once the token
     trips, each remaining player still gets the cheap tiers
@@ -110,15 +109,13 @@ val certify_cert :
 
 val certify_swap_cert :
   ?budget:Bbng_obs.Budgeted.t ->
-  ?engine:Deviation_eval.choice ->
   Game.t -> Strategy.t -> certificate
-(** Certificate-producing {!certify_swap}.  [?budget] and [?engine] as
-    in {!certify_cert}. *)
+(** Certificate-producing {!certify_swap}.  [?budget] as in
+    {!certify_cert}. *)
 
 val certify_parallel_cert :
   ?domains:int ->
   ?budget:Bbng_obs.Budgeted.t ->
-  ?engine:Deviation_eval.choice ->
   Game.t ->
   Strategy.t ->
   certificate

@@ -356,8 +356,29 @@ let test_resume_dedups_duplicate_shards () =
         (complete_exn
            (Census.run_sharded ~shard_size:11 ~checkpoint:reference game));
       let lines = read_lines reference in
-      (* two workers raced: a shard row appears twice *)
-      let doubled = lines @ [ List.nth lines 1; List.nth lines 2 ] in
+      (* two workers raced: a shard row appears twice — and its first
+         copy came from an older writer whose checkpoint rows also
+         carried an "engine" provenance field.  The digest covers every
+         field, so that row must still verify and win the dedup. *)
+      let legacy =
+        match Json.of_string (List.nth lines 1) with
+        | Json.Obj fields ->
+            let bare = List.filter (fun (k, _) -> k <> "digest") fields in
+            let bare =
+              bare @ [ ("pid", Json.Int 1); ("engine", Json.Str "auto") ]
+            in
+            let payload = Json.to_string (Json.Obj bare) in
+            Json.to_string
+              (Json.Obj
+                 (bare
+                 @ [ ("digest", Json.Str (Digest.to_hex (Digest.string payload))) ]
+                 ))
+        | _ -> Alcotest.fail "shard row is not an object"
+      in
+      let doubled =
+        List.mapi (fun i l -> if i = 1 then legacy else l) lines
+        @ [ List.nth lines 1; List.nth lines 2 ]
+      in
       write_lines (Atomic_io.partial_path path) doubled;
       match Census.resume path with
       | Ok (Census.Complete _, skipped) ->

@@ -141,38 +141,44 @@ let test_verify_accepts_honest_certs () =
     ]
 
 let test_cross_engine_round_trip () =
-  (* a certificate produced by either engine records it, survives the
-     artifact round trip, and passes the verifier — which re-prices
-     every recorded move through the *other* engine *)
+  (* a certificate records the engine each player's budget selected
+     (rows at b >= 2, overlay BFS below), survives the artifact round
+     trip, and passes the verifier — which re-prices every recorded
+     move through the *other* engine.  The three profiles hold b = 0, 1
+     and 2 players, so both verifier directions run. *)
+  let seen = ref [] in
   List.iter
-    (fun engine ->
+    (fun (version, p) ->
+      let cert =
+        Equilibrium.certify_cert (game version (Strategy.budgets p)) p
+      in
       List.iter
-        (fun (version, p) ->
-          let cert =
-            Equilibrium.certify_cert
-              ~engine:(Deviation_eval.Fixed engine)
-              (game version (Strategy.budgets p))
-              p
+        (fun (player, a) ->
+          let expected =
+            if Budget.get (Strategy.budgets p) player >= 2 then
+              Deviation_eval.Rows
+            else Deviation_eval.Bfs_overlay
           in
-          List.iter
-            (fun (_, a) ->
-              check_true "engine recorded" (a.Best_response.engine = engine))
-            cert.Equilibrium.cert_evidence;
-          (match
-             Equilibrium.certificate_of_artifact
-               (Equilibrium.certificate_to_artifact cert)
-           with
-          | Ok cert' ->
-              check_true "round trip keeps engine and candidates"
-                (same_cert cert cert')
-          | Error msg -> Alcotest.failf "round trip: %s" msg);
-          match Equilibrium.verify_certificate cert with
-          | Ok () -> ()
-          | Error msg ->
-              Alcotest.failf "%s cert rejected: %s"
-                (Deviation_eval.engine_name engine)
-                msg)
-        [ (Cost.Max, tripod2); (Cost.Sum, sun8); (Cost.Max, path3) ])
+          check_true "engine recorded" (a.Best_response.engine = expected);
+          seen := expected :: !seen)
+        cert.Equilibrium.cert_evidence;
+      (match
+         Equilibrium.certificate_of_artifact
+           (Equilibrium.certificate_to_artifact cert)
+       with
+      | Ok cert' ->
+          check_true "round trip keeps engine and candidates"
+            (same_cert cert cert')
+      | Error msg -> Alcotest.failf "round trip: %s" msg);
+      match Equilibrium.verify_certificate cert with
+      | Ok () -> ()
+      | Error msg -> Alcotest.failf "cert rejected: %s" msg)
+    [ (Cost.Max, tripod2); (Cost.Sum, sun8); (Cost.Max, path3) ];
+  List.iter
+    (fun e ->
+      check_true
+        (Deviation_eval.engine_name e ^ " evidence exercised")
+        (List.mem e !seen))
     [ Deviation_eval.Bfs_overlay; Deviation_eval.Rows ]
 
 (* every recorded number is load-bearing: corrupting any of them must

@@ -83,12 +83,11 @@ let test_validation () =
 
 (* --- the distance-row engine --- *)
 
-let fixed e = Deviation_eval.Fixed e
 let rows_of ?budget ?row_cache_cap version p player =
-  Deviation_eval.make ?budget ?row_cache_cap
-    ~engine:(fixed Deviation_eval.Rows) version p ~player
+  Deviation_eval.make ?budget ?row_cache_cap ~engine:Deviation_eval.Rows
+    version p ~player
 let bfs_of version p player =
-  Deviation_eval.make ~engine:(fixed Deviation_eval.Bfs_overlay) version p ~player
+  Deviation_eval.make ~engine:Deviation_eval.Bfs_overlay version p ~player
 
 let test_engine_names () =
   List.iter
@@ -96,30 +95,46 @@ let test_engine_names () =
       check_true "engine name round trip"
         (Deviation_eval.engine_of_name (Deviation_eval.engine_name e) = Some e))
     [ Deviation_eval.Bfs_overlay; Deviation_eval.Rows ];
-  check_true "auto round trip"
-    (Deviation_eval.choice_of_name "auto" = Some Deviation_eval.Auto);
-  check_true "fixed round trip"
-    (Deviation_eval.choice_of_name "rows"
-    = Some (fixed Deviation_eval.Rows));
-  check_true "unknown rejected" (Deviation_eval.choice_of_name "fast" = None)
+  check_true "unknown rejected" (Deviation_eval.engine_of_name "auto" = None)
 
 let test_engine_resolution () =
-  (* Auto picks rows only once a scan can reuse rows across candidates,
-     i.e. player budget >= 2; Fixed always wins *)
+  (* the player's budget alone picks the engine: rows only once a scan
+     can reuse rows across candidates, i.e. b >= 2; [~engine] overrides *)
   let b = Budget.of_list [ 2; 1; 0; 0 ] in
   let p = Strategy.make b [| [| 1; 2 |]; [| 0 |]; [||]; [||] |] in
   let engine_of ?engine player =
     Deviation_eval.engine (Deviation_eval.make ?engine Cost.Sum p ~player)
   in
-  check_true "auto at b=2 is rows"
-    (engine_of ~engine:Deviation_eval.Auto 0 = Deviation_eval.Rows);
-  check_true "auto at b=1 is bfs"
-    (engine_of ~engine:Deviation_eval.Auto 1 = Deviation_eval.Bfs_overlay);
-  check_true "fixed bfs wins at b=2"
-    (engine_of ~engine:(fixed Deviation_eval.Bfs_overlay) 0
-    = Deviation_eval.Bfs_overlay);
-  check_true "fixed rows wins at b=1"
-    (engine_of ~engine:(fixed Deviation_eval.Rows) 1 = Deviation_eval.Rows)
+  check_true "b=2 is rows" (engine_of 0 = Deviation_eval.Rows);
+  check_true "b=1 is bfs" (engine_of 1 = Deviation_eval.Bfs_overlay);
+  check_true "b=0 is bfs" (engine_of 2 = Deviation_eval.Bfs_overlay);
+  check_true "forced bfs at b=2"
+    (engine_of ~engine:Deviation_eval.Bfs_overlay 0 = Deviation_eval.Bfs_overlay);
+  check_true "forced rows at b=1"
+    (engine_of ~engine:Deviation_eval.Rows 1 = Deviation_eval.Rows)
+
+let test_rows_max_disconnected_hit_count () =
+  (* a disconnected MAX evaluation re-reads its rows to mark the reach
+     set for the component walk; that re-read is not cache traffic, so
+     row_hits must move exactly as under SUM (here: not at all, every
+     row is a fresh build) *)
+  let b = Budget.of_list [ 2; 0; 0; 0; 0 ] in
+  let p = Strategy.make b [| [| 1; 2 |]; [||]; [||]; [||]; [||] |] in
+  List.iter
+    (fun version ->
+      let c = rows_of version p 0 in
+      let built0 = Bbng_obs.Counter.find "deveval.rows_built" in
+      let hits0 = Bbng_obs.Counter.find "deveval.row_hits" in
+      let game = Game.make version b in
+      check_int "cost"
+        (Game.deviation_cost game p ~player:0 ~targets:[| 3; 4 |])
+        (Deviation_eval.cost c [| 3; 4 |]);
+      let label what = Printf.sprintf "%s %s" (Cost.version_name version) what in
+      check_int (label "rows built (base + 2 targets)") 3
+        (Bbng_obs.Counter.find "deveval.rows_built" - built0);
+      check_int (label "row hits") 0
+        (Bbng_obs.Counter.find "deveval.row_hits" - hits0))
+    Cost.all_versions
 
 let test_duplicate_target_rejected () =
   (* a duplicate under-spends the budget while pricing as if legal:
@@ -236,6 +251,8 @@ let suite =
     case "validation" test_validation;
     case "engine names" test_engine_names;
     case "engine resolution" test_engine_resolution;
+    case "rows MAX disconnection counts no row hits"
+      test_rows_max_disconnected_hit_count;
     case "duplicate target rejected" test_duplicate_target_rejected;
     case "rows eviction stays exact" test_rows_eviction_keeps_answers_exact;
     case "rows budget charges work" test_rows_budget_charges_work;

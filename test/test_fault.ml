@@ -220,11 +220,7 @@ let test_env_init () =
 let test_row_build_fault_leaves_no_torn_row () =
   let b = Budget.of_list [ 2; 1; 1; 0 ] in
   let p = Strategy.make b [| [| 1; 2 |]; [| 2 |]; [| 3 |]; [||] |] in
-  let c =
-    Deviation_eval.make
-      ~engine:(Deviation_eval.Fixed Deviation_eval.Rows)
-      Cost.Sum p ~player:0
-  in
+  let c = Deviation_eval.make ~engine:Deviation_eval.Rows Cost.Sum p ~player:0 in
   with_faults [ "deveval.row_build@raise" ] (fun () ->
       match Deviation_eval.cost c [| 1; 3 |] with
       | _ -> Alcotest.fail "armed row build must raise"
