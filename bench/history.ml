@@ -121,18 +121,4 @@ let load ?(file = file) () =
   | ic ->
       Fun.protect
         ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          let entries = ref [] and skipped = ref 0 in
-          (try
-             while true do
-               let line = input_line ic in
-               if String.trim line <> "" then
-                 match Json.of_string line with
-                 | j -> (
-                     match entry_of_json j with
-                     | Some e -> entries := e :: !entries
-                     | None -> incr skipped)
-                 | exception Json.Parse_error _ -> incr skipped
-             done
-           with End_of_file -> ());
-          (List.rev !entries, !skipped))
+        (fun () -> Json.read_lines ic entry_of_json)

@@ -200,7 +200,14 @@ rm -rf "$cendir"
 mkdir -p "$cendir/fresh" "$cendir/killed"
 root=$(pwd)
 ( cd "$cendir/fresh" && "$root/$cli" census -b 1,1,1,1,1 --shard-size 64 \
-    --out CEN.jsonl > /dev/null )
+    --out CEN.jsonl --metrics-out CEN.prom > /dev/null )
+# the census's own progress counters reach the OpenMetrics snapshot,
+# one family each
+"$bench" --validate-metrics "$cendir/fresh/CEN.prom"
+[ "$(grep -c '^bbng_census_profiles_scanned_total ' "$cendir/fresh/CEN.prom")" = 1 ] || {
+  echo "check: expected exactly one bbng_census_profiles_scanned_total sample"
+  exit 1
+}
 rc=0
 ( cd "$cendir/killed" && "$root/$cli" census -b 1,1,1,1,1 --shard-size 64 \
     --out CEN.jsonl --fault census.checkpoint@kill@3 ) > /dev/null 2>&1 || rc=$?

@@ -51,13 +51,13 @@ type shard_result = {
 
 (* --- observability --- *)
 
-let m_scanned = Obs.Metrics.counter "census.profiles_scanned"
-let m_equilibria = Obs.Metrics.counter "census.equilibria_found"
-let m_shards = Obs.Metrics.counter "census.shards_completed"
-let m_resumed = Obs.Metrics.counter "census.shards_resumed"
-let m_claims_won = Obs.Metrics.counter "census.claims_won"
-let m_claims_lost = Obs.Metrics.counter "census.claims_lost"
-let m_claims_stale = Obs.Metrics.counter "census.claims_stale"
+let c_scanned = Obs.Counter.make "census.profiles_scanned"
+let c_equilibria = Obs.Counter.make "census.equilibria_found"
+let c_shards = Obs.Counter.make "census.shards_completed"
+let c_resumed = Obs.Counter.make "census.shards_resumed"
+let c_claims_won = Obs.Counter.make "census.claims_won"
+let c_claims_lost = Obs.Counter.make "census.claims_lost"
+let c_claims_stale = Obs.Counter.make "census.claims_stale"
 
 (* --- planning --- *)
 
@@ -322,69 +322,54 @@ let summary_row plan census =
    dedup first-wins; [summary] rows are recognized silently so a
    committed final artifact reads back as a complete checkpoint. *)
 let read_checkpoint ?expect path =
-  let lines = ref [] in
-  (if Sys.file_exists path then
-     let ic = open_in path in
-     Fun.protect
-       ~finally:(fun () -> close_in_noerr ic)
-       (fun () ->
-         try
-           while true do
-             lines := input_line ic :: !lines
-           done
-         with End_of_file -> ()));
-  let lines = List.rev !lines in
   let plan = ref expect in
   let had_plan = ref false in
   let results : (int, shard_result) Hashtbl.t = Hashtbl.create 64 in
   let claims = ref [] in
-  let skipped = ref 0 in
-  List.iter
-    (fun line ->
-      if String.trim line <> "" then
-        match Json.of_string line with
-        | exception Json.Parse_error _ -> incr skipped
-        | j -> (
-            match verify_stamp j with
-            | None -> incr skipped
-            | Some fields -> (
-                let fj = Json.Obj fields in
-                match str_field "row" fj with
-                | Some "plan" -> (
-                    match plan_of_fields fields with
-                    | Some p -> (
-                        match !plan with
-                        | None ->
-                            plan := Some p;
-                            had_plan := true
-                        | Some q ->
-                            if plan_key p = plan_key q then had_plan := true
-                            else incr skipped)
-                    | None -> incr skipped)
-                | Some "shard" -> (
-                    match !plan with
-                    | None -> incr skipped
-                    | Some p -> (
-                        match shard_of_fields p fields with
-                        | Some r ->
-                            if not (Hashtbl.mem results r.shard.sid) then
-                              Hashtbl.add results r.shard.sid r
-                        | None -> incr skipped))
-                | Some "claim" -> (
-                    match !plan with
-                    | None -> incr skipped
-                    | Some p -> (
-                        match claim_of_fields p fields with
-                        | Some c -> claims := c :: !claims
-                        | None -> incr skipped))
-                | Some "summary" -> ()
-                | Some _ | None -> incr skipped)))
-    lines;
+  (* [Some ()] for a row this reader accepts, [None] for one it skips *)
+  let row j =
+    let ( let* ) = Option.bind in
+    let* fields = verify_stamp j in
+    let fj = Json.Obj fields in
+    match str_field "row" fj with
+    | Some "plan" -> (
+        let* p = plan_of_fields fields in
+        match !plan with
+        | None ->
+            plan := Some p;
+            had_plan := true;
+            Some ()
+        | Some q when plan_key p = plan_key q ->
+            had_plan := true;
+            Some ()
+        | Some _ -> None)
+    | Some "shard" ->
+        let* p = !plan in
+        let* r = shard_of_fields p fields in
+        if not (Hashtbl.mem results r.shard.sid) then
+          Hashtbl.add results r.shard.sid r;
+        Some ()
+    | Some "claim" ->
+        let* p = !plan in
+        let* c = claim_of_fields p fields in
+        claims := c :: !claims;
+        Some ()
+    | Some "summary" -> Some ()
+    | Some _ | None -> None
+  in
+  let _, skipped =
+    if Sys.file_exists path then
+      let ic = open_in path in
+      Fun.protect
+        ~finally:(fun () -> close_in_noerr ic)
+        (fun () -> Json.read_lines ic row)
+    else ([], 0)
+  in
   let sorted =
     Hashtbl.fold (fun _ r acc -> r :: acc) results []
     |> List.sort (fun a b -> compare a.shard.sid b.shard.sid)
   in
-  (!plan, !had_plan, sorted, List.rev !claims, !skipped)
+  (!plan, !had_plan, sorted, List.rev !claims, skipped)
 
 (* --- scanning and merging --- *)
 
@@ -403,11 +388,11 @@ let scan_shard ?(budget = Obs.Budgeted.unlimited) ?progress game shard =
       Equilibrium.iter_profiles_range (Game.budgets game) ~lo:shard.lo
         ~hi:shard.hi (fun profile ->
           Obs.Budgeted.checkpoint ~cost:n budget;
-          Obs.Metrics.incr m_scanned;
+          Obs.Counter.bump c_scanned;
           (match progress with Some p -> Obs.Progress.step p | None -> ());
           if Equilibrium.is_nash game profile then begin
             incr found;
-            Obs.Metrics.incr m_equilibria;
+            Obs.Counter.bump c_equilibria;
             acc := Structure.Iso_acc.add !acc profile;
             bump diams (Game.social_cost game profile) 1
           end);
@@ -526,11 +511,11 @@ let run ?limit ?(budget = Obs.Budgeted.unlimited) game =
         Equilibrium.iter_profiles budgets (fun profile ->
             Obs.Budgeted.checkpoint ~cost:n budget;
             incr scanned;
-            Obs.Metrics.incr m_scanned;
+            Obs.Counter.bump c_scanned;
             Obs.Progress.step progress;
             if Equilibrium.is_nash game profile then begin
               incr found;
-              Obs.Metrics.incr m_equilibria;
+              Obs.Counter.bump c_equilibria;
               acc := Structure.Iso_acc.add !acc profile;
               bump diams (Game.social_cost game profile) 1;
               match limit with
@@ -580,7 +565,7 @@ let continue_plan ?domains ~budget ?checkpoint game plan ~prior ~ensure_plan_row
          ledger row references it and `runs gc` never calls it dangling *)
       Obs.Ledger.note_artifact p
   | None -> ());
-  Obs.Metrics.add m_resumed (List.length prior);
+  Obs.Counter.add c_resumed (List.length prior);
   let done_sids = Hashtbl.create 64 in
   List.iter (fun r -> Hashtbl.replace done_sids r.shard.sid ()) prior;
   let pending =
@@ -606,7 +591,7 @@ let continue_plan ?domains ~budget ?checkpoint game plan ~prior ~ensure_plan_row
                     Obs.Atomic_io.append_line p
                       (Json.to_string (shard_row ~key ~provenance:true r))
                 | None -> ());
-                Obs.Metrics.incr m_shards;
+                Obs.Counter.bump c_shards;
                 Some r))
   in
   let results =
@@ -777,7 +762,7 @@ let work ?(budget = Obs.Budgeted.unlimited) ?owner ?shard_size ?seed
                            (fun c ->
                              c.claim_sid = s.sid && not (pid_alive c.claim_pid))
                            claims
-                       then Obs.Metrics.incr m_claims_stale);
+                       then Obs.Counter.bump c_claims_stale);
                       Obs.Fault.hit "census.claim";
                       Obs.Atomic_io.append_line partial
                         (Json.to_string (claim_row ~key ~owner ~pid:self s.sid));
@@ -788,10 +773,10 @@ let work ?(budget = Obs.Budgeted.unlimited) ?owner ?shard_size ?seed
                       | Some pid when pid <> self ->
                           (* lost the race; the winner is alive and
                              scanning — move to another shard *)
-                          Obs.Metrics.incr m_claims_lost;
+                          Obs.Counter.bump c_claims_lost;
                           loop 0
                       | _ -> (
-                          Obs.Metrics.incr m_claims_won;
+                          Obs.Counter.bump c_claims_won;
                           match scan_shard ~budget ~progress game s with
                           | None ->
                               let _, _, results, _, _ =
@@ -803,7 +788,7 @@ let work ?(budget = Obs.Budgeted.unlimited) ?owner ?shard_size ?seed
                               Obs.Atomic_io.append_line partial
                                 (Json.to_string
                                    (shard_row ~key ~provenance:true r));
-                              Obs.Metrics.incr m_shards;
+                              Obs.Counter.bump c_shards;
                               loop 0))
             in
             loop 0)

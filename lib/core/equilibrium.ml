@@ -158,8 +158,8 @@ let progress_audit progress (a : Best_response.audit) =
    player's improvement; an exact 0 on a certified equilibrium) land in
    gauges and in the run's ledger row, so `bbng_cli runs` can answer
    how-far-from-equilibrium questions without reopening artifacts *)
-let g_social = Bbng_obs.Metrics.gauge "equilibrium.social_cost"
-let g_regret = Bbng_obs.Metrics.gauge "equilibrium.max_regret"
+let g_social = Bbng_obs.Gauge.make "equilibrium.social_cost"
+let g_regret = Bbng_obs.Gauge.make "equilibrium.max_regret"
 
 let observe_certificate game cert =
   let social = Game.social_cost game cert.cert_profile in
@@ -171,8 +171,8 @@ let observe_certificate game cert =
         | None -> acc)
       0 cert.cert_evidence
   in
-  Bbng_obs.Metrics.set_int g_social social;
-  Bbng_obs.Metrics.set_int g_regret max_regret;
+  Bbng_obs.Gauge.set_int g_social social;
+  Bbng_obs.Gauge.set_int g_regret max_regret;
   let verdict = verdict_name (certificate_verdict cert) in
   Bbng_obs.Ledger.add_metric "equilibrium.social_cost" (Json.Int social);
   Bbng_obs.Ledger.add_metric "equilibrium.max_regret" (Json.Int max_regret);

@@ -3,10 +3,10 @@ let recommended_domains () = max 1 (Domain.recommended_domain_count () - 1)
 let c_spawned = Bbng_obs.Counter.make "parallel.domains_spawned"
 let c_abandoned = Bbng_obs.Counter.make "parallel.chunks_abandoned"
 
-(* per-domain sharded: every worker bumps its own cell, so recording
-   from k domains costs no cache-line contention, and the snapshot sums
-   shards — the same count whether the work ran on 1 domain or 8 *)
-let m_tasks = Bbng_obs.Metrics.counter "parallel.tasks_executed"
+(* Counter cells are per domain: workers on different domains bump
+   different atomics, and reads sum the cells, so the total is the same
+   whether the work ran on 1 domain or 8 *)
+let c_tasks = Bbng_obs.Counter.make "parallel.tasks_executed"
 
 (* indices this worker never evaluated because the early-exit flag
    tripped; each per-index task is one "chunk" of the block-cyclic
@@ -23,7 +23,7 @@ let for_all ?domains ~n f =
     let rec go i =
       i >= n
       ||
-      (Bbng_obs.Metrics.incr m_tasks;
+      (Bbng_obs.Counter.bump c_tasks;
        f i && go (i + 1))
     in
     go 0
@@ -33,7 +33,7 @@ let for_all ?domains ~n f =
     let worker d () =
       let i = ref d in
       while (not (Atomic.get failed)) && !i < n do
-        Bbng_obs.Metrics.incr m_tasks;
+        Bbng_obs.Counter.bump c_tasks;
         if not (f !i) then Atomic.set failed true;
         i := !i + k
       done;
@@ -58,14 +58,14 @@ let map ?domains ~n f =
   let k = min n (match domains with Some d -> max 1 d | None -> recommended_domains ()) in
   if k <= 1 || n <= 1 then
     Array.init n (fun i ->
-        Bbng_obs.Metrics.incr m_tasks;
+        Bbng_obs.Counter.bump c_tasks;
         f i)
   else begin
     let results = Array.make n None in
     let worker d () =
       let i = ref d in
       while !i < n do
-        Bbng_obs.Metrics.incr m_tasks;
+        Bbng_obs.Counter.bump c_tasks;
         results.(!i) <- Some (f !i);
         i := !i + k
       done
@@ -97,7 +97,7 @@ let map_dynamic ?domains ~n f =
   let k = min n (match domains with Some d -> max 1 d | None -> recommended_domains ()) in
   if k <= 1 || n <= 1 then
     Array.init n (fun i ->
-        Bbng_obs.Metrics.incr m_tasks;
+        Bbng_obs.Counter.bump c_tasks;
         f i)
   else begin
     let next = Atomic.make 0 in
@@ -105,7 +105,7 @@ let map_dynamic ?domains ~n f =
     let rec worker () =
       let i = Atomic.fetch_and_add next 1 in
       if i < n then begin
-        Bbng_obs.Metrics.incr m_tasks;
+        Bbng_obs.Counter.bump c_tasks;
         results.(i) <- Some (f i);
         worker ()
       end
@@ -132,7 +132,7 @@ let find_map ?domains ~n f =
     let rec go i =
       if i >= n then None
       else begin
-        Bbng_obs.Metrics.incr m_tasks;
+        Bbng_obs.Counter.bump c_tasks;
         match f i with Some _ as r -> r | None -> go (i + 1)
       end
     in
@@ -143,7 +143,7 @@ let find_map ?domains ~n f =
     let worker d () =
       let i = ref d in
       while Atomic.get result = None && !i < n do
-        Bbng_obs.Metrics.incr m_tasks;
+        Bbng_obs.Counter.bump c_tasks;
         (match f !i with
         | Some _ as r ->
             (* keep the first writer's answer *)

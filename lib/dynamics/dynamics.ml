@@ -76,14 +76,14 @@ let h_improvement = Obs.Histogram.make "dynamics.step_improvement"
    decay shape distinguishes geometric convergence from a hard stop *)
 let h_decay = Obs.Histogram.make "dynamics.improvement_decay_pct"
 
-let g_social = Obs.Metrics.gauge "dynamics.social_cost"
+let g_social = Obs.Gauge.make "dynamics.social_cost"
 
 (* max regret observed among the players probed in the latest step's
    scheduling round: under any schedule the probed non-movers had
    regret 0 and the mover's regret is its improvement, so this reads
    exactly 0 the moment the run converges (every player probed, none
    improving) *)
-let g_regret = Obs.Metrics.gauge "dynamics.max_regret"
+let g_regret = Obs.Gauge.make "dynamics.max_regret"
 
 (* Plateau/oscillation detector: classify each window of applied steps
    by the social-cost trajectory through it.  A strictly falling (net)
@@ -233,7 +233,7 @@ let run ?(max_steps = 10_000) ?(detect_cycles = true) ?(meta = []) ?on_step
     if social > !prev_cost then incr rises
     else if social < !prev_cost then incr falls;
     prev_cost := social;
-    Obs.Metrics.set_int g_social social;
+    Obs.Gauge.set_int g_social social;
     win_improv_sum := !win_improv_sum + improvement;
     incr win_count;
     if !win_count >= diag_window then flush_window ~step
@@ -313,7 +313,7 @@ let run ?(max_steps = 10_000) ?(detect_cycles = true) ?(meta = []) ?on_step
       | `Next None ->
           (* every player probed, nobody improves: the regret gauge
              reads an exact 0, not the last applied improvement *)
-          Obs.Metrics.set_int g_regret 0;
+          Obs.Gauge.set_int g_regret 0;
           last_regret := 0;
           finish (Converged { profile; steps = step })
       | `Next (Some (player, sched_state)) -> (
@@ -330,7 +330,7 @@ let run ?(max_steps = 10_000) ?(detect_cycles = true) ?(meta = []) ?on_step
               Obs.Counter.bump c_steps;
               Obs.Progress.step progress;
               let improvement = old_cost - m.Best_response.cost in
-              Obs.Metrics.set_int g_regret !step_max_regret;
+              Obs.Gauge.set_int g_regret !step_max_regret;
               last_regret := !step_max_regret;
               let social = Game.social_cost game profile in
               record_step ~improvement ~step social;

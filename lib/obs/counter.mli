@@ -1,14 +1,20 @@
-(** Named monotonic counters.
+(** Named monotonic counters: the process's one counter registry.
 
-    Each counter is one [int Atomic.t]: a bump is a single atomic
-    fetch-and-add, safe to call from {!Bbng_core.Parallel} workers and
-    cheap enough for hot paths (nanoseconds; instrumented call sites
-    amortize further by adding batch totals, e.g. one [add] per BFS
-    rather than one [bump] per vertex).
+    Each counter is 8 per-domain atomic cells.  A bump is one atomic
+    fetch-and-add on the cell indexed by [Domain.self () land 7], so
+    {!Bbng_core.Parallel} workers mostly write different cells; reads
+    ({!get}, {!find}, {!snapshot}) sum the cells.  A read is exact once
+    writers have quiesced and momentarily racy while they run: an
+    in-flight increment lands in this read or the next one, never
+    nowhere.  Bumps are cheap enough for hot paths (nanoseconds;
+    instrumented call sites amortize further by adding batch totals,
+    e.g. one [add] per BFS rather than one [bump] per vertex).
 
     Counters are process-global and registered by name at module
     initialization; {!make} is idempotent, so a test can re-[make] a
-    production counter to read or diff it. *)
+    production counter to read or diff it.  [--stats], heartbeat
+    [counters], ledger rows, [run.summary]'s [counters] object and the
+    {!Openmetrics} snapshot all read this registry. *)
 
 type t
 
@@ -19,7 +25,9 @@ val make : string -> t
 val name : t -> string
 val bump : t -> unit
 val add : t -> int -> unit
+
 val get : t -> int
+(** Sum over the per-domain cells. *)
 
 val find : string -> int
 (** Current value of the counter named [name]; [0] if it was never

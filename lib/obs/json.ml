@@ -256,3 +256,15 @@ let of_string s =
 let member key = function
   | Obj fields -> List.assoc_opt key fields
   | _ -> None
+
+let read_lines ic f =
+  let rec go acc skipped =
+    match input_line ic with
+    | exception End_of_file -> (List.rev acc, skipped)
+    | line when String.trim line = "" -> go acc skipped
+    | line -> (
+        match f (of_string line) with
+        | Some x -> go (x :: acc) skipped
+        | None | (exception Parse_error _) -> go acc (skipped + 1))
+  in
+  go [] 0

@@ -40,3 +40,11 @@ val of_string : string -> t
 val member : string -> t -> t option
 (** [member key (Obj _)] looks up [key]; [None] on missing key or
     non-object. *)
+
+val read_lines : in_channel -> (t -> 'a option) -> 'a list * int
+(** The one tolerant JSONL reader: [read_lines ic f] parses every line
+    of [ic] to end of file and keeps [f]'s [Some] results in file
+    order.  Blank lines are ignored; a line that fails to parse, or
+    that [f] maps to [None], is counted in the second component
+    instead — a torn tail (crash mid-append) or a hand-edited line
+    never aborts the read. *)

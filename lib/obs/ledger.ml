@@ -184,23 +184,13 @@ let load ?file () =
   match open_in file with
   | exception Sys_error _ -> ([], 0)
   | ic ->
-      let rows = ref [] and skipped = ref 0 in
-      (try
-         while true do
-           let line = input_line ic in
-           if String.trim line <> "" then
-             match row_of_json (Json.of_string line) with
-             | Some r -> rows := r :: !rows
-             | None ->
-                 Counter.bump c_skipped;
-                 incr skipped
-             | exception Json.Parse_error _ ->
-                 Counter.bump c_skipped;
-                 incr skipped
-         done
-       with End_of_file -> ());
-      close_in_noerr ic;
-      (List.rev !rows, !skipped)
+      let rows, skipped =
+        Fun.protect
+          ~finally:(fun () -> close_in_noerr ic)
+          (fun () -> Json.read_lines ic row_of_json)
+      in
+      Counter.add c_skipped skipped;
+      (rows, skipped)
 
 (* --- the pending row of the current process --- *)
 

@@ -1,10 +1,8 @@
 (* Prometheus/OpenMetrics text exposition of the live registries.
 
-   One snapshot = the sharded Metrics registry aggregated across
-   domains, plus the legacy Counter and Histogram registries, rendered
-   as the standard line protocol:
+   One snapshot walks the Counter, Gauge and Histogram registries once
+   each and renders them as the standard line protocol:
 
-     # HELP bbng_dynamics_steps_applied ...
      # TYPE bbng_dynamics_steps_applied counter
      bbng_dynamics_steps_applied_total 42
      # TYPE bbng_bfs_popped_per_run histogram
@@ -32,17 +30,6 @@ let sanitize name =
   let b = Bytes.of_string name in
   Bytes.iteri (fun i c -> if not (metric_char c) then Bytes.set b i '_') b;
   "bbng_" ^ Bytes.to_string b
-
-let escape_help s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
 
 let escape_label_value s =
   let buf = Buffer.create (String.length s + 8) in
@@ -101,10 +88,7 @@ let mtype_name = function
   | Histogram_t -> "histogram"
   | Untyped -> "untyped"
 
-let add_header buf name help mtype =
-  if help <> "" then
-    Buffer.add_string buf
-      (Printf.sprintf "# HELP %s %s\n" name (escape_help help));
+let add_header buf name mtype =
   Buffer.add_string buf
     (Printf.sprintf "# TYPE %s %s\n" name (mtype_name mtype))
 
@@ -127,9 +111,9 @@ let add_sample buf name labels v =
   Buffer.add_string buf (fmt_value v);
   Buffer.add_char buf '\n'
 
-let add_counter buf name help v =
+let add_counter buf name v =
   let name = sanitize name in
-  add_header buf name help Counter_t;
+  add_header buf name Counter_t;
   add_sample buf (name ^ "_total") [] (float_of_int v)
 
 (* labelled cells of one gauge (e.g. progress.done{task="..."} for
@@ -139,19 +123,21 @@ let add_counter buf name help v =
 let add_gauges buf gauges =
   let last = ref "" in
   List.iter
-    (fun (name, help, labels, v) ->
+    (fun (name, labels, v) ->
       let name = sanitize name in
       if name <> !last then begin
-        add_header buf name help Gauge_t;
+        add_header buf name Gauge_t;
         last := name
       end;
       add_sample buf name labels v)
     gauges
 
 (* cumulative le-buckets over the occupied power-of-two buckets; le is
-   each bucket's inclusive upper bound, and the +Inf bucket equals
-   _count by construction *)
-let add_histogram_buckets buf name ~bucket_counts ~count ~sum =
+   each bucket's inclusive upper bound.  _count is the last cumulative
+   count, so the +Inf bucket equals it even while writers record *)
+let add_histogram buf name h =
+  let name = sanitize name in
+  add_header buf name Histogram_t;
   let cum = ref 0 in
   Array.iteri
     (fun i c ->
@@ -162,36 +148,18 @@ let add_histogram_buckets buf name ~bucket_counts ~count ~sum =
           [ ("le", string_of_int hi) ]
           (float_of_int !cum)
       end)
-    bucket_counts;
-  add_sample buf (name ^ "_bucket") [ ("le", "+Inf") ] (float_of_int count);
-  add_sample buf (name ^ "_sum") [] (float_of_int sum);
-  add_sample buf (name ^ "_count") [] (float_of_int count)
-
-let add_histogram buf name help ~bucket_counts ~count ~sum =
-  let name = sanitize name in
-  add_header buf name help Histogram_t;
-  add_histogram_buckets buf name ~bucket_counts ~count ~sum
+    (Histogram.bucket_counts h);
+  let count = float_of_int !cum in
+  add_sample buf (name ^ "_bucket") [ ("le", "+Inf") ] count;
+  add_sample buf (name ^ "_sum") [] (float_of_int (Histogram.total h));
+  add_sample buf (name ^ "_count") [] count
 
 let render () =
   let buf = Buffer.create 4096 in
-  let m = Metrics.snapshot () in
-  List.iter (fun (name, help, v) -> add_counter buf name help v) m.Metrics.counters;
-  add_gauges buf m.Metrics.gauges;
+  List.iter (fun (name, v) -> add_counter buf name v) (Counter.snapshot ());
+  add_gauges buf (Gauge.snapshot ());
   List.iter
-    (fun (name, help, hs) ->
-      add_histogram buf name help ~bucket_counts:hs.Metrics.hs_buckets
-        ~count:hs.Metrics.hs_count ~sum:hs.Metrics.hs_sum)
-    m.Metrics.histograms;
-  (* legacy registries: the post-hoc counters and domain-value
-     histograms become scrapeable too *)
-  List.iter
-    (fun (name, v) -> add_counter buf name "" v)
-    (Counter.snapshot ());
-  List.iter
-    (fun (name, h) ->
-      if Histogram.count h > 0 then
-        add_histogram buf name "" ~bucket_counts:(Histogram.bucket_counts h)
-          ~count:(Histogram.count h) ~sum:(Histogram.total h))
+    (fun (name, h) -> if Histogram.count h > 0 then add_histogram buf name h)
     (Histogram.snapshot ());
   Buffer.add_string buf "# EOF\n";
   Buffer.contents buf
@@ -215,7 +183,6 @@ type sample = {
 type family = {
   fam_name : string;
   fam_type : mtype;
-  fam_help : string;
   samples : sample list;
 }
 
@@ -302,9 +269,7 @@ let parse_sample line =
 let parse text =
   let lines = String.split_on_char '\n' text in
   let families = ref [] in
-  (* help arrives before type; samples attach to the family whose name
-     prefixes theirs *)
-  let pending_help : (string, string) Hashtbl.t = Hashtbl.create 8 in
+  (* samples attach to the family whose name prefixes theirs *)
   let current = ref None in
   let saw_eof = ref false in
   let close () =
@@ -324,10 +289,6 @@ let parse text =
            close ();
            saw_eof := true
          end
-         else if String.length line >= 7 && String.sub line 0 7 = "# HELP " then begin
-           let name, help = split2 "# HELP" (String.sub line 7 (String.length line - 7)) in
-           Hashtbl.replace pending_help name (unescape help)
-         end
          else if String.length line >= 7 && String.sub line 0 7 = "# TYPE " then begin
            close ();
            let name, ty = split2 "# TYPE" (String.sub line 7 (String.length line - 7)) in
@@ -338,12 +299,10 @@ let parse text =
                {
                  fam_name = name;
                  fam_type = mtype_of_name (String.trim ty);
-                 fam_help =
-                   Option.value ~default:"" (Hashtbl.find_opt pending_help name);
                  samples = [];
                }
          end
-         else if line.[0] = '#' then () (* other comments are legal *)
+         else if line.[0] = '#' then () (* # HELP and other comments are legal *)
          else
            let s = parse_sample line in
            match !current with

@@ -1,15 +1,18 @@
 (** Prometheus/OpenMetrics text snapshots of the live registries.
 
-    {!render} aggregates the sharded {!Metrics} registry (across
-    domains) plus the legacy {!Counter} and {!Histogram} registries
-    into one text exposition; {!write} refreshes a [.prom] file
-    crash-safely (temp + atomic rename, so a SIGKILL mid-scrape leaves
-    the previous snapshot intact).  [--metrics-out] points the
+    {!render} walks the {!Counter}, {!Gauge} and {!Histogram}
+    registries once each and renders one text exposition: one
+    [counter] family per counter, one [gauge] family per gauge name
+    (its labelled cells as samples), one [histogram] family per
+    non-empty histogram.  No family carries a [# HELP] line.  {!write}
+    refreshes a [.prom] file crash-safely (temp + atomic rename, so a
+    SIGKILL mid-scrape leaves the previous snapshot intact).  [--metrics-out] points the
     {!Progress} heartbeat at {!write}, and a future [bbng serve]
     scrape endpoint returns the same bytes.
 
     {!parse} and {!validate} are the self-check half: they accept
-    exactly what {!render} emits (plus standard whitespace/comments),
+    exactly what {!render} emits (plus standard whitespace and
+    comments, [# HELP] lines included),
     so tests and [bench/main.exe --validate-metrics] can round-trip a
     snapshot without an external Prometheus. *)
 
@@ -19,14 +22,11 @@ val sanitize : string -> string
     [[a-zA-Z0-9_:]] map to ['_'], everything gains the [bbng_]
     namespace prefix). *)
 
-val escape_help : string -> string
-(** Escape a [# HELP] text: backslashes and newlines. *)
-
 val escape_label_value : string -> string
 (** Escape a label value: backslashes, double quotes, newlines. *)
 
 val unescape : string -> string
-(** Inverse of the escapes above (used by the parser). *)
+(** Inverse of {!escape_label_value} (used by the parser). *)
 
 val render : unit -> string
 (** One full exposition, ending with the [# EOF] terminator. *)
@@ -49,7 +49,6 @@ type sample = {
 type family = {
   fam_name : string;
   fam_type : mtype;
-  fam_help : string;
   samples : sample list;
 }
 

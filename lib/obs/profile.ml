@@ -11,7 +11,7 @@
    approximation.
 
    The accumulation table is sharded per domain (same Domain.self
-   pattern as Metrics) so Parallel workers record without contending;
+   pattern as Counter) so Parallel workers record without contending;
    the open-span stacks live in domain-local storage and never need a
    lock at all. *)
 

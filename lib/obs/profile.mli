@@ -11,7 +11,7 @@
     nanosecond — which is why the folded per-name totals can be pinned
     {e equal} to the flat {!Span} totals, not merely close.
 
-    Accumulation is sharded per domain ({!Metrics}-style 8-way
+    Accumulation is sharded per domain ({!Counter}-style 8-way
     [Domain.self] indexing) and the stacks live in domain-local
     storage, so {!Bbng_core.Parallel} workers profile without
     contending.  Out-of-order or double closes never corrupt a stack:

@@ -66,9 +66,9 @@ let refresh_metrics_file () =
   | None -> ()
   | Some path -> ( try Openmetrics.write path with Sys_error _ -> ())
 
-let g_done name = Metrics.gauge ~labels:[ ("task", name) ] "progress.done"
-let g_total name = Metrics.gauge ~labels:[ ("task", name) ] "progress.total"
-let g_rate name = Metrics.gauge ~labels:[ ("task", name) ] "progress.rate_per_s"
+let g_done name = Gauge.make ~labels:[ ("task", name) ] "progress.done"
+let g_total name = Gauge.make ~labels:[ ("task", name) ] "progress.total"
+let g_rate name = Gauge.make ~labels:[ ("task", name) ] "progress.rate_per_s"
 
 let emit_beat t ~now_us =
   if Fault.armed () then Fault.hit "progress.tick";
@@ -92,9 +92,9 @@ let emit_beat t ~now_us =
   Atomic.set t.last_beat_us now_us;
   Atomic.set t.last_beat_done done_now;
   Counter.bump c_heartbeats;
-  Metrics.set_int (g_done t.name) done_now;
-  if total >= 0 then Metrics.set_int (g_total t.name) total;
-  Metrics.set (g_rate t.name) rate;
+  Gauge.set_int (g_done t.name) done_now;
+  if total >= 0 then Gauge.set_int (g_total t.name) total;
+  Gauge.set (g_rate t.name) rate;
   if Sink.active () then begin
     let nonzero_counters =
       List.filter_map

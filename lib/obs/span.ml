@@ -31,7 +31,7 @@ type cell = {
 }
 
 (* The aggregate table is sharded per domain (same Domain.self-indexed
-   pattern as Metrics), so Parallel workers closing spans concurrently
+   pattern as Counter), so Parallel workers closing spans concurrently
    never contend on one global mutex.  Snapshots merge the shards:
    counts and totals sum, max takes the max, and quantiles come from
    the element-wise summed histogram buckets — the multi-domain totals

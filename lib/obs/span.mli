@@ -25,7 +25,7 @@
     per-domain stack of open spans and attributes self-time and
     self-allocation to the full call path (see {!Profile}).
 
-    The aggregate table is sharded per domain (the {!Metrics} pattern),
+    The aggregate table is sharded per domain (the {!Counter} pattern),
     so spans close concurrently from {!Bbng_core.Parallel} domains
     without contending; keep spans coarse (per player / per phase, not
     per vertex). *)

@@ -46,7 +46,7 @@ let summary_fields () =
       ("counters", counters_json ());
       ("spans", spans_json ());
       ("histograms", histograms_json ());
-      ("metrics", Metrics.to_json ());
+      ("metrics", Gauge.to_json ());
       ("gc", Gcstats.to_json (Gcstats.since_start ()));
     ]
 

@@ -1,4 +1,5 @@
-(** Run summaries over the counter, span, histogram and GC tables. *)
+(** Run summaries over the counter, span, histogram, gauge and GC
+    tables. *)
 
 val counters_json : unit -> Json.t
 (** [Obj] of every registered counter, sorted by name. *)
@@ -21,8 +22,7 @@ val summary_fields : unit -> (string * Json.t) list
 (** Provenance plus [("counters", ...); ("spans", ...);
     ("histograms", ...); ("metrics", ...); ("gc", ...)] — the payload
     of a final [run.summary] event or a bench report.  The [metrics]
-    object is {!Metrics.to_json}: the sharded registry aggregated
-    across domains. *)
+    object is {!Gauge.to_json}. *)
 
 val print : out_channel -> unit
 (** Human-readable summary (the [--stats] output).  Counters at zero

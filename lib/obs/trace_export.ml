@@ -1,17 +1,7 @@
 let read_events ic =
-  let events = ref [] and skipped = ref 0 in
-  (try
-     while true do
-       let line = input_line ic in
-       if String.trim line <> "" then
-         match Json.of_string line with
-         | Json.Obj _ as j when Json.member "event" j <> None ->
-             events := j :: !events
-         | _ -> incr skipped
-         | exception Json.Parse_error _ -> incr skipped
-     done
-   with End_of_file -> ());
-  (List.rev !events, !skipped)
+  Json.read_lines ic (function
+    | Json.Obj _ as j when Json.member "event" j <> None -> Some j
+    | _ -> None)
 
 let event_name j =
   match Json.member "event" j with Some (Json.Str s) -> s | _ -> "?"

@@ -129,6 +129,35 @@ let test_sharded_matches_run () =
       censuses_agree (Printf.sprintf "shard_size=%d" shard_size) seq sh)
     [ 1; 7; 81; 1000 ]
 
+(* the census's progress counters live in the one Counter registry, so
+   the tools that explain a run (--stats, heartbeats, ledger rows) see
+   them; their deltas must match the outcome exactly across domains *)
+let test_counters_match_outcome () =
+  let game = Game.make Cost.Sum (Budget.unit_budgets 5) in
+  let scanned0 = Bbng_obs.Counter.find "census.profiles_scanned"
+  and found0 = Bbng_obs.Counter.find "census.equilibria_found" in
+  let c = complete_exn (Census.run_sharded ~domains:2 game) in
+  check_int "profiles_scanned delta" c.Census.scanned_profiles
+    (Bbng_obs.Counter.find "census.profiles_scanned" - scanned0);
+  check_int "equilibria_found delta" c.Census.equilibria
+    (Bbng_obs.Counter.find "census.equilibria_found" - found0);
+  let path = Filename.temp_file "bbng_stats" ".txt" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let oc = open_out path in
+      Fun.protect
+        ~finally:(fun () -> close_out oc)
+        (fun () -> Bbng_obs.Stats.print oc);
+      let stats = read_bytes path in
+      check_true "--stats names census.profiles_scanned"
+        (List.exists
+           (fun l ->
+             match String.split_on_char ' ' (String.trim l) with
+             | name :: _ -> name = "census.profiles_scanned"
+             | [] -> false)
+           (String.split_on_char '\n' stats)))
+
 let prop_sharded_matches_run =
   qcheck ~count:20 "run_sharded == run on random small instances"
     (QCheck.make
@@ -498,17 +527,13 @@ let test_work_supersedes_stale_claim () =
           Json.to_string (Census.claim_row ~key ~owner:"ghost" ~pid:(dead_pid ()) 0);
           Json.to_string (Census.claim_row ~key ~owner:"ghost" ~pid:(dead_pid ()) 3);
         ];
-      let stale_before =
-        Bbng_obs.Metrics.counter_value (Bbng_obs.Metrics.counter "census.claims_stale")
-      in
+      let stale_before = Bbng_obs.Counter.find "census.claims_stale" in
       match Census.work ~owner:"t" path with
       | Ok (Census.Complete c) ->
           check_int "census completed over the stale claims" 30
             c.Census.equilibria;
           check_true "stale claims detected"
-            (Bbng_obs.Metrics.counter_value
-               (Bbng_obs.Metrics.counter "census.claims_stale")
-            >= stale_before + 2);
+            (Bbng_obs.Counter.find "census.claims_stale" >= stale_before + 2);
           check_true "final committed" (Sys.file_exists path)
       | Ok (Census.Partial _) -> Alcotest.fail "worker degraded"
       | Error e -> Alcotest.fail e)
@@ -565,6 +590,7 @@ let suite =
     case "summary prints" test_summary_prints;
     slow_case "sharded matches sequential" test_sharded_matches_run;
     prop_sharded_matches_run;
+    case "census counters match the outcome" test_counters_match_outcome;
     case "plan shards partition the space" test_plan_shards_partition;
     case "make_plan guards" test_make_plan_guards;
     case "budget expiry: sequential partial" test_budget_partial_run;

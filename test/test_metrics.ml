@@ -1,17 +1,19 @@
-(* Live telemetry: the per-domain sharded metrics registry, the
-   OpenMetrics exposition round trip, progress heartbeats, and the
-   viewer behind `bbng_cli top`.
+(* Live telemetry: the Counter/Gauge/Histogram registries under
+   concurrent writers, the OpenMetrics exposition round trip, progress
+   heartbeats, and the viewer behind `bbng_cli top`.
 
-   The load-bearing properties: sharded aggregation is exact (a
-   multi-domain total equals the single-domain total for the same
-   work), the renderer and parser agree byte-for-byte (escaping,
+   The load-bearing properties: per-domain counter cells aggregate
+   exactly (a multi-domain total equals the single-domain total for the
+   same work), the renderer and parser agree byte-for-byte (escaping,
    cumulative buckets), heartbeats land in the report stream without
    confusing the replay checker, and the tail parser survives any
    truncation a SIGKILL can produce. *)
 
 open Helpers
 open Bbng_core
-module Metrics = Bbng_obs.Metrics
+module Counter = Bbng_obs.Counter
+module Gauge = Bbng_obs.Gauge
+module Histogram = Bbng_obs.Histogram
 module Openmetrics = Bbng_obs.Openmetrics
 module Progress = Bbng_obs.Progress
 module Live_view = Bbng_obs.Live_view
@@ -25,74 +27,60 @@ let contains ~needle haystack =
   let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
   go 0
 
-(* --- sharded registry --- *)
+(* --- registries under concurrent writers --- *)
 
 let test_counter_find_or_create () =
-  let c = Metrics.counter "test.metrics.basics" in
-  let base = Metrics.counter_value c in
-  Metrics.incr c;
-  Metrics.add c 41;
-  check_int "incr + add" (base + 42) (Metrics.counter_value c);
-  let c' = Metrics.counter "test.metrics.basics" in
-  check_int "same name, same cells" (base + 42) (Metrics.counter_value c');
-  Metrics.incr c';
-  check_int "bump through the alias counts" (base + 43) (Metrics.counter_value c)
+  let c = Counter.make "test.metrics.basics" in
+  let base = Counter.get c in
+  Counter.bump c;
+  Counter.add c 41;
+  check_int "bump + add" (base + 42) (Counter.get c);
+  let c' = Counter.make "test.metrics.basics" in
+  check_int "same name, same cells" (base + 42) (Counter.get c');
+  Counter.bump c';
+  check_int "bump through the alias counts" (base + 43) (Counter.get c);
+  check_int "find sums the cells" (base + 43) (Counter.find "test.metrics.basics")
 
-let test_shard_values_sum () =
-  let c = Metrics.counter "test.metrics.shardsum" in
-  Metrics.add c 7;
-  let shards = Metrics.counter_shard_values c in
-  check_int "one cell per shard" Metrics.shards (Array.length shards);
-  check_int "shards sum to the aggregate"
-    (Metrics.counter_value c)
-    (Array.fold_left ( + ) 0 shards)
-
-(* the ISSUE's acceptance property: totals recorded from many domains
-   aggregate to exactly what one domain records for the same work *)
+(* totals recorded from many domains aggregate to exactly what one
+   domain records for the same work *)
 let test_sharded_equals_unsharded =
   qcheck ~count:20 "multi-domain total == single-domain total"
     QCheck.(int_range 1 2_000)
     (fun n ->
-      let seq = Metrics.counter "test.metrics.seq"
-      and par = Metrics.counter "test.metrics.par" in
-      let seq0 = Metrics.counter_value seq
-      and par0 = Metrics.counter_value par in
+      let seq = Counter.make "test.metrics.seq"
+      and par = Counter.make "test.metrics.par" in
+      let seq0 = Counter.get seq and par0 = Counter.get par in
       for _ = 1 to n do
-        Metrics.incr seq
+        Counter.bump seq
       done;
       assert (Parallel.for_all ~domains:4 ~n (fun _ ->
-                  Metrics.incr par;
+                  Counter.bump par;
                   true));
-      Metrics.counter_value seq - seq0 = n
-      && Metrics.counter_value par - par0 = n)
+      Counter.get seq - seq0 = n && Counter.get par - par0 = n)
 
 let test_histogram_multi_domain_aggregation () =
-  let h = Metrics.histogram "test.metrics.hist_par" in
-  let before = Metrics.histogram_snapshot h in
+  let h = Histogram.make "test.metrics.hist_par" in
+  let count0 = Histogram.count h and total0 = Histogram.total h in
   let n = 500 in
   check_true "all observers succeed"
     (Parallel.for_all ~domains:4 ~n (fun i ->
-         Metrics.observe h (i + 1);
+         Histogram.record h (i + 1);
          true));
-  let after = Metrics.histogram_snapshot h in
-  check_int "every observation counted" n
-    (after.Metrics.hs_count - before.Metrics.hs_count);
-  check_int "sum aggregates exactly" (n * (n + 1) / 2)
-    (after.Metrics.hs_sum - before.Metrics.hs_sum);
-  check_int "bucket counts cover the count"
-    after.Metrics.hs_count
-    (Array.fold_left ( + ) 0 after.Metrics.hs_buckets)
+  check_int "every observation counted" n (Histogram.count h - count0);
+  check_int "sum aggregates exactly" (n * (n + 1) / 2) (Histogram.total h - total0);
+  check_int "bucket counts cover the count" (Histogram.count h)
+    (Array.fold_left ( + ) 0 (Histogram.bucket_counts h))
 
 let test_gauge_labels () =
-  let g = Metrics.gauge ~labels:[ ("task", "a") ] "test.metrics.g" in
-  let g' = Metrics.gauge ~labels:[ ("task", "b") ] "test.metrics.g" in
-  Metrics.set g 1.5;
-  Metrics.set_int g' 3;
+  let g = Gauge.make ~labels:[ ("task", "a") ] "test.metrics.g" in
+  let g' = Gauge.make ~labels:[ ("task", "b") ] "test.metrics.g" in
+  Gauge.set g 1.5;
+  Gauge.set_int g' 3;
   check_true "labelled gauges are distinct cells"
-    (Metrics.gauge_value g = 1.5 && Metrics.gauge_value g' = 3.0);
-  let g'' = Metrics.gauge ~labels:[ ("task", "a") ] "test.metrics.g" in
-  Metrics.set g'' 2.0;
-  check_true "same (name, labels) is the same cell" (Metrics.gauge_value g = 2.0)
+    (Gauge.value g = 1.5 && Gauge.value g' = 3.0);
+  let g'' = Gauge.make ~labels:[ ("task", "a") ] "test.metrics.g" in
+  Gauge.set g'' 2.0;
+  check_true "same (name, labels) is the same cell" (Gauge.value g = 2.0)
 
 (* --- OpenMetrics exposition --- *)
 
@@ -100,26 +88,21 @@ let test_escape_roundtrip =
   qcheck ~count:200 "unescape ∘ escape_label_value = id" QCheck.string
     (fun s -> Openmetrics.unescape (Openmetrics.escape_label_value s) = s)
 
-let test_help_escape_roundtrip =
-  qcheck ~count:200 "unescape ∘ escape_help = id" QCheck.string
-    (fun s -> Openmetrics.unescape (Openmetrics.escape_help s) = s)
-
 let find_family families name =
   match List.find_opt (fun f -> f.Openmetrics.fam_name = name) families with
   | Some f -> f
   | None -> Alcotest.failf "family %S missing from exposition" name
 
 let test_render_validate_roundtrip () =
-  let c = Metrics.counter ~help:"help with \\ and \nnewline" "test.metrics.rt" in
-  Metrics.add c 5;
+  Counter.add (Counter.make "test.metrics.rt") 5;
   let g =
-    Metrics.gauge
+    Gauge.make
       ~labels:[ ("task", "quote\" slash\\ nl\n") ]
       "test.metrics.rt_gauge"
   in
-  Metrics.set g 2.5;
-  let h = Metrics.histogram "test.metrics.rt_hist" in
-  List.iter (Metrics.observe h) [ 1; 10; 100; 1_000; 1_000_000 ];
+  Gauge.set g 2.5;
+  let h = Histogram.make "test.metrics.rt_hist" in
+  List.iter (Histogram.record h) [ 1; 10; 100; 1_000; 1_000_000 ];
   let text = Openmetrics.render () in
   check_true "ends with the EOF terminator" (contains ~needle:"# EOF" text);
   let families =
@@ -140,14 +123,18 @@ let test_render_validate_roundtrip () =
        (fun s ->
          List.mem_assoc "task" s.Openmetrics.labels
          && List.assoc "task" s.Openmetrics.labels = "quote\" slash\\ nl\n")
-       gf.Openmetrics.samples)
+       gf.Openmetrics.samples);
+  check_true "# HELP lines from other exporters still parse"
+    (Result.is_ok
+       (Openmetrics.validate
+          "# HELP x help text\n# TYPE x counter\nx_total 1\n# EOF\n"))
 
 let test_histogram_buckets_cumulative =
   qcheck ~count:20 "rendered histogram buckets validate as cumulative"
     QCheck.(list_of_size Gen.(int_range 1 50) (int_range 0 1_000_000))
     (fun values ->
-      let h = Metrics.histogram "test.metrics.cumul" in
-      List.iter (Metrics.observe h) values;
+      let h = Histogram.make "test.metrics.cumul" in
+      List.iter (Histogram.record h) values;
       (* validate enforces: non-decreasing in le order, +Inf == _count,
          _sum/_count present — any violation fails the property *)
       match Openmetrics.validate (Openmetrics.render ()) with
@@ -335,12 +322,10 @@ let test_tail_retarget_keeps_offset () =
 let suite =
   [
     case "counter find-or-create" test_counter_find_or_create;
-    case "shard values sum to the aggregate" test_shard_values_sum;
     test_sharded_equals_unsharded;
     case "histogram aggregates across domains" test_histogram_multi_domain_aggregation;
     case "labelled gauges" test_gauge_labels;
     test_escape_roundtrip;
-    test_help_escape_roundtrip;
     case "render → validate round trip" test_render_validate_roundtrip;
     test_histogram_buckets_cumulative;
     case "heartbeat fields" test_heartbeat_fields;
