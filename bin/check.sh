@@ -37,6 +37,20 @@ if [ "$found_golden" = 0 ]; then
   echo "check: no golden artifacts found (run 'make artifacts')"
   exit 1
 fi
+# a budget-3 player scanned in full: player 0 of a 10-vertex path plus
+# three arcs prices all C(10,3) = 120 candidates through the rows
+# engine's b >= 3 combine, and `verify` re-prices the rows evidence
+# through the generic evaluator
+mkdir -p _build
+for v in max sum; do
+  dune exec bin/bbng_cli.exe -- certify -c "$v" "2,5,8;2;3;4;5;6;7;8;9;10;" \
+    --cert "_build/B3_$v.json" > /dev/null
+  grep -q '"player":0,"tier":"exact","engine":"rows","scanned":120,' "_build/B3_$v.json" || {
+    echo "check: budget-3 player not scanned in full under $v"
+    exit 1
+  }
+  dune exec bin/bbng_cli.exe -- verify "_build/B3_$v.json"
+done
 
 echo "== CSR engine vs legacy oracle on golden census graphs =="
 # the flat CSR BFS/iFUB-diameter engine must agree with the retained

@@ -70,7 +70,7 @@ let unshift player c =
 
 (* In-place variant for the scan hot loops: pricing C(n-1, b)
    candidates makes a per-candidate allocation measurable against the
-   rows engine's O(b n) combine, so the shifted candidate lives in one
+   rows engine's O(n) combine, so the shifted candidate lives in one
    reusable buffer ([Deviation_eval.cost] only reads it) and escapes by
    copy only when a candidate is actually kept. *)
 let unshift_into buf player c =
@@ -305,7 +305,8 @@ type audit = {
    stops as early as the plain certifier would.  [~candidates] is the
    size of the space the tier set out to scan — it stays on the audit
    even when the scan degrades, so a verifier can compare it against
-   its own re-count. *)
+   its own re-count.  [iter_targets] may hand every candidate in one
+   reused buffer: a candidate is copied only when it is kept. *)
 let audit_candidates ctx ~tier ~candidates iter_targets =
   let best = ref None in
   let improving = ref None in
@@ -317,10 +318,10 @@ let audit_candidates ctx ~tier ~candidates iter_targets =
          let cost = eval ctx targets in
          (match !best with
          | Some (m : move) when m.cost <= cost -> ()
-         | _ -> best := Some { targets; cost });
+         | _ -> best := Some { targets = Array.copy targets; cost });
          if cost < ctx.current_cost then begin
            Bbng_obs.Counter.bump c_improving;
-           improving := Some { targets; cost };
+           improving := Some { targets = Array.copy targets; cost };
            raise Exit
          end)
    with
@@ -369,11 +370,13 @@ let audit_exact ?budget game profile player =
   end
   else
     let n = Game.n ctx.game in
+    let buf = Array.make ctx.budget 0 in
     audit_candidates ctx ~tier:Exhaustive
       ~candidates:(Combinatorics.binomial (n - 1) ctx.budget)
       (fun f ->
         Combinatorics.iter_combinations ~n:(n - 1) ~k:ctx.budget (fun c ->
-            f (unshift ctx.player c)))
+            unshift_into buf ctx.player c;
+            f buf))
 
 let audit_swap ?budget game profile player =
   let ctx = make_context ?scan_budget:budget game profile player in

@@ -25,7 +25,14 @@
     context, whose engine the player's budget selects.  Both engines
     are exact, so every result below is engine-independent; audits
     record which engine priced them so a certificate verifier can
-    re-price through the other one. *)
+    re-price through the other one.
+
+    Cost: the exhaustive scans ({!exact}, {!exact_improvement},
+    {!best_improvement}, {!audit_exact}) enumerate candidates
+    lexicographically, so at b ≥ 2 consecutive candidates share their
+    first b-1 targets and the rows engine prices each in one O(n) pass
+    over a cached prefix row; a whole scan is
+    O(n·(n+m) + C(n-1,b)·n + C(n-1,b-1)·(b-1)·n). *)
 
 type move = {
   targets : int array;  (** the (sorted) improving strategy *)

@@ -18,13 +18,25 @@ let engine_of_name = function
 (* Distance rows of the player-deleted static graph, built lazily one
    BFS at a time.  [rows.(v)] caches dist_{G∖player}(v, ·); [base] is
    the single multi-source row min over staticN(player).  FIFO eviction
-   under [cap] keeps the worst case at O(cap · n) ints. *)
+   under [cap] keeps the worst case at O(cap · n) ints.
+
+   [pre_row] caches the min of [base] and the rows of the first
+   [pre_len] targets of the last combine, namely [pre_key.(0 ..
+   pre_len-1)] ([pre_len = -1]: no valid prefix).  Lexicographic
+   enumeration keeps a candidate's first b-1 targets fixed for long
+   runs, so most candidates cost one two-row pass over [pre_row] and
+   their last target's row.  Rows are deterministic functions of the
+   context, so a prefix stays valid across evictions. *)
 type rows_state = {
   cap : int;
   rows : int array option array;
   order : int Queue.t;          (* build order of live cached rows *)
   mutable live : int;
   mutable base : int array option;
+  pre_row : int array;
+  pre_key : int array;
+  mutable pre_len : int;
+  mutable hits : int;           (* row-cache hits of the current combine *)
 }
 
 type t = {
@@ -114,6 +126,10 @@ let make ?(budget = Bbng_obs.Budgeted.unlimited) ?engine ?row_cache_cap version
             order = Queue.create ();
             live = 0;
             base = None;
+            pre_row = Array.make n 0;
+            pre_key = Array.make n 0;
+            pre_len = -1;
+            hits = 0;
           }
   in
   {
@@ -246,7 +262,7 @@ let overlay_cost t targets =
         inf + ((kappa - 1) * inf)
       end
 
-(* --- rows engine: per-target distance rows, O(b·n) combine --- *)
+(* --- rows engine: per-target distance rows, O(n) prefix combine --- *)
 
 (* One BFS of the player-deleted static graph from the seeds already
    placed in [t.queue]; the row maps every vertex to its distance from
@@ -323,143 +339,105 @@ let miss_row t rs target =
   rs.live <- rs.live + 1;
   row
 
+let cached_row t rs target =
+  match rs.rows.(target) with
+  | Some r ->
+      rs.hits <- rs.hits + 1;
+      r
+  | None -> miss_row t rs target
+
+let rec same_prefix key targets i k =
+  i >= k || (key.(i) = targets.(i) && same_prefix key targets (i + 1) k)
+
+(* The min of [base] and the rows of [targets.(0 .. k-1)]: [base]
+   itself at k = 0, the cached [pre_row] when its key matches (its k
+   rows count as cache hits, as a fresh gather would), otherwise a
+   rebuild in O(k·n).  The key is dropped before the rebuild starts,
+   so a row build that raises (budget expiry, an injected fault) never
+   leaves a torn prefix behind a valid key. *)
+let prefix_row t rs base targets k =
+  if k = 0 then base
+  else if rs.pre_len = k && same_prefix rs.pre_key targets 0 k then begin
+    rs.hits <- rs.hits + k;
+    rs.pre_row
+  end
+  else begin
+    let n = t.n and pre = rs.pre_row in
+    rs.pre_len <- -1;
+    Array.blit base 0 pre 0 n;
+    for i = 0 to k - 1 do
+      let r = cached_row t rs targets.(i) in
+      for v = 0 to n - 1 do
+        let d = r.(v) in
+        if d < pre.(v) then pre.(v) <- d
+      done;
+      rs.pre_key.(i) <- targets.(i)
+    done;
+    rs.pre_len <- k;
+    pre
+  end
+
 (* The (b+1)-way min-combine is the per-candidate hot path — a full
-   exhaustive scan runs it C(n-1, b) times — so the ubiquitous b <= 2
-   cases are unrolled: no trows allocation and no inner k-loop.  Two
-   more hot-path economies: every row holds the sentinel at the player
-   (build_row never relaxes it), so the combine needs no per-vertex
-   player test — the player falls out of the [m < inf] branch and is
+   exhaustive scan runs it C(n-1, b) times — so it is one pass over two
+   rows: the prefix (base plus the first b-1 targets, see [prefix_row])
+   and the last target's row (at b = 0 the base row stands in for it;
+   min(base, base) = base).  Every row holds the sentinel at the player
+   (build_row never relaxes it), so the pass needs no per-vertex player
+   test — the player falls out of the [m < inf] branch and is
    pre-counted in [reached]; and cache-hit accounting is batched into
-   one atomic [Counter.add] per evaluation instead of one bump per
-   target.  The reach set is not marked here either: only the MAX
-   disconnection walk needs the mark, and that rare path re-derives it
-   from the cache-hot rows.  Rows are held by reference throughout: a
-   cache eviction while gathering the next row cannot invalidate one
-   already in hand. *)
+   one atomic [Counter.add] per evaluation.  The reach set is not
+   marked in the pass either: only the MAX disconnection walk needs the
+   mark, and that rare path re-derives it from the same two rows.  Rows
+   are held by reference throughout: a cache eviction while gathering
+   the last row cannot invalidate one already in hand. *)
 let rows_cost t rs targets =
-  let inf = t.n * t.n in
-  let base = base_row t rs in
   let n = t.n in
+  let inf = n * n in
   let b = Array.length targets in
-  let reached = ref 1 in
-  let sum = ref 0 and mx = ref 0 in
-  let hits = ref 0 in
-  let row tg =
-    match rs.rows.(tg) with
-    | Some r ->
-        incr hits;
-        r
-    | None -> miss_row t rs tg
-  in
-  (match b with
-  | 0 ->
-      for v = 0 to n - 1 do
-        let m = base.(v) in
-        if m < inf then begin
-          let d = m + 1 in
-          incr reached;
-          sum := !sum + d;
-          if d > !mx then mx := d
-        end
-      done
-  | 1 ->
-      let r0 =
-        match rs.rows.(targets.(0)) with
-        | Some r ->
-            incr hits;
-            r
-        | None -> miss_row t rs targets.(0)
-      in
-      for v = 0 to n - 1 do
-        let m = base.(v) in
-        let d0 = r0.(v) in
-        let m = if d0 < m then d0 else m in
-        if m < inf then begin
-          let d = m + 1 in
-          incr reached;
-          sum := !sum + d;
-          if d > !mx then mx := d
-        end
-      done
-  | 2 ->
-      let r0 =
-        match rs.rows.(targets.(0)) with
-        | Some r ->
-            incr hits;
-            r
-        | None -> miss_row t rs targets.(0)
-      in
-      let r1 =
-        match rs.rows.(targets.(1)) with
-        | Some r ->
-            incr hits;
-            r
-        | None -> miss_row t rs targets.(1)
-      in
-      for v = 0 to n - 1 do
-        let m = base.(v) in
-        let d0 = r0.(v) in
-        let m = if d0 < m then d0 else m in
-        let d1 = r1.(v) in
-        let m = if d1 < m then d1 else m in
-        if m < inf then begin
-          let d = m + 1 in
-          incr reached;
-          sum := !sum + d;
-          if d > !mx then mx := d
-        end
-      done
-  | _ ->
-      let trows = Array.map row targets in
-      for v = 0 to n - 1 do
-        let m = ref base.(v) in
-        for k = 0 to b - 1 do
-          let d = trows.(k).(v) in
-          if d < !m then m := d
-        done;
-        if !m < inf then begin
-          let d = !m + 1 in
-          incr reached;
-          sum := !sum + d;
-          if d > !mx then mx := d
-        end
-      done);
+  rs.hits <- 0;
+  let base = base_row t rs in
+  let pre = if b = 0 then base else prefix_row t rs base targets (b - 1) in
+  let last = if b = 0 then base else cached_row t rs targets.(b - 1) in
   Bbng_obs.Budgeted.spend t.budget ((b + 1) * n);
+  let reached = ref 1 in
   let result =
     match t.version with
-    | Cost.Sum -> !sum + ((n - !reached) * inf)
+    | Cost.Sum ->
+        let sum = ref 0 in
+        for v = 0 to n - 1 do
+          let m = pre.(v) and d = last.(v) in
+          let m = if d < m then d else m in
+          if m < inf then begin
+            incr reached;
+            sum := !sum + m + 1
+          end
+        done;
+        !sum + ((n - !reached) * inf)
     | Cost.Max ->
+        let mx = ref 0 in
+        for v = 0 to n - 1 do
+          let m = pre.(v) and d = last.(v) in
+          let m = if d < m then d else m in
+          if m < inf then begin
+            incr reached;
+            if m + 1 > !mx then mx := m + 1
+          end
+        done;
         if !reached = n then !mx
         else begin
           (* disconnected under MAX: mark the reach set for the
-             component walk.  Re-gathering the rows finds them cached
-             (they were just combined; a rebuild after an eviction is
-             deterministic, so the mark equals the combine's reach set
-             either way), and is not counted again as cache hits. *)
-          let trows =
-            Array.map
-              (fun tg ->
-                match rs.rows.(tg) with
-                | Some r -> r
-                | None -> miss_row t rs tg)
-              targets
-          in
+             component walk *)
           t.stamp <- t.stamp + 1;
           let stamp = t.stamp in
           t.seen.(t.player) <- stamp;
           for v = 0 to n - 1 do
-            let m = ref base.(v) in
-            for k = 0 to b - 1 do
-              let d = trows.(k).(v) in
-              if d < !m then m := d
-            done;
-            if !m < inf then t.seen.(v) <- stamp
+            if pre.(v) < inf || last.(v) < inf then t.seen.(v) <- stamp
           done;
           let kappa = 1 + unreached_components t in
           inf + ((kappa - 1) * inf)
         end
   in
-  if !hits > 0 then Bbng_obs.Counter.add c_row_hits !hits;
+  if rs.hits > 0 then Bbng_obs.Counter.add c_row_hits rs.hits;
   result
 
 let cost t targets =

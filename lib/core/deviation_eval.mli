@@ -22,10 +22,15 @@
       player's tentative arcs as first steps: O(n + m) per candidate.
     - [Rows] precomputes one BFS row per first-hop vertex of [G∖i]
       (lazily, cached under a configurable cap with eviction counters),
-      plus a single multi-source row for the static neighbors; each
-      candidate is then an O(b·n) min-combine over b+1 rows.  Over a
-      C(n-1, b) exhaustive scan this drops the total from
-      O(C(n-1,b)·(n+m)) to O(n·(n+m) + C(n-1,b)·b·n).
+      plus a single multi-source row for the static neighbors.  It also
+      caches a {e prefix row}: the min of the base row and the rows of
+      the last candidate's first b-1 targets.  A candidate whose first
+      b-1 targets match costs one O(n) pass over the prefix row and
+      its last target's row; a new prefix is rebuilt in O((b-1)·n).
+      Lexicographic enumeration changes the prefix at most
+      C(n-1, b-1) times, so a C(n-1, b) exhaustive scan drops from
+      O(C(n-1,b)·(n+m)) to
+      O(n·(n+m) + C(n-1,b)·n + C(n-1,b-1)·(b-1)·n).
 
     In both engines the vertices an evaluation misses induce the same
     components as in the static graph (none of their edges involve the

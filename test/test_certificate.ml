@@ -311,6 +311,49 @@ let prop_random_certs_verify =
       ignore (cert_json cert);
       true)
 
+(* Today's certifier must reproduce the evidence of every checked-in
+   certificate under golden/.  Those files predate the [engine] and
+   [candidates] fields and record their writer's argv, so they are
+   compared field by field — every per-player field they do record —
+   rather than byte for byte. *)
+let test_golden_evidence_reproduced () =
+  let files =
+    Sys.readdir "golden" |> Array.to_list
+    |> List.filter (fun f ->
+           String.starts_with ~prefix:"CERT_" f && Filename.check_suffix f ".json")
+    |> List.sort compare
+  in
+  check_true "golden certificates found" (files <> []);
+  List.iter
+    (fun file ->
+      match Equilibrium.read_certificate (Filename.concat "golden" file) with
+      | Error msg -> Alcotest.failf "%s: %s" file msg
+      | Ok golden ->
+          let p = golden.Equilibrium.cert_profile in
+          let g = game golden.Equilibrium.cert_version (Strategy.budgets p) in
+          let fresh =
+            match golden.Equilibrium.cert_mode with
+            | Equilibrium.Exact_mode -> Equilibrium.certify_cert g p
+            | Equilibrium.Swap_mode -> Equilibrium.certify_swap_cert g p
+          in
+          check_int (file ^ ": players") (List.length golden.Equilibrium.cert_evidence)
+            (List.length fresh.Equilibrium.cert_evidence);
+          List.iter2
+            (fun (p1, (a1 : Best_response.audit)) (p2, (a2 : Best_response.audit)) ->
+              let label what = Printf.sprintf "%s player %d: %s" file p1 what in
+              check_int (label "player") p1 p2;
+              Alcotest.(check string) (label "tier")
+                (Best_response.tier_name a1.Best_response.tier)
+                (Best_response.tier_name a2.Best_response.tier);
+              check_int (label "scanned") a1.Best_response.scanned a2.Best_response.scanned;
+              check_int (label "current_cost") a1.Best_response.current
+                a2.Best_response.current;
+              check_true (label "best") (a1.Best_response.best = a2.Best_response.best);
+              check_true (label "improving")
+                (a1.Best_response.improving = a2.Best_response.improving))
+            golden.Equilibrium.cert_evidence fresh.Equilibrium.cert_evidence)
+    files
+
 let suite =
   [
     case "verdict agrees with certify" test_verdict_agrees_with_certify;
@@ -328,5 +371,6 @@ let suite =
     case "verify rejects corrupted refutation" test_verify_rejects_corrupted_refutation;
     case "swap certificates" test_swap_cert_agrees_with_certify_swap;
     case "evidence structure" test_evidence_structure;
+    case "golden evidence reproduced" test_golden_evidence_reproduced;
     prop_random_certs_verify;
   ]

@@ -213,6 +213,82 @@ let prop_rows_equals_bfs =
             candidates)
         Cost.all_versions)
 
+(* The candidate order an exhaustive scan uses: C(n-1, b) subsets of
+   the non-player vertices, lexicographic, so the first b-1 targets stay
+   fixed over long runs and the rows engine reuses its prefix row. *)
+let iter_candidates ~n ~player ~b f =
+  Bbng_graph.Combinatorics.iter_combinations ~n:(n - 1) ~k:b (fun c ->
+      f (Array.map (fun i -> if i < player then i else i + 1) c))
+
+let prop_rows_prefix_scan_equals_bfs =
+  (* full b = 2 and b = 3 scans price every candidate exactly like the
+     overlay BFS, with the default cache and with a one-row cache that
+     evicts on nearly every lookup; reversed and truncated candidates
+     interleaved at random invalidate the cached prefix mid-scan *)
+  qcheck ~count:150 "rows prefix scan == overlay BFS"
+    (random_budget_gen ~n_min:3 ~n_max:9) (fun ((n, _, seed) as input) ->
+      let p = random_profile_of input in
+      let st = rng (seed + 31) in
+      let player = Random.State.int st n in
+      List.for_all
+        (fun version ->
+          List.for_all
+            (fun b ->
+              let bfs = bfs_of version p player in
+              let rows = rows_of version p player in
+              let rows1 = rows_of ~row_cache_cap:1 version p player in
+              let agree targets =
+                let expected = Deviation_eval.cost bfs targets in
+                Deviation_eval.cost rows targets = expected
+                && Deviation_eval.cost rows1 targets = expected
+              in
+              let ok = ref true in
+              if b <= n - 1 then
+                iter_candidates ~n ~player ~b (fun targets ->
+                    (match Random.State.int st 4 with
+                    | 0 ->
+                        let rev = Array.of_list (List.rev (Array.to_list targets)) in
+                        ok := !ok && agree rev
+                    | 1 ->
+                        let keep = Random.State.int st b in
+                        ok := !ok && agree (Array.sub targets 0 keep)
+                    | _ -> ());
+                    ok := !ok && agree targets);
+              !ok)
+            [ 2; 3 ])
+        Cost.all_versions)
+
+let test_rows_scan_counters_and_work () =
+  (* one full lexicographic b = 2 scan on a fresh context builds the
+     base row and each non-player row once and hits the cache on every
+     other row read (two per candidate); a second scan builds nothing
+     and charges exactly 3n work units per candidate — the counter
+     definitions behind row_hit_ratio and the points where a budget can
+     stop a scan *)
+  let module Budgeted = Bbng_obs.Budgeted in
+  let p = Bbng_constructions.Tripod.profile ~k:2 in
+  let n = Strategy.n p and player = 0 in
+  check_int "player budget" 2 (Array.length (Strategy.strategy p player));
+  let budget = Budgeted.create ~work_limit:max_int () in
+  let c = Deviation_eval.make ~budget Cost.Sum p ~player in
+  check_true "default engine at b = 2 is rows"
+    (Deviation_eval.engine c = Deviation_eval.Rows);
+  let scan () = iter_candidates ~n ~player ~b:2 (fun t -> ignore (Deviation_eval.cost c t)) in
+  let pairs = (n - 1) * (n - 2) / 2 in
+  let built0 = Bbng_obs.Counter.find "deveval.rows_built" in
+  let hits0 = Bbng_obs.Counter.find "deveval.row_hits" in
+  let evicted0 = Bbng_obs.Counter.find "deveval.rows_evicted" in
+  scan ();
+  check_int "rows built: base + one per non-player vertex" (1 + (n - 1))
+    (Bbng_obs.Counter.find "deveval.rows_built" - built0);
+  check_int "row hits: every other row read" ((2 * pairs) - (n - 1))
+    (Bbng_obs.Counter.find "deveval.row_hits" - hits0);
+  check_int "no eviction" 0 (Bbng_obs.Counter.find "deveval.rows_evicted" - evicted0);
+  let work0 = Budgeted.work_done budget in
+  scan ();
+  check_int "second scan: (b+1)·n work per candidate" (pairs * 3 * n)
+    (Budgeted.work_done budget - work0)
+
 let prop_equivalent_to_generic =
   qcheck ~count:200 "incremental evaluator == generic deviation cost"
     (random_budget_gen ~n_min:2 ~n_max:9) (fun ((n, _, seed) as input) ->
@@ -256,7 +332,9 @@ let suite =
     case "duplicate target rejected" test_duplicate_target_rejected;
     case "rows eviction stays exact" test_rows_eviction_keeps_answers_exact;
     case "rows budget charges work" test_rows_budget_charges_work;
+    case "rows scan counters and work" test_rows_scan_counters_and_work;
     prop_rows_equals_bfs;
+    prop_rows_prefix_scan_equals_bfs;
     prop_equivalent_to_generic;
     prop_current_cost_equivalent;
   ]
