@@ -51,6 +51,17 @@ for v in max sum; do
   }
   dune exec bin/bbng_cli.exe -- verify "_build/B3_$v.json"
 done
+# budget-1 players scanned in full by the bit-parallel batch: the k=22
+# tripod (n=67, MAX) gives each leg player 66 candidates, two words'
+# worth; its evidence keeps the "bfs" engine name, and `verify`
+# re-prices it through the rows engine
+T22=$(dune exec bin/bbng_cli.exe -- construct tripod -k 22 -c max | sed -n 's/^profile: *//p')
+dune exec bin/bbng_cli.exe -- certify -c max "$T22" --cert _build/T22_max.json > /dev/null
+grep -q '"player":11,"tier":"exact","engine":"bfs","scanned":66,' _build/T22_max.json || {
+  echo "check: tripod leg player not scanned in full by the b=1 batch"
+  exit 1
+}
+dune exec bin/bbng_cli.exe -- verify _build/T22_max.json
 
 echo "== CSR engine vs legacy oracle on golden census graphs =="
 # the flat CSR BFS/iFUB-diameter engine must agree with the retained

@@ -17,9 +17,9 @@ let h_candidates = Bbng_obs.Histogram.make "br.candidates_per_search"
 
 (* All evaluators share one incremental evaluation context: the static
    part of the graph is materialized once and each candidate strategy
-   is priced by the engine the player's budget selects — one overlay
-   BFS at b <= 1, a min-combine of cached distance rows at b >= 2 (see
-   Deviation_eval). *)
+   is priced by the engine the player's budget selects — an overlay BFS
+   per candidate or per block of 63 candidates at b <= 1, a min-combine
+   of cached distance rows at b >= 2 (see Deviation_eval). *)
 type context = {
   game : Game.t;
   profile : Strategy.t;

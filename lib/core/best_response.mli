@@ -32,7 +32,10 @@
     lexicographically, so at b ≥ 2 consecutive candidates share their
     first b-1 targets and the rows engine prices each in one O(n) pass
     over a cached prefix row; a whole scan is
-    O(n·(n+m) + C(n-1,b)·n + C(n-1,b-1)·(b-1)·n). *)
+    O(n·(n+m) + C(n-1,b)·n + C(n-1,b-1)·(b-1)·n).  At b = 1 with
+    n - 1 ≥ 63 candidates, 63 consecutive ones share one bit-parallel
+    BFS of depth L, so a whole scan is O(⌈(n-1)/63⌉·L·(n+m)); a scan
+    that stops early pays for every block it entered. *)
 
 type move = {
   targets : int array;  (** the (sorted) improving strategy *)

@@ -5,6 +5,7 @@ let c_evals = Bbng_obs.Counter.make "deveval.incremental_evals"
 let c_rows_built = Bbng_obs.Counter.make "deveval.rows_built"
 let c_rows_evicted = Bbng_obs.Counter.make "deveval.rows_evicted"
 let c_row_hits = Bbng_obs.Counter.make "deveval.row_hits"
+let c_blocks = Bbng_obs.Counter.make "deveval.blocks_built"
 
 type engine = Bfs_overlay | Rows
 
@@ -39,6 +40,45 @@ type rows_state = {
   mutable hits : int;           (* row-cache hits of the current combine *)
 }
 
+(* Bit-parallel pricing of single-target candidates (see the interface
+   and the section below).  [shape] describes G∖i once per context:
+   [base.(v)] = dist_{G∖i}(staticN(i), v) ([max_int] where no static
+   neighbour reaches, and at the player), [comp] labels the components
+   of G∖i ([-1] at the player), and [isolated] marks the set I of
+   components holding no static neighbour.  [desc] lists the
+   non-player vertices by [base] descending, I first, and [above.(l+1)]
+   counts those with [base > l] for -1 <= l <= [max_base]. *)
+type shape = {
+  base : int array;
+  comp : int array;
+  comp_size : int array;
+  isolated : bool array;
+  c_i : int;                     (* |I| *)
+  reach : int;                   (* non-player vertices of finite base *)
+  base_sum : int;                (* their total base *)
+  max_base : int;                (* -1 when no static neighbour *)
+  desc : int array;
+  above : int array;
+}
+
+(* Block [j] holds the candidates [width·j .. width·j + width-1] in
+   vertex order, skipping the player; [costs.(t)] is valid once
+   [built.(j)] holds for t's block.  [g] and [u] are bit-sliced vertical
+   counters, plane [p] holding bit [p] of every source's count. *)
+type batch = {
+  shape : shape;
+  kernel : Bbng_graph.Bit_bfs.t;
+  costs : int array;
+  built : bool array;
+  g : int array;
+  u : int array;
+}
+
+type pricer =
+  | Overlay
+  | Rows_cache of rows_state
+  | Batch of batch Lazy.t  (* forced by the first block build *)
+
 type t = {
   version : Cost.version;
   player : int;
@@ -51,7 +91,7 @@ type t = {
   static_offs : int array;       (* n + 1 *)
   static_targets : int array;
   own : int array;               (* the player's strategy in the profile *)
-  rows_state : rows_state option;  (* Some iff engine = Rows *)
+  pricer : pricer;
   (* reusable scratch: [seen.(v) = stamp] marks validity of [dist.(v)] *)
   mutable stamp : int;
   seen : int array;
@@ -66,8 +106,147 @@ type t = {
   mutable budget : Bbng_obs.Budgeted.t;
 }
 
-let make ?(budget = Bbng_obs.Budgeted.unlimited) ?engine ?row_cache_cap version
-    profile ~player =
+(* --- batch engine, part 1: the shape of G∖i --- *)
+
+(* [base] by one BFS from the player's static neighbours, components by
+   a DFS over the rest (the shared [queue] serves as both), then a
+   counting sort of the non-player vertices by [base] descending.  The
+   player appears in its in-neighbours' rows, so every walk skips it. *)
+let make_shape ~n ~player offs adj queue =
+  let base = Array.make n max_int in
+  let tail = ref 0 in
+  for k = offs.(player) to offs.(player + 1) - 1 do
+    let s = adj.(k) in
+    if base.(s) = max_int then begin
+      base.(s) <- 0;
+      queue.(!tail) <- s;
+      incr tail
+    end
+  done;
+  let head = ref 0 in
+  while !head < !tail do
+    let u = queue.(!head) in
+    incr head;
+    for k = offs.(u) to offs.(u + 1) - 1 do
+      let v = adj.(k) in
+      if v <> player && base.(v) = max_int then begin
+        base.(v) <- base.(u) + 1;
+        queue.(!tail) <- v;
+        incr tail
+      end
+    done
+  done;
+  let comp = Array.make n (-1) and ncomp = ref 0 in
+  for start = 0 to n - 1 do
+    if start <> player && comp.(start) < 0 then begin
+      let c = !ncomp in
+      incr ncomp;
+      comp.(start) <- c;
+      queue.(0) <- start;
+      let top = ref 1 in
+      while !top > 0 do
+        decr top;
+        let u = queue.(!top) in
+        for k = offs.(u) to offs.(u + 1) - 1 do
+          let v = adj.(k) in
+          if v <> player && comp.(v) < 0 then begin
+            comp.(v) <- c;
+            queue.(!top) <- v;
+            incr top
+          end
+        done
+      done
+    end
+  done;
+  let comp_size = Array.make !ncomp 0 and isolated = Array.make !ncomp true in
+  let reach = ref 0 and base_sum = ref 0 and max_base = ref (-1) in
+  for v = 0 to n - 1 do
+    if v <> player then comp_size.(comp.(v)) <- comp_size.(comp.(v)) + 1;
+    let d = base.(v) in
+    if d < max_int then begin
+      isolated.(comp.(v)) <- false;
+      incr reach;
+      base_sum := !base_sum + d;
+      if d > !max_base then max_base := d
+    end
+  done;
+  let c_i = Array.fold_left (fun a i -> if i then a + 1 else a) 0 isolated in
+  (* bucket [d + 1] counts base d; bucket 0 the isolated vertices *)
+  let mb = !max_base in
+  let bucket v = if base.(v) = max_int then 0 else base.(v) + 1 in
+  let count = Array.make (mb + 2) 0 in
+  for v = 0 to n - 1 do
+    if v <> player then count.(bucket v) <- count.(bucket v) + 1
+  done;
+  (* above.(l+1) = #{base > l}: the isolated ones plus buckets above l+1 *)
+  let above = Array.make (mb + 2) 0 in
+  above.(mb + 1) <- count.(0);
+  for l = mb - 1 downto -1 do
+    above.(l + 1) <- above.(l + 2) + count.(l + 2)
+  done;
+  (* descending order: isolated first, then base mb, mb-1, ..., 0 *)
+  let start = Array.make (mb + 2) 0 in
+  for d = 0 to mb do
+    start.(d + 1) <- above.(d + 1)
+  done;
+  let desc = Array.make (n - 1) 0 in
+  for v = 0 to n - 1 do
+    if v <> player then begin
+      let b = bucket v in
+      (* bucket 0 fills [0 ..), bucket d+1 fills [above.(d+1) ..) *)
+      desc.(start.(b)) <- v;
+      start.(b) <- start.(b) + 1
+    end
+  done;
+  {
+    base;
+    comp;
+    comp_size;
+    isolated;
+    c_i;
+    reach = !reach;
+    base_sum = !base_sum;
+    max_base = mb;
+    desc;
+    above;
+  }
+
+(* default cap: whole-row cache up to ~8M ints (64 MB), never below 16
+   rows — at paper scales this never evicts *)
+let make_rows_state ~n row_cache_cap =
+  let cap =
+    match row_cache_cap with
+    | Some c -> max 1 c
+    | None -> max 16 (8_388_608 / max n 1)
+  in
+  {
+    cap;
+    rows = Array.make n None;
+    order = Queue.create ();
+    live = 0;
+    base = None;
+    pre_row = Array.make n 0;
+    pre_key = Array.make n 0;
+    pre_len = -1;
+    hits = 0;
+  }
+
+let rec bit_length x = if x = 0 then 0 else 1 + bit_length (x lsr 1)
+
+let make_batch ~n ~player offs adj queue =
+  let width = Bbng_graph.Bit_bfs.width in
+  {
+    shape = make_shape ~n ~player offs adj queue;
+    kernel = Bbng_graph.Bit_bfs.create ~offs ~targets:adj;
+    costs = Array.make n 0;
+    built = Array.make (((n - 1) + width - 1) / width) false;
+    (* G <= n - 1, and U sums G over at most n + 1 levels *)
+    g = Array.make (bit_length n) 0;
+    u = Array.make (bit_length (n * (n + 1))) 0;
+  }
+
+let build ?(budget = Bbng_obs.Budgeted.unlimited) ?engine ?row_cache_cap ~batch
+    version profile ~player =
   Bbng_obs.Counter.bump c_contexts;
   let n = Strategy.n profile in
   if player < 0 || player >= n then invalid_arg "Deviation_eval.make: bad player";
@@ -98,39 +277,25 @@ let make ?(budget = Bbng_obs.Budgeted.unlimited) ?engine ?row_cache_cap version
         (Strategy.strategy profile i)
   done;
   let own = Array.copy (Strategy.strategy profile player) in
-  (* Rows beat the overlay BFS once a candidate scan re-visits targets,
-     which C(n-1, b) enumeration does heavily for b >= 2; at b <= 1
-     every row is used once and the overlay's single BFS is already
-     optimal.  The budget is the only selector; [?engine] forces one
-     engine for cross-engine verification and ablations. *)
-  let engine =
+  let queue = Array.make (max n 1) 0 in
+  (* Rows beat per-candidate BFSs once a scan re-visits targets, which
+     C(n-1, b) enumeration does heavily for b >= 2.  At b <= 1 every
+     candidate is one target on the same graph G∖i, so a scan with at
+     least one full word of candidates prices them [Bit_bfs.width] at a
+     time; smaller scans keep the overlay (the crossover table in
+     DESIGN §4 puts the break-even near one word).  The context's shape
+     is the only selector; [?engine] forces one per-candidate engine
+     for cross-engine verification and ablations. *)
+  let engine, pricer =
     match engine with
-    | Some e -> e
-    | None -> if Array.length own >= 2 then Rows else Bfs_overlay
-  in
-  let rows_state =
-    match engine with
-    | Bfs_overlay -> None
-    | Rows ->
-        (* default cap: whole-row cache up to ~8M ints (64 MB), never
-           below 16 rows — at paper scales this never evicts *)
-        let cap =
-          match row_cache_cap with
-          | Some c -> max 1 c
-          | None -> max 16 (8_388_608 / max n 1)
-        in
-        Some
-          {
-            cap;
-            rows = Array.make n None;
-            order = Queue.create ();
-            live = 0;
-            base = None;
-            pre_row = Array.make n 0;
-            pre_key = Array.make n 0;
-            pre_len = -1;
-            hits = 0;
-          }
+    | Some Rows -> (Rows, Rows_cache (make_rows_state ~n row_cache_cap))
+    | Some Bfs_overlay -> (Bfs_overlay, Overlay)
+    | None when Array.length own >= 2 ->
+        (Rows, Rows_cache (make_rows_state ~n row_cache_cap))
+    | None when batch || n - 1 >= Bbng_graph.Bit_bfs.width ->
+        ( Bfs_overlay,
+          Batch (lazy (make_batch ~n ~player static_offs static_targets queue)) )
+    | None -> (Bfs_overlay, Overlay)
   in
   {
     version;
@@ -140,14 +305,22 @@ let make ?(budget = Bbng_obs.Budgeted.unlimited) ?engine ?row_cache_cap version
     static_offs;
     static_targets;
     own;
-    rows_state;
+    pricer;
     stamp = 0;
     seen = Array.make n 0;
     dist = Array.make n 0;
-    queue = Array.make (max n 1) 0;
+    queue;
     comp_seen = Array.make n 0;
     budget;
   }
+
+let make ?budget ?engine ?row_cache_cap version profile ~player =
+  build ?budget ?engine ?row_cache_cap ~batch:false version profile ~player
+
+let make_batched ?budget version profile ~player =
+  if Array.length (Strategy.strategy profile player) > 1 then
+    invalid_arg "Deviation_eval.make_batched: budget above 1";
+  build ?budget ~batch:true version profile ~player
 
 let player t = t.player
 let version t = t.version
@@ -316,7 +489,7 @@ let build_base_row t =
   done;
   finish_row t row !tail
 
-let base_row t rs =
+let base_row t (rs : rows_state) =
   match rs.base with
   | Some row -> row
   | None ->
@@ -440,12 +613,217 @@ let rows_cost t rs targets =
   if rs.hits > 0 then Bbng_obs.Counter.add c_row_hits rs.hits;
   result
 
+(* --- batch engine, part 2: pricing a block of candidates --- *)
+
+(* Bit-sliced vertical counters: plane [p] holds bit [p] of the count
+   of every source at once.  [vadd c w] adds 1 to the counts of the
+   sources in [w], [vsub] subtracts 1 (never below 0 here), and
+   [vaddv u g] adds every count of [g] to the matching count of [u]. *)
+let vadd c w =
+  let carry = ref w and p = ref 0 in
+  while !carry <> 0 do
+    let x = c.(!p) in
+    c.(!p) <- x lxor !carry;
+    carry := x land !carry;
+    incr p
+  done
+
+let vsub c w =
+  let borrow = ref w and p = ref 0 in
+  while !borrow <> 0 do
+    let x = c.(!p) in
+    c.(!p) <- x lxor !borrow;
+    borrow := lnot x land !borrow;
+    incr p
+  done
+
+let vaddv u g =
+  let carry = ref 0 in
+  for p = 0 to Array.length g - 1 do
+    let a = u.(p) and b = g.(p) in
+    u.(p) <- a lxor b lxor !carry;
+    carry := (a land b) lor (!carry land (a lxor b))
+  done;
+  let p = ref (Array.length g) in
+  while !carry <> 0 do
+    let x = u.(!p) in
+    u.(!p) <- x lxor !carry;
+    carry := x land !carry;
+    incr p
+  done
+
+let vget c bit =
+  let x = ref 0 in
+  for p = Array.length c - 1 downto 0 do
+    x := (!x lsl 1) lor ((c.(p) lsr bit) land 1)
+  done;
+  !x
+
+(* SUM.  With m_s(v) = min(base(v), d_s(v)) the candidate-dependent part
+   of the cost, G_l(s) = #{v : base(v) > l, s reached v within l} is
+   kept incrementally in [g] — a source enters at the level it reaches
+   v (if below base(v)) and leaves at level base(v) — and [u]
+   accumulates U(s) = sum over the first L levels of G_l(s).  Then
+   Σ_v m_s(v) = base_sum - U(s) when s sits in a component holding a
+   static neighbour (any L >= max_base), and base_sum + L·|comp(s)| -
+   U(s) when its component is isolated (any L beyond s's eccentricity:
+   the BFS runs until its frontier is empty).  Returns the level count. *)
+let sum_levels sh bs ~isolated_sources =
+  let k = bs.kernel and base = sh.base in
+  let g = bs.g and u = bs.u in
+  Array.fill g 0 (Array.length g) 0;
+  Array.fill u 0 (Array.length u) 0;
+  let level = ref 0 and go = ref true in
+  while !go do
+    let l = !level in
+    let front = Bbng_graph.Bit_bfs.front k and seen = Bbng_graph.Bit_bfs.seen k in
+    let queue = Bbng_graph.Bit_bfs.queue k in
+    for i = 0 to Bbng_graph.Bit_bfs.count k - 1 do
+      let v = queue.(i) in
+      let w = front.(v) in
+      if w <> 0 && base.(v) > l then vadd g w
+    done;
+    if l <= sh.max_base then
+      for i = sh.above.(l + 1) to sh.above.(l) - 1 do
+        let v = sh.desc.(i) in
+        let r = seen.(v) land lnot front.(v) in
+        if r <> 0 then vsub g r;
+        Bbng_graph.Bit_bfs.prune k v
+      done;
+    vaddv u g;
+    if l + 1 < sh.max_base || (isolated_sources <> 0 && Bbng_graph.Bit_bfs.count k > 0)
+    then begin
+      Bbng_graph.Bit_bfs.step k;
+      incr level
+    end
+    else go := false
+  done;
+  !level + 1
+
+(* MAX, connected candidates only.  Source s is done at the first level
+   L where every v with base(v) > L (isolated ones included) has been
+   reached: then max_v min(base(v), d_s(v)) = L and the cost is L + 1.
+   The scan of the base-descending prefix stops as soon as every
+   pending source is seen to miss some vertex. *)
+let max_levels sh bs ~first ~len ~vertex seeded =
+  let k = bs.kernel in
+  let pending = ref seeded and level = ref 0 in
+  while !pending <> 0 do
+    let l = !level in
+    let seen = Bbng_graph.Bit_bfs.seen k in
+    let lim =
+      if l >= sh.max_base then sh.above.(sh.max_base + 1) else sh.above.(l + 1)
+    in
+    let missing = ref 0 and i = ref 0 in
+    while !i < lim && !missing land !pending <> !pending do
+      let v = sh.desc.(!i) in
+      missing := !missing lor lnot seen.(v);
+      incr i
+    done;
+    if l <= sh.max_base then
+      for i = sh.above.(l + 1) to sh.above.(l) - 1 do
+        Bbng_graph.Bit_bfs.prune k sh.desc.(i)
+      done;
+    let finished = !pending land lnot !missing in
+    if finished <> 0 then
+      for x = 0 to len - 1 do
+        if finished land (1 lsl x) <> 0 then bs.costs.(vertex (first + x)) <- l + 1
+      done;
+    pending := !pending land !missing;
+    if !pending <> 0 then begin
+      Bbng_graph.Bit_bfs.step k;
+      incr level
+    end
+  done;
+  !level + 1
+
+(* Price block [j] into [bs.costs].  By the one-arc lemma, linking to t
+   reaches v at distance 1 + min(base(v), d_{G∖i}(t, v)), and t reaches
+   exactly its own component of G∖i.  So the candidate's reach is the
+   static neighbours' components plus comp(t), and its unreached
+   components number κ - 1 = c_I - [t ∈ I] — both in O(1) — and a
+   disconnected MAX candidate needs no BFS at all.  Every other
+   candidate is a source of one bit-parallel BFS.  Both versions prune
+   v at level base(v): a source arriving there or later gains nothing
+   at v, nor beyond it (base(w) <= base(v) + d(v, w)).  The work charged
+   is n for the set-up and n per level. *)
+let build_block t bs j =
+  Bbng_obs.Counter.bump c_blocks;
+  let module B = Bbng_graph.Bit_bfs in
+  let sh = bs.shape and n = t.n and player = t.player in
+  let inf = n * n in
+  let first = j * B.width in
+  let len = min B.width (n - 1 - first) in
+  let vertex x = if x < player then x else x + 1 in
+  let in_i s = sh.isolated.(sh.comp.(s)) in
+  let k = bs.kernel in
+  B.clear k;
+  let seeded = ref 0 and isolated_sources = ref 0 in
+  for x = 0 to len - 1 do
+    let s = vertex (first + x) in
+    let unreached = sh.c_i - if in_i s then 1 else 0 in
+    match t.version with
+    | Cost.Max when unreached > 0 -> bs.costs.(s) <- inf + (unreached * inf)
+    | _ ->
+        let bit = 1 lsl x in
+        B.seed k s bit;
+        seeded := !seeded lor bit;
+        if in_i s then isolated_sources := !isolated_sources lor bit
+  done;
+  let levels =
+    if !seeded = 0 then 0
+    else begin
+      B.prune k player;
+      match t.version with
+      | Cost.Max -> max_levels sh bs ~first ~len ~vertex !seeded
+      | Cost.Sum ->
+          let levels = sum_levels sh bs ~isolated_sources:!isolated_sources in
+          for x = 0 to len - 1 do
+            let s = vertex (first + x) in
+            let u = vget bs.u x in
+            let reach, dist_sum =
+              if in_i s then
+                let size = sh.comp_size.(sh.comp.(s)) in
+                (sh.reach + size, sh.base_sum + (levels * size) - u)
+              else (sh.reach, sh.base_sum - u)
+            in
+            (* every reached v contributes 1 + m(v) *)
+            bs.costs.(s) <- reach + dist_sum + ((n - 1 - reach) * inf)
+          done;
+          levels
+    end
+  in
+  Bbng_obs.Budgeted.spend t.budget ((levels + 1) * n);
+  bs.built.(j) <- true
+
+let block_of t v = (if v < t.player then v else v - 1) / Bbng_graph.Bit_bfs.width
+
+let batch_cost t bs target =
+  let j = block_of t target in
+  if not bs.built.(j) then build_block t bs j;
+  Bbng_obs.Budgeted.spend t.budget 1;
+  bs.costs.(target)
+
 let cost t targets =
   Bbng_obs.Budgeted.checkpoint t.budget;
-  Bbng_obs.Counter.bump c_evals;
   validate_targets t targets;
-  match t.rows_state with
-  | None -> overlay_cost t targets
-  | Some rs -> rows_cost t rs targets
+  Bbng_obs.Counter.bump c_evals;
+  match t.pricer with
+  | Overlay -> overlay_cost t targets
+  | Rows_cache rs -> rows_cost t rs targets
+  | Batch bs when Array.length targets = 1 ->
+      batch_cost t (Lazy.force bs) targets.(0)
+  | Batch _ -> overlay_cost t targets
 
-let current_cost t = cost t t.own
+(* A lone current-cost query must not pay for a whole block: a search
+   pruned by the cost floor or Lemma 2.2 asks nothing else.  The overlay
+   prices it unless its block is already built. *)
+let current_cost t =
+  let block_built bs v = Lazy.is_val bs && (Lazy.force bs).built.(block_of t v) in
+  match t.pricer with
+  | Batch bs when Array.length t.own = 1 && not (block_built bs t.own.(0)) ->
+      Bbng_obs.Budgeted.checkpoint t.budget;
+      Bbng_obs.Counter.bump c_evals;
+      overlay_cost t t.own
+  | _ -> cost t t.own
+

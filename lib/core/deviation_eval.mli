@@ -18,8 +18,23 @@
     where [G∖i] is the player-deleted static graph — a quantity that
     does {e not} depend on the candidate at all.
 
-    - [Bfs_overlay] runs one fresh BFS per candidate, overlaying the
-      player's tentative arcs as first steps: O(n + m) per candidate.
+    - [Bfs_overlay] prices a context of budget ≤ 1.  With fewer than
+      one word ({!Bbng_graph.Bit_bfs.width} = 63) of candidates it runs
+      one fresh BFS per candidate, overlaying the player's tentative arc
+      as a first step: O(n + m) per candidate.  From one word on, a
+      single-target candidate is priced in a {e block} of 63: block [j]
+      holds the candidates [63j .. 63j+62] in vertex order (skipping the
+      player), is built the first time one of its targets is asked for,
+      and is one bit-parallel BFS over [G∖i] from all its targets at
+      once.  Linking to [t] costs agg_v min(base(v), 1 + d_{G∖i}(t, v)),
+      so SUM sums come from bit-sliced per-source counters and MAX
+      eccentricities from per-source done masks; the components of
+      [G∖i] are labelled once per context, which gives each candidate's
+      reach and [kappa] in O(1), and a disconnected MAX candidate needs
+      no BFS.  A full scan costs O(⌈(n-1)/63⌉ · L · (n + m)) with L the
+      BFS depth, against O((n-1) · (n + m)) per candidate.  The
+      player's current strategy alone (all a pruned search asks for)
+      keeps the overlay BFS.
     - [Rows] precomputes one BFS row per first-hop vertex of [G∖i]
       (lazily, cached under a configurable cap with eviction counters),
       plus a single multi-source row for the static neighbors.  It also
@@ -32,14 +47,15 @@
       O(C(n-1,b)·(n+m)) to
       O(n·(n+m) + C(n-1,b)·n + C(n-1,b-1)·(b-1)·n).
 
-    In both engines the vertices an evaluation misses induce the same
+    In every engine the vertices an evaluation misses induce the same
     components as in the static graph (none of their edges involve the
     player), so the MAX version's [kappa] is recovered without
     rebuilding anything.
 
-    The observable behaviour of both engines is {e identical} to the
+    The observable behaviour of every engine is {e identical} to the
     generic route (qcheck properties in the test suite pin
-    rows ≡ overlay ≡ generic); the win is the per-candidate constant. *)
+    batch ≡ rows ≡ overlay ≡ generic); the win is the per-candidate
+    constant. *)
 
 type t
 
@@ -47,7 +63,8 @@ type engine = Bfs_overlay | Rows
 (** The two exact pricing engines (see the module preamble).  A context
     picks one from the player's budget alone: [Rows] when it is ≥ 2
     (rows amortize only when candidates share first hops), [Bfs_overlay]
-    otherwise. *)
+    otherwise — per candidate, or batched once the context has a word
+    of candidates.  Both [Bfs_overlay] paths record the name ["bfs"]. *)
 
 val engine_name : engine -> string
 (** ["bfs"] or ["rows"] — the stable names certificates record. *)
@@ -64,17 +81,27 @@ val make :
   t
 (** Captures the fixed part.  O(n + m).  [?budget] (default unlimited)
     is the cancellation token every subsequent {!cost} call honours.
-    [?engine] overrides the budget rule (certificate verification
-    re-prices through a forced engine; tests and the bench ablation
-    compare both);
+    [?engine] overrides the budget rule and forces the per-candidate
+    form of the engine (certificate verification re-prices through a
+    forced engine; tests and the bench ablation compare them);
     [?row_cache_cap] bounds how many distance rows the [Rows] engine
     keeps live (FIFO eviction, clamped to ≥ 1; the default keeps the
     cache under ~64 MB and never evicts at paper scales).  Cache
     traffic is observable as the [deveval.rows_built] /
-    [deveval.row_hits] / [deveval.rows_evicted] counters.
+    [deveval.row_hits] / [deveval.rows_evicted] counters, batch blocks
+    as [deveval.blocks_built].
 
     A context is single-domain state: parallel certification gives each
     domain its own context, rows are never shared across domains. *)
+
+val make_batched :
+  ?budget:Bbng_obs.Budgeted.t -> Cost.version -> Strategy.t -> player:int -> t
+(** {!make} for a player of budget ≤ 1, with single-target candidates
+    priced by the bit-parallel batch whatever [n] is.  Production
+    contexts never need it — {!make} picks the batch from the context's
+    shape; the crossover sweep and the exactness tests use it below the
+    threshold.
+    @raise Invalid_argument on a budget above 1. *)
 
 val player : t -> int
 val version : t -> Cost.version
@@ -101,13 +128,16 @@ val cost : t -> int array -> int
     (raising {!Bbng_obs.Budgeted.Expired} once the token has tripped)
     and charges the work done after — the reached-vertex count per
     overlay BFS, the popped count per row build, [(b+1)·n] cells per
-    combine — so interruption lands {e between} candidate evaluations,
+    combine, [n] per level of a block's BFS plus [n] to set it up, 1
+    per batched lookup —
+    so interruption lands {e between} candidate evaluations,
     never mid-BFS, and the row cache is never left with a torn row
     (rows are installed only after their BFS completes; the
     [deveval.row_build] fault probe sits before the build for the
     crash-safety matrix).
     @raise Invalid_argument on a self-target, a duplicate target or an
-    out-of-range vertex.
+    out-of-range vertex; a rejected call is not counted as an
+    evaluation.
     @raise Bbng_obs.Budgeted.Expired once the token has expired. *)
 
 val current_cost : t -> int

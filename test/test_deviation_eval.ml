@@ -89,6 +89,25 @@ let rows_of ?budget ?row_cache_cap version p player =
 let bfs_of version p player =
   Deviation_eval.make ~engine:Deviation_eval.Bfs_overlay version p ~player
 
+let test_rejected_call_is_not_an_eval () =
+  (* a self-target, duplicate or out-of-range candidate is rejected
+     before it counts as an evaluation, on every engine *)
+  let b = Budget.of_list [ 1; 1; 0; 0 ] in
+  let p = Strategy.make b [| [| 1 |]; [| 2 |]; [||]; [||] |] in
+  List.iter
+    (fun (name, c) ->
+      List.iter
+        (fun targets ->
+          let evals0 = Bbng_obs.Counter.find "deveval.incremental_evals" in
+          (try ignore (Deviation_eval.cost c targets) with Invalid_argument _ -> ());
+          check_int name evals0 (Bbng_obs.Counter.find "deveval.incremental_evals"))
+        [ [| 0 |]; [| 2; 2 |]; [| 9 |] ])
+    [
+      ("overlay", bfs_of Cost.Sum p 0);
+      ("rows", rows_of Cost.Sum p 0);
+      ("batch", Deviation_eval.make_batched Cost.Sum p ~player:0);
+    ]
+
 let test_engine_names () =
   List.iter
     (fun e ->
@@ -316,6 +335,118 @@ let prop_current_cost_equivalent =
           = Deviation_eval.current_cost (ctx version p player))
         Cost.all_versions)
 
+(* --- the bit-parallel batch (b <= 1) --- *)
+
+(* A random, frequently disconnected profile in which [player] — first,
+   middle or last by the seed — has budget [b]. *)
+let unit_player_profile (n, total, seed) ~b =
+  let st = rng seed in
+  let budgets = Budget.to_array (Budget.random_partition st ~n ~total) in
+  let player = [| 0; n / 2; n - 1 |].(seed mod 3) in
+  budgets.(player) <- b;
+  (Strategy.random st (Budget.of_array budgets), player, st)
+
+let shuffle st a =
+  for i = Array.length a - 1 downto 1 do
+    let j = Random.State.int st (i + 1) in
+    let x = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- x
+  done
+
+let batch_agrees ~n_min ~n_max ~count ~generic name =
+  (* every single-target candidate, priced in random order so blocks
+     are built out of order, agrees across the production context, a
+     context forced onto the batch and the per-candidate overlay, and
+     the first [generic] of them the generic route too (it rebuilds the
+     whole graph per call); b = 0 prices its lone empty candidate *)
+  qcheck ~count name (sparse_or_dense_budget_gen ~n_min ~n_max)
+    (fun ((n, _, _) as input) ->
+      List.for_all
+        (fun b ->
+          if b > n - 1 then true
+          else
+            let p, player, st = unit_player_profile input ~b in
+            let candidates =
+              if b = 0 then [| [||] |]
+              else
+                Array.of_list
+                  (List.filter_map
+                     (fun v -> if v = player then None else Some [| v |])
+                     (List.init n Fun.id))
+            in
+            shuffle st candidates;
+            List.for_all
+              (fun version ->
+                let game = Game.make version (Strategy.budgets p) in
+                let current = Game.player_cost game p player in
+                let fresh = Deviation_eval.make version p ~player in
+                let default = Deviation_eval.make version p ~player in
+                let batched = Deviation_eval.make_batched version p ~player in
+                let overlay = bfs_of version p player in
+                let agree i targets =
+                  let expected = Deviation_eval.cost overlay targets in
+                  let ok =
+                    Deviation_eval.cost default targets = expected
+                    && Deviation_eval.cost batched targets = expected
+                    && (i >= generic
+                       || Game.deviation_cost game p ~player ~targets = expected)
+                  in
+                  if not ok then
+                    QCheck.Test.fail_reportf "%s b=%d player=%d targets={%s}"
+                      (Cost.version_name version) b player
+                      (String.concat ","
+                         (List.map string_of_int (Array.to_list targets)));
+                  ok
+                in
+                (* the current cost before any block exists, and after *)
+                Deviation_eval.current_cost fresh = current
+                && Array.for_all Fun.id (Array.mapi agree candidates)
+                && Deviation_eval.current_cost default = current)
+              Cost.all_versions)
+        [ 0; 1 ])
+
+let test_batch_selection () =
+  (* a unit player's context batches from one word of candidates on
+     (n - 1 >= 63), keeps the engine name "bfs" either way, prices its
+     current strategy without a block, and builds one block per word;
+     [~engine] forces the per-candidate overlay *)
+  let blocks () = Bbng_obs.Counter.find "deveval.blocks_built" in
+  let scan c n player =
+    for v = 0 to n - 1 do
+      if v <> player then ignore (Deviation_eval.cost c [| v |])
+    done
+  in
+  List.iter
+    (fun (k, expected) ->
+      let p = Bbng_constructions.Tripod.profile ~k in
+      let n = Strategy.n p and player = 5 in
+      check_int "unit player" 1 (Array.length (Strategy.strategy p player));
+      let label what = Printf.sprintf "n=%d %s" n what in
+      let b0 = blocks () in
+      let c = Deviation_eval.make Cost.Max p ~player in
+      check_true (label "engine") (Deviation_eval.engine c = Deviation_eval.Bfs_overlay);
+      ignore (Deviation_eval.current_cost c);
+      check_int (label "current cost builds no block") b0 (blocks ());
+      scan c n player;
+      check_int (label "blocks per scan") expected (blocks () - b0);
+      let b1 = blocks () in
+      scan (bfs_of Cost.Max p player) n player;
+      check_int (label "forced overlay builds none") b1 (blocks ()))
+    [ (20, 0); (21, 1); (22, 2) ]
+
+let prop_batch_tiny =
+  batch_agrees ~n_min:2 ~n_max:12 ~count:300 ~generic:max_int
+    "n 2-12: batch == overlay == generic"
+
+let prop_batch_one_word =
+  batch_agrees ~n_min:60 ~n_max:70 ~count:30 ~generic:4
+    "n 60-70: batch == overlay == generic"
+
+let prop_batch_two_words =
+  batch_agrees ~n_min:124 ~n_max:130 ~count:12 ~generic:4
+    "n 124-130: batch == overlay == generic"
+
 let suite =
   [
     case "accessors" test_accessors;
@@ -325,6 +456,7 @@ let suite =
     case "partial target sets" test_partial_targets;
     case "scratch reuse" test_reuse_across_calls;
     case "validation" test_validation;
+    case "rejected call is not an evaluation" test_rejected_call_is_not_an_eval;
     case "engine names" test_engine_names;
     case "engine resolution" test_engine_resolution;
     case "rows MAX disconnection counts no row hits"
@@ -337,4 +469,8 @@ let suite =
     prop_rows_prefix_scan_equals_bfs;
     prop_equivalent_to_generic;
     prop_current_cost_equivalent;
+    case "batch selection and blocks" test_batch_selection;
+    prop_batch_tiny;
+    prop_batch_one_word;
+    prop_batch_two_words;
   ]

@@ -235,6 +235,129 @@ let test_diagnosis_events_recorded () =
             (Json.member "max_regret" outcome = Some (Json.Int 0))
       | l -> Alcotest.failf "expected 1 outcome event, got %d" (List.length l))
 
+(* --- search-outcome pin for the b = 1 batch --- *)
+
+(* One Exact_best search re-run over a context forced onto the
+   per-candidate overlay, with the same ladder as Best_response: cost
+   floor, Lemma 2.2, then every candidate in vertex order, keeping the
+   first strictly cheapest improvement and stopping at the floor.
+   Returns the current cost, the improving move and the candidates
+   priced. *)
+let overlay_exact_best version profile player =
+  let n = Strategy.n profile in
+  let ctx =
+    Deviation_eval.make ~engine:Deviation_eval.Bfs_overlay version profile
+      ~player
+  in
+  let current = Deviation_eval.current_cost ctx in
+  let in_degree =
+    List.length
+      (List.filter
+         (fun i ->
+           i <> player && Array.mem player (Strategy.strategy profile i))
+         (List.init n Fun.id))
+  in
+  let budget = Array.length (Strategy.strategy profile player) in
+  let floor = Cost.cost_floor version ~n ~budget ~in_degree in
+  if current <= floor || Best_response.satisfies_lemma_2_2 profile player then
+    (current, None, 0)
+  else begin
+    let best = ref None and scanned = ref 0 in
+    (try
+       for v = 0 to n - 1 do
+         if v <> player then begin
+           incr scanned;
+           let cost = Deviation_eval.cost ctx [| v |] in
+           let better =
+             match !best with None -> cost < current | Some (_, c) -> cost < c
+           in
+           if better then begin
+             best := Some (v, cost);
+             if cost <= floor then raise Exit
+           end
+         end
+       done
+     with Exit -> ());
+    (current, !best, !scanned)
+  end
+
+(* Round-robin dynamics driven by [overlay_exact_best]: the steps as
+   (player, new target, old cost, new cost), plus the evaluations, the
+   candidates and the blocks a batched run must have built — one per
+   started word of each search's scanned prefix. *)
+let overlay_round_robin version start =
+  let n = Strategy.n start in
+  let evals = ref 0 and candidates = ref 0 and blocks = ref 0 in
+  let search profile p =
+    let ((_, _, scanned) as r) = overlay_exact_best version profile p in
+    evals := !evals + 1 + scanned;
+    candidates := !candidates + scanned;
+    let width = Bbng_graph.Bit_bfs.width in
+    blocks := !blocks + ((scanned + width - 1) / width);
+    r
+  in
+  let rec probe profile pos tried =
+    if tried >= n then None
+    else
+      match search profile (pos mod n) with
+      | current, Some (t, cost), _ -> Some (pos mod n, t, current, cost)
+      | _, None, _ -> probe profile (pos + 1) (tried + 1)
+  in
+  let rec loop profile pos acc =
+    match probe profile pos 0 with
+    | None -> List.rev acc
+    | Some (p, t, old_cost, new_cost) ->
+        let profile = Strategy.with_strategy profile ~player:p ~targets:[| t |] in
+        loop profile (p + 1) ((p, t, old_cost, new_cost) :: acc)
+  in
+  let steps = loop start 0 [] in
+  (steps, !evals, !candidates, !blocks)
+
+let test_batched_dynamics_match_overlay () =
+  (* n = 100 puts every unit player's scan on the batch (two words of
+     candidates); the trajectory, the evaluation and candidate counts
+     must be exactly those of per-candidate overlay pricing *)
+  let n = 100 in
+  let b = Budget.unit_budgets n in
+  List.iter
+    (fun (version, seed) ->
+      let label what =
+        Printf.sprintf "%s seed %d: %s" (Cost.version_name version) seed what
+      in
+      let start = Strategy.random (rng seed) b in
+      let game = Game.make version b in
+      let expected, evals, candidates, blocks = overlay_round_robin version start in
+      let find = Bbng_obs.Counter.find in
+      let evals0 = find "deveval.incremental_evals"
+      and candidates0 = find "br.candidates"
+      and blocks0 = find "deveval.blocks_built" in
+      let trace = ref [] in
+      let on_step (e : Dynamics.trace_entry) =
+        let t = match e.new_targets with [| t |] -> t | _ -> -1 in
+        trace := (e.player, t, e.old_cost, e.new_cost) :: !trace
+      in
+      (match
+         Dynamics.run ~on_step game ~schedule:Schedule.Round_robin
+           ~rule:Dynamics.Exact_best start
+       with
+      | Dynamics.Converged _ -> ()
+      | o -> Alcotest.failf "%s: got %s" (label "expected convergence") (Dynamics.outcome_name o));
+      let got = List.rev !trace in
+      check_true (label "the batch priced something") (blocks > 0 && got <> []);
+      check_int (label "steps") (List.length expected) (List.length got);
+      List.iteri
+        (fun i ((p, t, o, c), (p', t', o', c')) ->
+          let step what = label (Printf.sprintf "step %d %s" (i + 1) what) in
+          check_int (step "player") p p';
+          check_int (step "target") t t';
+          check_int (step "old cost") o o';
+          check_int (step "new cost") c c')
+        (List.combine expected got);
+      check_int (label "evaluations") evals (find "deveval.incremental_evals" - evals0);
+      check_int (label "candidates") candidates (find "br.candidates" - candidates0);
+      check_int (label "blocks built") blocks (find "deveval.blocks_built" - blocks0))
+    [ (Cost.Sum, 1); (Cost.Max, 2) ]
+
 let suite =
   [
     case "already stable" test_already_stable;
@@ -250,4 +373,6 @@ let suite =
     case "rule names" test_rule_names_distinct;
     case "diagnosis events recorded" test_diagnosis_events_recorded;
     prop_convergence_on_small_tree_instances;
+    case "batched unit dynamics match overlay pricing"
+      test_batched_dynamics_match_overlay;
   ]
