@@ -75,41 +75,32 @@ let append ?(file = file) ~report benches =
 
 (* --- reading --- *)
 
-let float_field k j =
-  match Json.member k j with
-  | Some (Json.Float f) -> Some f
-  | Some (Json.Int i) -> Some (float_of_int i)
-  | _ -> None
-
-let str_field k j =
-  match Json.member k j with Some (Json.Str s) -> Some s | _ -> None
-
 let entry_of_json j =
-  match (str_field "report" j, Json.member "results" j) with
+  match (Json.str_field "report" j, Json.member "results" j) with
   | Some report, Some (Json.List results) ->
       let benches =
         List.filter_map
           (fun r ->
-            match str_field "name" r with
+            match Json.str_field "name" r with
             | Some name ->
                 Some
                   {
                     name;
-                    ns = float_field "ns_per_run" r;
-                    minor = float_field "minor_words_per_run" r;
-                    major = float_field "major_words_per_run" r;
-                    r2 = float_field "r_square_time" r;
+                    ns = Json.num_field "ns_per_run" r;
+                    minor = Json.num_field "minor_words_per_run" r;
+                    major = Json.num_field "major_words_per_run" r;
+                    r2 = Json.num_field "r_square_time" r;
                   }
             | None -> None)
           results
       in
       Some
         {
-          ts = Option.value ~default:"?" (str_field "ts" j);
+          ts = Option.value ~default:"?" (Json.str_field "ts" j);
           report;
           benches;
           counters_digest =
-            Option.value ~default:"" (str_field "counters_digest" j);
+            Option.value ~default:"" (Json.str_field "counters_digest" j);
         }
   | _ -> None
 

@@ -146,7 +146,6 @@ let () =
   | None -> ()
   | Some path ->
       Bbng_obs.Span.set_enabled true;
-      Bbng_obs.Profile.set_enabled true;
       at_exit (fun () -> Bbng_obs.Profile.write_folded path));
   (match argv with
   | _ :: "--smoke" :: _ ->

@@ -110,13 +110,11 @@ let obs_term =
     match arm faults with
     | Error _ as e -> e
     | Ok () ->
-        if stats || report <> None || profile_out <> None then begin
+        (* one switch: spans and call-path attribution share a store,
+           so --stats' self-time top-10 and --profile's folded output
+           always agree *)
+        if stats || report <> None || profile_out <> None then
           Obs.Span.set_enabled true;
-          (* call-path attribution rides on the same span enter/exit
-             points; enabling it with spans keeps --stats' self-time
-             top-10 and --profile's folded output in agreement *)
-          Obs.Profile.set_enabled true
-        end;
         let metrics_result =
           match metrics_out with
           | None -> Ok ()

@@ -127,6 +127,18 @@ cmp -s _build/PROF.folded _build/PROF.offline.folded || {
   echo "check: offline flame disagrees with the live profile"
   exit 1
 }
+# the summary's per-name spans row is a rollup of the same store the
+# span events were emitted from: it must count every recorded close
+dune exec bin/bbng_cli.exe -- report --summarize _build/PROF.jsonl \
+  > _build/PROF.summary
+row=$(awk '/^spans \(/ { s = 1; next }
+  s && $1 == "dynamics.select_move" { print $2; exit }' _build/PROF.summary)
+events=$(grep '"event":"span"' _build/PROF.jsonl \
+  | grep -c '"name":"dynamics.select_move"')
+[ -n "$row" ] && [ "$row" = "$events" ] || {
+  echo "check: summary counts ${row:-no} dynamics.select_move spans, the report has $events"
+  exit 1
+}
 
 echo "== bench trend self-test (synthetic history) =="
 # the gate itself is gated: a steady synthetic history must pass and an

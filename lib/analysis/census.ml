@@ -146,19 +146,13 @@ let plan_row plan =
 let plan_key plan =
   String.sub (Digest.to_hex (Digest.string (Json.to_string (plan_row plan)))) 0 12
 
-let int_field k j =
-  match Json.member k j with Some (Json.Int i) -> Some i | _ -> None
-
-let str_field k j =
-  match Json.member k j with Some (Json.Str s) -> Some s | _ -> None
-
 let plan_of_fields fields =
   let j = Json.Obj fields in
   match
-    ( str_field "version" j,
+    ( Json.str_field "version" j,
       Json.member "budgets" j,
-      int_field "shard_size" j,
-      int_field "profiles" j )
+      Json.int_field "shard_size" j,
+      Json.int_field "profiles" j )
   with
   | Some v, Some (Json.List bs), Some shard_size, Some profiles -> (
       let version =
@@ -217,11 +211,11 @@ let shard_of_fields plan fields =
   let j = Json.Obj fields in
   let key = plan_key plan in
   match
-    ( str_field "key" j,
-      int_field "sid" j,
-      int_field "lo" j,
-      int_field "hi" j,
-      int_field "found" j )
+    ( Json.str_field "key" j,
+      Json.int_field "sid" j,
+      Json.int_field "lo" j,
+      Json.int_field "hi" j,
+      Json.int_field "found" j )
   with
   | Some k, Some sid, Some lo, Some hi, Some found when k = key -> (
       match shard_of_plan plan sid with
@@ -233,7 +227,9 @@ let shard_of_fields plan fields =
                   Some
                     (List.map
                        (fun cj ->
-                         match (str_field "rep" cj, int_field "count" cj) with
+                         match
+                           (Json.str_field "rep" cj, Json.int_field "count" cj)
+                         with
                          | Some rep, Some count when count > 0 ->
                              (Strategy.of_string rep, count)
                          | _ -> raise Exit)
@@ -283,7 +279,9 @@ let claim_row ~key ~owner ~pid sid =
 
 let claim_of_fields plan fields =
   let j = Json.Obj fields in
-  match (str_field "key" j, int_field "sid" j, int_field "pid" j) with
+  match
+    (Json.str_field "key" j, Json.int_field "sid" j, Json.int_field "pid" j)
+  with
   | Some k, Some sid, Some pid when k = plan_key plan ->
       Some { claim_sid = sid; claim_pid = pid }
   | _ -> None
@@ -331,7 +329,7 @@ let read_checkpoint ?expect path =
     let ( let* ) = Option.bind in
     let* fields = verify_stamp j in
     let fj = Json.Obj fields in
-    match str_field "row" fj with
+    match Json.str_field "row" fj with
     | Some "plan" -> (
         let* p = plan_of_fields fields in
         match !plan with

@@ -11,7 +11,7 @@ let c_verified = Bbng_obs.Counter.make "equilibrium.certificates_verified"
    table, even from Parallel domains) and one counter bump. *)
 let check_player search game profile player =
   Bbng_obs.Counter.bump c_players;
-  Bbng_obs.Span.time "equilibrium.certify_player" (fun () ->
+  Bbng_obs.Span.with_ "equilibrium.certify_player" (fun () ->
       Best_response.improve search game profile player)
 
 type refutation = {
@@ -129,7 +129,7 @@ let verdict_name = function
 
 let audited_player auditor game profile player =
   Bbng_obs.Counter.bump c_players;
-  Bbng_obs.Span.time "equilibrium.certify_player" (fun () ->
+  Bbng_obs.Span.with_ "equilibrium.certify_player" (fun () ->
       auditor game profile player)
 
 (* Work-total estimate for a certification's heartbeat: the sum of the
@@ -181,7 +181,7 @@ let observe_certificate game cert =
   cert
 
 let certify_cert_with ?budget auditor mode game profile =
-  Bbng_obs.Span.time "equilibrium.certify" @@ fun () ->
+  Bbng_obs.Span.with_ "equilibrium.certify" @@ fun () ->
   Bbng_obs.Counter.bump c_certificates;
   let n = Game.n game in
   observe_certificate game
@@ -214,7 +214,7 @@ let certify_swap_cert ?budget game profile =
     Swap_mode game profile
 
 let certify_parallel_cert ?domains ?budget game profile =
-  Bbng_obs.Span.time "equilibrium.certify" @@ fun () ->
+  Bbng_obs.Span.with_ "equilibrium.certify" @@ fun () ->
   Bbng_obs.Counter.bump c_certificates;
   let n = Game.n game in
   let audits =
@@ -311,21 +311,11 @@ let certificate_to_artifact cert =
       | Equilibrium | Refuted _ -> [])
     @ [ ("players", Json.List (List.map evidence_to_json cert.cert_evidence)) ])
 
-let int_field k j =
-  match Json.member k j with Some (Json.Int i) -> Some i | _ -> None
-
-let str_field k j =
-  match Json.member k j with Some (Json.Str s) -> Some s | _ -> None
-
-let int_array_field k j =
-  match Json.member k j with
-  | Some (Json.List l) when List.for_all (function Json.Int _ -> true | _ -> false) l
-    ->
-      Some (Array.of_list (List.map (function Json.Int i -> i | _ -> 0) l))
-  | _ -> None
 
 let move_of_json prefix j =
-  match (int_array_field (prefix ^ "_targets") j, int_field (prefix ^ "_cost") j)
+  match
+    ( Json.int_array_field (prefix ^ "_targets") j,
+      Json.int_field (prefix ^ "_cost") j )
   with
   | Some targets, Some cost -> Some { Best_response.targets; cost }
   | _ -> None
@@ -355,10 +345,10 @@ let evidence_of_json ~space j =
     | Some _ -> Error "certificate: malformed candidates field"
   in
   match
-    ( int_field "player" j,
-      Option.bind (str_field "tier" j) Best_response.tier_of_name,
-      int_field "scanned" j,
-      int_field "current_cost" j )
+    ( Json.int_field "player" j,
+      Option.bind (Json.str_field "tier" j) Best_response.tier_of_name,
+      Json.int_field "scanned" j,
+      Json.int_field "current_cost" j )
   with
   | Some player, Some tier, Some scanned, Some current ->
       let* engine = engine in
@@ -384,24 +374,24 @@ let certificate_of_artifact (art : Bbng_obs.Certificate.t) =
   else
     let body = Json.Obj art.Bbng_obs.Certificate.body in
     let* version =
-      match str_field "version" body with
+      match Json.str_field "version" body with
       | Some "MAX" -> Ok Cost.Max
       | Some "SUM" -> Ok Cost.Sum
       | Some v -> Error (Printf.sprintf "certificate: unknown version %S" v)
       | None -> Error "certificate: missing version"
     in
     let* mode =
-      match Option.bind (str_field "mode" body) mode_of_name with
+      match Option.bind (Json.str_field "mode" body) mode_of_name with
       | Some m -> Ok m
       | None -> Error "certificate: missing or unknown mode"
     in
     let* budgets =
-      match int_array_field "budgets" body with
+      match Json.int_array_field "budgets" body with
       | Some b -> Ok b
       | None -> Error "certificate: missing budgets"
     in
     let* profile =
-      match str_field "profile" body with
+      match Json.str_field "profile" body with
       | None -> Error "certificate: missing profile"
       | Some s -> (
           match Strategy.of_string s with
@@ -452,7 +442,7 @@ let certificate_of_artifact (art : Bbng_obs.Certificate.t) =
     in
     let derived_verdict = certificate_verdict cert in
     let* () =
-      let recorded = str_field "verdict" body in
+      let recorded = Json.str_field "verdict" body in
       let derived = verdict_name derived_verdict in
       if recorded = Some derived then Ok ()
       else

@@ -13,12 +13,32 @@ let c_tasks = Bbng_obs.Counter.make "parallel.tasks_executed"
    distribution *)
 let abandoned_by ~n ~k i = if i < n then (n - i + k - 1) / k else 0
 
+(* the number of domains a fan-out over [n] indices uses *)
+let domain_count ?domains n =
+  min n (match domains with Some d -> max 1 d | None -> recommended_domains ())
+
+(* Run [worker d] for d = 0 .. k-1: worker 0 on the calling domain, the
+   rest on spawned domains, all joined before returning.  Spawned
+   workers root their span paths under the caller's current call path,
+   so a parallel fan-out's spans fold into the same flamegraph branch
+   as the single-domain run's. *)
+let fan_out k worker =
+  let base = Bbng_obs.Profile.current_path () in
+  let spawned =
+    List.init (k - 1) (fun d ->
+        Domain.spawn (fun () ->
+            Bbng_obs.Profile.with_root base (fun () -> worker (d + 1))))
+  in
+  Bbng_obs.Counter.add c_spawned (k - 1);
+  worker 0;
+  List.iter Domain.join spawned
+
 (* Block-cyclic index distribution: domain d handles indices
    d, d + k, d + 2k, ...  This balances heterogeneous per-index work
    (low player indices are not systematically cheaper). *)
 
 let for_all ?domains ~n f =
-  let k = min n (match domains with Some d -> max 1 d | None -> recommended_domains ()) in
+  let k = domain_count ?domains n in
   if k <= 1 || n <= 1 then begin
     let rec go i =
       i >= n
@@ -30,58 +50,32 @@ let for_all ?domains ~n f =
   end
   else begin
     let failed = Atomic.make false in
-    let worker d () =
-      let i = ref d in
-      while (not (Atomic.get failed)) && !i < n do
-        Bbng_obs.Counter.bump c_tasks;
-        if not (f !i) then Atomic.set failed true;
-        i := !i + k
-      done;
-      Bbng_obs.Counter.add c_abandoned (abandoned_by ~n ~k !i)
-    in
-    (* spawned workers root their span paths under the caller's current
-       call path, so a parallel fan-out's spans fold into the same
-       flamegraph branch as the single-domain run's *)
-    let base = Bbng_obs.Profile.current_path () in
-    let spawned =
-      List.init (k - 1) (fun d ->
-          Domain.spawn (fun () ->
-              Bbng_obs.Profile.with_root base (worker (d + 1))))
-    in
-    Bbng_obs.Counter.add c_spawned (k - 1);
-    worker 0 ();
-    List.iter Domain.join spawned;
+    fan_out k (fun d ->
+        let i = ref d in
+        while (not (Atomic.get failed)) && !i < n do
+          Bbng_obs.Counter.bump c_tasks;
+          if not (f !i) then Atomic.set failed true;
+          i := !i + k
+        done;
+        Bbng_obs.Counter.add c_abandoned (abandoned_by ~n ~k !i));
     not (Atomic.get failed)
   end
 
 let map ?domains ~n f =
-  let k = min n (match domains with Some d -> max 1 d | None -> recommended_domains ()) in
+  let k = domain_count ?domains n in
   if k <= 1 || n <= 1 then
     Array.init n (fun i ->
         Bbng_obs.Counter.bump c_tasks;
         f i)
   else begin
     let results = Array.make n None in
-    let worker d () =
-      let i = ref d in
-      while !i < n do
-        Bbng_obs.Counter.bump c_tasks;
-        results.(!i) <- Some (f !i);
-        i := !i + k
-      done
-    in
-    (* spawned workers root their span paths under the caller's current
-       call path, so a parallel fan-out's spans fold into the same
-       flamegraph branch as the single-domain run's *)
-    let base = Bbng_obs.Profile.current_path () in
-    let spawned =
-      List.init (k - 1) (fun d ->
-          Domain.spawn (fun () ->
-              Bbng_obs.Profile.with_root base (worker (d + 1))))
-    in
-    Bbng_obs.Counter.add c_spawned (k - 1);
-    worker 0 ();
-    List.iter Domain.join spawned;
+    fan_out k (fun d ->
+        let i = ref d in
+        while !i < n do
+          Bbng_obs.Counter.bump c_tasks;
+          results.(!i) <- Some (f !i);
+          i := !i + k
+        done);
     Array.map
       (function Some r -> r | None -> assert false (* every index visited *))
       results
@@ -94,7 +88,7 @@ let map ?domains ~n f =
    stays the right tool for near-uniform per-index work (per-player
    certification): it touches the counter cache line not at all. *)
 let map_dynamic ?domains ~n f =
-  let k = min n (match domains with Some d -> max 1 d | None -> recommended_domains ()) in
+  let k = domain_count ?domains n in
   if k <= 1 || n <= 1 then
     Array.init n (fun i ->
         Bbng_obs.Counter.bump c_tasks;
@@ -110,24 +104,14 @@ let map_dynamic ?domains ~n f =
         worker ()
       end
     in
-    (* spawned workers root their span paths under the caller's current
-       call path, so a parallel fan-out's spans fold into the same
-       flamegraph branch as the single-domain run's *)
-    let base = Bbng_obs.Profile.current_path () in
-    let spawned =
-      List.init (k - 1) (fun _ ->
-          Domain.spawn (fun () -> Bbng_obs.Profile.with_root base worker))
-    in
-    Bbng_obs.Counter.add c_spawned (k - 1);
-    worker ();
-    List.iter Domain.join spawned;
+    fan_out k (fun _ -> worker ());
     Array.map
       (function Some r -> r | None -> assert false (* every index claimed *))
       results
   end
 
 let find_map ?domains ~n f =
-  let k = min n (match domains with Some d -> max 1 d | None -> recommended_domains ()) in
+  let k = domain_count ?domains n in
   if k <= 1 || n <= 1 then begin
     let rec go i =
       if i >= n then None
@@ -140,30 +124,17 @@ let find_map ?domains ~n f =
   end
   else begin
     let result = Atomic.make None in
-    let worker d () =
-      let i = ref d in
-      while Atomic.get result = None && !i < n do
-        Bbng_obs.Counter.bump c_tasks;
-        (match f !i with
-        | Some _ as r ->
-            (* keep the first writer's answer *)
-            ignore (Atomic.compare_and_set result None r)
-        | None -> ());
-        i := !i + k
-      done;
-      Bbng_obs.Counter.add c_abandoned (abandoned_by ~n ~k !i)
-    in
-    (* spawned workers root their span paths under the caller's current
-       call path, so a parallel fan-out's spans fold into the same
-       flamegraph branch as the single-domain run's *)
-    let base = Bbng_obs.Profile.current_path () in
-    let spawned =
-      List.init (k - 1) (fun d ->
-          Domain.spawn (fun () ->
-              Bbng_obs.Profile.with_root base (worker (d + 1))))
-    in
-    Bbng_obs.Counter.add c_spawned (k - 1);
-    worker 0 ();
-    List.iter Domain.join spawned;
+    fan_out k (fun d ->
+        let i = ref d in
+        while Atomic.get result = None && !i < n do
+          Bbng_obs.Counter.bump c_tasks;
+          (match f !i with
+          | Some _ as r ->
+              (* keep the first writer's answer *)
+              ignore (Atomic.compare_and_set result None r)
+          | None -> ());
+          i := !i + k
+        done;
+        Bbng_obs.Counter.add c_abandoned (abandoned_by ~n ~k !i));
     Atomic.get result
   end

@@ -360,7 +360,7 @@ let run ?(max_steps = 10_000) ?(detect_cycles = true) ?(meta = []) ?on_step
      protect covers raise paths (idempotent, so no double beat).  The
      outer span makes every per-step span (dynamics.select_move and
      below) a child path in the profile: "dynamics.run;..." *)
-  Obs.Span.time "dynamics.run" @@ fun () ->
+  Obs.Span.with_ "dynamics.run" @@ fun () ->
   Fun.protect
     ~finally:(fun () -> Obs.Progress.finish progress)
     (fun () -> loop (Schedule.start schedule ~n) start 0)

@@ -218,7 +218,7 @@ let wiener_index ?budget g =
 
 let all_pairs ?budget g =
   Bbng_obs.Counter.bump c_sweeps;
-  Bbng_obs.Span.time "distances.all_pairs" (fun () ->
+  Bbng_obs.Span.with_ "distances.all_pairs" (fun () ->
       Array.init (Undirected.n g) (Bfs.distances ?budget g))
 
 let diameter_of_matrix m =

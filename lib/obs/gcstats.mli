@@ -1,10 +1,13 @@
-(** GC telemetry as [Gc.quick_stat] deltas.
+(** Process-wide GC telemetry as [Gc.quick_stat] deltas.
 
     [Gc.quick_stat] reads the runtime's accumulators without forcing a
-    collection, so a capture costs a record allocation and nothing else.
-    {!Span} captures a snapshot around every enabled span, and the final
+    collection.  Its figures are process-wide only — every domain's
+    allocation, and only as of the last minor collection — so they
+    describe a run or a heartbeat window, never one span: {!Span}
+    diffs the calling domain's own [Gc.counters] instead.  The final
     [run.summary] event carries {!since_start} — the run's total
-    allocation pressure — under the ["gc"] key. *)
+    allocation pressure — under the ["gc"] key, and progress
+    heartbeats carry the delta since the previous beat. *)
 
 type snapshot = {
   minor_words : float;

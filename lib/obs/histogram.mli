@@ -21,8 +21,8 @@ val make : string -> t
     in the [run.summary] [histograms] object. *)
 
 val unregistered : string -> t
-(** A private histogram outside the registry — {!Span} keeps one per
-    span family without polluting the domain-value listing. *)
+(** A private histogram outside the registry — {!Profile} keeps one per
+    span path without polluting the domain-value listing. *)
 
 val name : t -> string
 
@@ -58,8 +58,8 @@ val quantile : t -> float -> float
 
 val quantile_of_counts : ?max_value:int -> int array -> float -> float
 (** {!quantile} over a raw bucket-count array (as produced by
-    {!bucket_counts} or {!merge_counts}) — how the sharded {!Span}
-    table estimates quantiles across per-domain histograms.
+    {!bucket_counts} or {!merge_counts}) — how {!Span.snapshot}
+    estimates a name's quantiles across its paths' histograms.
     [max_value], when known, clamps the top occupied bucket's range
     exactly as the per-histogram path does. *)
 

@@ -257,6 +257,23 @@ let member key = function
   | Obj fields -> List.assoc_opt key fields
   | _ -> None
 
+let int_field k j = match member k j with Some (Int i) -> Some i | _ -> None
+let str_field k j = match member k j with Some (Str s) -> Some s | _ -> None
+
+let num_field k j =
+  match member k j with
+  | Some (Int i) -> Some (float_of_int i)
+  | Some (Float f) -> Some f
+  | _ -> None
+
+let int_array_field k j =
+  match member k j with
+  | Some (List l) when List.for_all (function Int _ -> true | _ -> false) l ->
+      Some (Array.of_list (List.map (function Int i -> i | _ -> 0) l))
+  | _ -> None
+
+let event_name j = Option.value ~default:"?" (str_field "event" j)
+
 let read_lines ic f =
   let rec go acc skipped =
     match input_line ic with

@@ -41,6 +41,22 @@ val member : string -> t -> t option
 (** [member key (Obj _)] looks up [key]; [None] on missing key or
     non-object. *)
 
+(** Typed field readers over {!member}: [None] when the key is missing
+    or holds another type. *)
+
+val int_field : string -> t -> int option
+val str_field : string -> t -> string option
+
+val num_field : string -> t -> float option
+(** Accepts [Int] or [Float] (the emitter prints whole floats without a
+    decimal point, so they parse back as [Int]). *)
+
+val int_array_field : string -> t -> int array option
+(** A list whose every element is an [Int]. *)
+
+val event_name : t -> string
+(** The ["event"] string field of a JSONL event, ["?"] when absent. *)
+
 val read_lines : in_channel -> (t -> 'a option) -> 'a list * int
 (** The one tolerant JSONL reader: [read_lines ic f] parses every line
     of [ic] to end of file and keeps [f]'s [Some] results in file

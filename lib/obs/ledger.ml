@@ -310,20 +310,14 @@ let append_current () =
 
 let last_event name events =
   List.fold_left
-    (fun acc j ->
-      match Json.member "event" j with
-      | Some (Json.Str n) when n = name -> Some j
-      | _ -> acc)
+    (fun acc j -> if Json.event_name j = name then Some j else acc)
     None events
 
 let of_report_events ~path events =
   let summary = last_event "run.summary" events in
   let outcome_ev = last_event "dynamics.outcome" events in
-  let str_field k j =
-    match Json.member k j with Some (Json.Str s) -> Some s | _ -> None
-  in
   let run_id =
-    match Option.bind summary (str_field "run_id") with
+    match Option.bind summary (Json.str_field "run_id") with
     | Some id -> id
     | None ->
         (* pre-ledger recordings carry no id; a digest-derived one is
@@ -371,7 +365,7 @@ let of_report_events ~path events =
             ("dynamics.max_regret", "max_regret");
           ]
         @
-        (match str_field "diagnosis" j with
+        (match Json.str_field "diagnosis" j with
         | Some d -> [ ("dynamics.diagnosis", Json.Str d) ]
         | None -> [])
   in
@@ -386,7 +380,7 @@ let of_report_events ~path events =
   in
   let outcome =
     match outcome_ev with
-    | Some j -> Option.value (str_field "outcome" j) ~default:"ok"
+    | Some j -> Option.value (Json.str_field "outcome" j) ~default:"ok"
     | None -> if summary <> None then "ok" else "interrupted"
   in
   {

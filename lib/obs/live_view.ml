@@ -45,24 +45,17 @@ let create_state () =
     spans = Hashtbl.create 16;
   }
 
-let num_field k j =
-  match Json.member k j with
-  | Some (Json.Int i) -> Some (float_of_int i)
-  | Some (Json.Float f) -> Some f
-  | _ -> None
-
-let str_field k j =
-  match Json.member k j with Some (Json.Str s) -> Some s | _ -> None
+(* a numeric field as a whole number, "?" when absent *)
+let whole k j =
+  match Json.num_field k j with Some v -> Printf.sprintf "%.0f" v | None -> "?"
 
 let feed_event st j =
-  let name =
-    match Json.member "event" j with Some (Json.Str s) -> s | _ -> "?"
-  in
+  let name = Json.event_name j in
   st.events <- st.events + 1;
   st.last_event <- Some name;
   Hashtbl.replace st.tally name
     (1 + Option.value ~default:0 (Hashtbl.find_opt st.tally name));
-  (match num_field "ts_us" j with
+  (match Json.num_field "ts_us" j with
   | Some ts ->
       if st.first_ts_us = None then st.first_ts_us <- Some ts;
       st.last_ts_us <- Some ts
@@ -81,7 +74,7 @@ let feed_event st j =
   | "dynamics.outcome" -> st.last_outcome <- Some j
   | "run.summary" -> st.summary <- Some j
   | "span" -> (
-      match (str_field "name" j, num_field "dur_us" j) with
+      match (Json.str_field "name" j, Json.num_field "dur_us" j) with
       | Some span_name, Some dur ->
           let h =
             match Hashtbl.find_opt st.spans span_name with
@@ -173,23 +166,23 @@ let heartbeat_line j =
   let b = Buffer.create 80 in
   Buffer.add_string b
     (Printf.sprintf "heartbeat: %s %s"
-       (Option.value ~default:"?" (str_field "task" j))
-       (match num_field "done" j with
+       (Option.value ~default:"?" (Json.str_field "task" j))
+       (match Json.num_field "done" j with
        | Some d -> Printf.sprintf "%.0f" d
        | None -> "?"));
-  (match (num_field "total" j, num_field "pct" j) with
+  (match (Json.num_field "total" j, Json.num_field "pct" j) with
   | Some t, Some pct -> Buffer.add_string b (Printf.sprintf "/%.0f (%.1f%%)" t pct)
   | _ -> ());
-  (match num_field "rate_per_s" j with
+  (match Json.num_field "rate_per_s" j with
   | Some r -> Buffer.add_string b (" · " ^ fmt_rate r)
   | None -> ());
-  (match num_field "eta_s" j with
+  (match Json.num_field "eta_s" j with
   | Some s -> Buffer.add_string b (" · eta " ^ fmt_eta s)
   | None -> ());
-  (match num_field "deadline_ms_left" j with
+  (match Json.num_field "deadline_ms_left" j with
   | Some ms -> Buffer.add_string b (Printf.sprintf " · deadline %s left" (fmt_eta (ms /. 1e3)))
   | None -> ());
-  (match num_field "work_left" j with
+  (match Json.num_field "work_left" j with
   | Some w -> Buffer.add_string b (Printf.sprintf " · work %.0f left" w)
   | None -> ());
   Buffer.contents b
@@ -231,18 +224,16 @@ let render ?(width = 72) st ~source =
   (match st.dynamics_start with
   | Some j ->
       line "run: dynamics rule=%s schedule=%s players=%s"
-        (Option.value ~default:"?" (str_field "rule" j))
-        (Option.value ~default:"?" (str_field "schedule" j))
-        (match num_field "players" j with
-        | Some n -> Printf.sprintf "%.0f" n
-        | None -> "?")
+        (Option.value ~default:"?" (Json.str_field "rule" j))
+        (Option.value ~default:"?" (Json.str_field "schedule" j))
+        (whole "players" j)
   | None -> ());
   (match st.last_step with
   | Some j ->
       line "step: #%s player %s social_cost %s"
-        (match num_field "step" j with Some s -> Printf.sprintf "%.0f" s | None -> "?")
-        (match num_field "player" j with Some p -> Printf.sprintf "%.0f" p | None -> "?")
-        (match num_field "social_cost" j with Some c -> Printf.sprintf "%.0f" c | None -> "?")
+        (whole "step" j)
+        (whole "player" j)
+        (whole "social_cost" j)
   | None -> ());
   (* the convergence detector's verdict: the latest dynamics.diagnosis
      event, else the heartbeat annotation that carries it between
@@ -250,18 +241,18 @@ let render ?(width = 72) st ~source =
   (match st.last_diagnosis with
   | Some j ->
       line "diagnosis: %s%s%s%s"
-        (Option.value ~default:"?" (str_field "state" j))
-        (match num_field "step" j with
+        (Option.value ~default:"?" (Json.str_field "state" j))
+        (match Json.num_field "step" j with
         | Some s -> Printf.sprintf " at step %.0f" s
         | None -> "")
-        (match num_field "net_social_cost" j with
+        (match Json.num_field "net_social_cost" j with
         | Some d -> Printf.sprintf " · net social cost %+.0f" d
         | None -> "")
-        (match num_field "decay_pct" j with
+        (match Json.num_field "decay_pct" j with
         | Some p -> Printf.sprintf " · improvement at %.0f%% of first window" p
         | None -> "")
   | None -> (
-      match Option.bind st.last_heartbeat (str_field "diagnosis") with
+      match Option.bind st.last_heartbeat (Json.str_field "diagnosis") with
       | Some s -> line "diagnosis: %s" s
       | None -> ()));
   (match st.last_heartbeat with
@@ -270,8 +261,8 @@ let render ?(width = 72) st ~source =
   (match st.last_outcome with
   | Some j ->
       line "outcome: %s after %s steps"
-        (Option.value ~default:"?" (str_field "outcome" j))
-        (match num_field "steps" j with Some s -> Printf.sprintf "%.0f" s | None -> "?")
+        (Option.value ~default:"?" (Json.str_field "outcome" j))
+        (whole "steps" j)
   | None -> ());
   (match top_counters st with
   | [] -> ()

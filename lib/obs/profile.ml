@@ -1,14 +1,20 @@
-(* Call-path profiling on top of Span: each domain keeps its stack of
-   open spans, and closing a span attributes SELF time (wall minus the
-   wall of its direct children) and SELF allocation (minor words minus
-   the children's minor words) to the full call path "a;b;c".
+(* The one span store.  Each domain keeps its stack of open spans, and
+   closing a span records it once, at its full call path "a;b;c": the
+   close's inclusive wall, max, GC words and latency bucket, plus its
+   SELF time (wall minus the wall of its direct children) and SELF
+   allocation (minor words minus the children's minor words).  The
+   per-name {!Span.snapshot} is a rollup of this table.
 
    Attribution telescopes exactly: a parent accumulates each child's
    recorded integer wall/minor into [child_ns]/[child_minor], so the
    sum of self values over a well-nested subtree equals the root's
    recorded wall to the nanosecond.  That is what lets tests pin
-   "folded per-name totals == flat Span totals" as an equality, not an
-   approximation.
+   "folded per-name totals == per-name Span totals" as an equality,
+   not an approximation.
+
+   GC words come from the calling domain's own [Gc.counters], so a
+   span is never charged another domain's allocation; a span closed on
+   a different domain from the one that opened it records no GC words.
 
    The accumulation table is sharded per domain (same Domain.self
    pattern as Counter) so Parallel workers record without contending;
@@ -20,13 +26,19 @@ type stat = { count : int; self_ns : int; self_minor_words : float }
 (* --- per-domain open-span stacks --- *)
 
 type frame = {
+  f_name : string;
   f_path : string;
   f_dom : int;
+  f_t0 : float;
+  (* the opening domain's (minor, promoted, major) words *)
+  f_gc0 : float * float * float;
   mutable child_ns : int;
   mutable child_minor : float;
   (* cleared when the frame leaves its stack — a later (out-of-order or
      cross-domain) close then only records, never touches a stack *)
   mutable on_stack : bool;
+  (* set by the first close: tokens are affine *)
+  mutable closed : bool;
 }
 
 type token = frame option
@@ -49,9 +61,17 @@ let set_enabled b = Atomic.set enabled_flag b
 (* --- sharded path table --- *)
 
 type cell = {
+  c_name : string;
   mutable c_count : int;
   mutable c_self_ns : int;
   mutable c_self_minor : float;
+  mutable c_wall_ns : int;
+  mutable c_max_ns : int;
+  mutable c_minor : float;
+  mutable c_major : float;
+  (* unregistered so the domain-value histogram listing stays free of
+     span latencies *)
+  c_hist : Histogram.t;
 }
 
 let shards = 8
@@ -61,20 +81,37 @@ type shard = { tbl : (string, cell) Hashtbl.t; mu : Mutex.t }
 
 let table = Array.init shards (fun _ -> { tbl = Hashtbl.create 32; mu = Mutex.create () })
 
-let record path ~self_ns ~self_minor =
+let record f ~wall_ns ~minor ~major =
   let sh = table.(shard_index ()) in
   Mutex.protect sh.mu (fun () ->
       let c =
-        match Hashtbl.find_opt sh.tbl path with
+        match Hashtbl.find_opt sh.tbl f.f_path with
         | Some c -> c
         | None ->
-            let c = { c_count = 0; c_self_ns = 0; c_self_minor = 0. } in
-            Hashtbl.add sh.tbl path c;
+            let c =
+              {
+                c_name = f.f_name;
+                c_count = 0;
+                c_self_ns = 0;
+                c_self_minor = 0.;
+                c_wall_ns = 0;
+                c_max_ns = 0;
+                c_minor = 0.;
+                c_major = 0.;
+                c_hist = Histogram.unregistered f.f_name;
+              }
+            in
+            Hashtbl.add sh.tbl f.f_path c;
             c
       in
       c.c_count <- c.c_count + 1;
-      c.c_self_ns <- c.c_self_ns + self_ns;
-      c.c_self_minor <- c.c_self_minor +. self_minor)
+      c.c_self_ns <- c.c_self_ns + (wall_ns - f.child_ns);
+      c.c_self_minor <- c.c_self_minor +. (minor -. f.child_minor);
+      c.c_wall_ns <- c.c_wall_ns + wall_ns;
+      if wall_ns > c.c_max_ns then c.c_max_ns <- wall_ns;
+      c.c_minor <- c.c_minor +. minor;
+      c.c_major <- c.c_major +. major;
+      Histogram.record c.c_hist wall_ns)
 
 (* --- enter / close (driven by Span) --- *)
 
@@ -88,45 +125,76 @@ let enter name =
     let path = if parent = "" then name else parent ^ ";" ^ name in
     let f =
       {
+        f_name = name;
         f_path = path;
         f_dom = (Domain.self () :> int);
+        f_t0 = Unix.gettimeofday ();
+        f_gc0 = Gc.counters ();
         child_ns = 0;
         child_minor = 0.;
         on_stack = true;
+        closed = false;
       }
     in
     st.stack <- f :: st.stack;
     Some f
   end
 
-let close tok ~wall_ns ~minor_words =
-  match tok with
+(* pop down to [f]; anything above it was opened later but is being
+   closed out of order — detach those frames so their own close
+   records to their (already fixed) path without touching the stack.
+   The stack itself stays consistent. *)
+let pop f ~wall_ns ~minor =
+  let st = Domain.DLS.get dls in
+  if List.memq f st.stack then begin
+    let rec go = function
+      | g :: rest ->
+          g.on_stack <- false;
+          if g == f then rest else go rest
+      | [] -> []
+    in
+    st.stack <- go st.stack;
+    match st.stack with
+    | p :: _ ->
+        p.child_ns <- p.child_ns + wall_ns;
+        p.child_minor <- p.child_minor +. minor
+    | [] -> ()
+  end
+  else f.on_stack <- false
+
+let close = function
   | None -> ()
+  | Some f when f.closed -> ()
   | Some f ->
-      record f.f_path ~self_ns:(wall_ns - f.child_ns)
-        ~self_minor:(minor_words -. f.child_minor);
-      if f.on_stack && f.f_dom = (Domain.self () :> int) then begin
-        let st = Domain.DLS.get dls in
-        if List.memq f st.stack then begin
-          (* pop down to [f]; anything above it was opened later but is
-             being closed out of order — detach those frames so their
-             own close records to their (already fixed) path without
-             touching the stack.  The stack itself stays consistent. *)
-          let rec pop = function
-            | g :: rest ->
-                g.on_stack <- false;
-                if g == f then rest else pop rest
-            | [] -> []
-          in
-          st.stack <- pop st.stack;
-          match st.stack with
-          | p :: _ ->
-              p.child_ns <- p.child_ns + wall_ns;
-              p.child_minor <- p.child_minor +. minor_words
-          | [] -> ()
-        end
-        else f.on_stack <- false
-      end
+      f.closed <- true;
+      let wall_ns =
+        max 0 (int_of_float ((Unix.gettimeofday () -. f.f_t0) *. 1e9))
+      in
+      let dom = (Domain.self () :> int) in
+      let minor, major =
+        if dom <> f.f_dom then (0., 0.)
+        else
+          let minor0, _, major0 = f.f_gc0
+          and minor1, _, major1 = Gc.counters () in
+          (minor1 -. minor0, major1 -. major0)
+      in
+      record f ~wall_ns ~minor ~major;
+      if f.on_stack && dom = f.f_dom then pop f ~wall_ns ~minor;
+      (* a sinked run also sees each span close as an event, which is
+         what Trace_export turns into Chrome complete slices.  t0_us is
+         the span's exact start on the shared event clock (ts_us lags
+         the close by the emit path, so ts - dur cannot recover it);
+         dom and minor_w let `bbng_cli flame` re-nest per-domain stacks
+         and attribute allocation offline. *)
+      if Sink.active () then
+        Sink.emit "span"
+          [
+            ("name", Json.Str f.f_name);
+            ("dur_us", Json.Float (float_of_int wall_ns /. 1e3));
+            ("t0_us", Json.Float (Sink.to_us f.f_t0));
+            ("dom", Json.Int dom);
+            ("minor_w", Json.Float minor);
+          ]
 
 let current_path () =
   let st = Domain.DLS.get dls in
@@ -149,38 +217,67 @@ let with_root base f =
 
 (* --- snapshots and folded rendering --- *)
 
-let snapshot () =
-  let merged : (string, cell) Hashtbl.t = Hashtbl.create 64 in
+type closes = {
+  name : string;
+  closes : int;
+  wall_ns : int;
+  max_ns : int;
+  minor_words : float;
+  major_words : float;
+  latency : Histogram.t list;
+}
+
+(* path -> value tables, merged by [add] and listed sorted by key —
+   shared by the live snapshots, [name_totals] and [of_events] *)
+let accumulate tbl add key v =
+  Hashtbl.replace tbl key
+    (match Hashtbl.find_opt tbl key with Some a -> add a v | None -> v)
+
+let sorted tbl =
+  List.sort
+    (fun (a, _) (b, _) -> String.compare a b)
+    (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
+
+let add_stat a b =
+  {
+    count = a.count + b.count;
+    self_ns = a.self_ns + b.self_ns;
+    self_minor_words = a.self_minor_words +. b.self_minor_words;
+  }
+
+let add_closes a b =
+  {
+    a with
+    closes = a.closes + b.closes;
+    wall_ns = a.wall_ns + b.wall_ns;
+    max_ns = max a.max_ns b.max_ns;
+    minor_words = a.minor_words +. b.minor_words;
+    major_words = a.major_words +. b.major_words;
+    latency = a.latency @ b.latency;
+  }
+
+(* merge the shards' cells by path without stopping writers *)
+let merged () =
+  let acc = Hashtbl.create 64 in
   Array.iter
     (fun sh ->
       Mutex.protect sh.mu (fun () ->
           Hashtbl.iter
             (fun path c ->
-              match Hashtbl.find_opt merged path with
-              | Some m ->
-                  m.c_count <- m.c_count + c.c_count;
-                  m.c_self_ns <- m.c_self_ns + c.c_self_ns;
-                  m.c_self_minor <- m.c_self_minor +. c.c_self_minor
-              | None ->
-                  Hashtbl.add merged path
-                    {
-                      c_count = c.c_count;
-                      c_self_ns = c.c_self_ns;
-                      c_self_minor = c.c_self_minor;
-                    })
+              accumulate acc
+                (fun (s, k) (s', k') -> (add_stat s s', add_closes k k'))
+                path
+                ( { count = c.c_count; self_ns = c.c_self_ns;
+                    self_minor_words = c.c_self_minor },
+                  { name = c.c_name; closes = c.c_count; wall_ns = c.c_wall_ns;
+                    max_ns = c.c_max_ns; minor_words = c.c_minor;
+                    major_words = c.c_major; latency = [ c.c_hist ] } ))
             sh.tbl))
     table;
-  List.sort compare
-    (Hashtbl.fold
-       (fun path c acc ->
-         ( path,
-           {
-             count = c.c_count;
-             self_ns = c.c_self_ns;
-             self_minor_words = c.c_self_minor;
-           } )
-         :: acc)
-       merged [])
+  sorted acc
+
+let snapshot () = List.map (fun (path, (s, _)) -> (path, s)) (merged ())
+let closes () = List.map (fun (path, (_, k)) -> (path, k)) (merged ())
 
 let reset_all () =
   Array.iter (fun sh -> Mutex.protect sh.mu (fun () -> Hashtbl.reset sh.tbl)) table
@@ -188,42 +285,23 @@ let reset_all () =
 (* Per-name rollup of a path snapshot: a name's inclusive total is the
    sum of self values over every path it appears on, counted once per
    occurrence (so recursive spans — "a;b;a" — roll up exactly like the
-   flat table, which records every close).  Count is closes, i.e. paths
-   that END in the name. *)
+   per-name Span view, which counts every close).  Count is closes,
+   i.e. paths that END in the name. *)
 let name_totals snap =
-  let tbl : (string, cell) Hashtbl.t = Hashtbl.create 32 in
-  let get name =
-    match Hashtbl.find_opt tbl name with
-    | Some c -> c
-    | None ->
-        let c = { c_count = 0; c_self_ns = 0; c_self_minor = 0. } in
-        Hashtbl.add tbl name c;
-        c
-  in
+  let tbl = Hashtbl.create 32 in
   List.iter
     (fun (path, (s : stat)) ->
       let segs = String.split_on_char ';' path in
       (match List.rev segs with
-      | last :: _ -> (get last).c_count <- (get last).c_count + s.count
+      | last :: _ ->
+          accumulate tbl add_stat last
+            { count = s.count; self_ns = 0; self_minor_words = 0. }
       | [] -> ());
       List.iter
-        (fun name ->
-          let c = get name in
-          c.c_self_ns <- c.c_self_ns + s.self_ns;
-          c.c_self_minor <- c.c_self_minor +. s.self_minor_words)
+        (fun name -> accumulate tbl add_stat name { s with count = 0 })
         segs)
     snap;
-  List.sort compare
-    (Hashtbl.fold
-       (fun name c acc ->
-         ( name,
-           {
-             count = c.c_count;
-             self_ns = c.c_self_ns;
-             self_minor_words = c.c_self_minor;
-           } )
-         :: acc)
-       tbl [])
+  sorted tbl
 
 type flavor = Wall_ns | Minor_words
 
@@ -258,12 +336,6 @@ let write_folded path =
   dump Minor_words (alloc_path path)
 
 (* --- offline reconstruction from recorded span events --- *)
-
-let num_field k j =
-  match Json.member k j with
-  | Some (Json.Int i) -> Some (float_of_int i)
-  | Some (Json.Float f) -> Some f
-  | _ -> None
 
 type node = {
   n_name : string;
@@ -304,58 +376,44 @@ let of_events events =
   let dom_order = ref [] in
   List.iter
     (fun j ->
-      match Json.member "event" j with
-      | Some (Json.Str "span") -> (
-          match (Json.member "name" j, num_field "dur_us" j) with
-          | Some (Json.Str name), Some dur_us ->
-              let ts = Option.value ~default:0. (num_field "ts_us" j) in
-              (* recordings made by this library carry the span's own
-                 start stamp; older ones fall back to close - duration *)
-              let start =
-                Option.value ~default:(ts -. dur_us) (num_field "t0_us" j)
-              in
-              let ns = int_of_float (Float.round (dur_us *. 1e3)) in
-              let minor = Option.value ~default:0. (num_field "minor_w" j) in
-              let dom =
-                match Json.member "dom" j with
-                | Some (Json.Int d) -> d
-                | _ -> 0
-              in
-              let bucket =
-                match Hashtbl.find_opt by_dom dom with
-                | Some l -> l
-                | None ->
-                    let l = ref [] in
-                    Hashtbl.add by_dom dom l;
-                    dom_order := dom :: !dom_order;
-                    l
-              in
-              bucket := (name, start, ns, minor) :: !bucket
-          | _ -> ())
+      match
+        (Json.event_name j, Json.str_field "name" j, Json.num_field "dur_us" j)
+      with
+      | "span", Some name, Some dur_us ->
+          let ts = Option.value ~default:0. (Json.num_field "ts_us" j) in
+          (* recordings made by this library carry the span's own start
+             stamp; older ones fall back to close - duration *)
+          let start =
+            Option.value ~default:(ts -. dur_us) (Json.num_field "t0_us" j)
+          in
+          let ns = int_of_float (Float.round (dur_us *. 1e3)) in
+          let minor = Option.value ~default:0. (Json.num_field "minor_w" j) in
+          let dom = Option.value ~default:0 (Json.int_field "dom" j) in
+          let bucket =
+            match Hashtbl.find_opt by_dom dom with
+            | Some l -> l
+            | None ->
+                let l = ref [] in
+                Hashtbl.add by_dom dom l;
+                dom_order := dom :: !dom_order;
+                l
+          in
+          bucket := (name, start, ns, minor) :: !bucket
       | _ -> ())
     events;
-  let acc : (string, cell) Hashtbl.t = Hashtbl.create 64 in
-  let add path ~self_ns ~self_minor =
-    let c =
-      match Hashtbl.find_opt acc path with
-      | Some c -> c
-      | None ->
-          let c = { c_count = 0; c_self_ns = 0; c_self_minor = 0. } in
-          Hashtbl.add acc path c;
-          c
-    in
-    c.c_count <- c.c_count + 1;
-    c.c_self_ns <- c.c_self_ns + self_ns;
-    c.c_self_minor <- c.c_self_minor +. self_minor
-  in
+  let acc = Hashtbl.create 64 in
   let rec walk prefix node =
     let path = if prefix = "" then node.n_name else prefix ^ ";" ^ node.n_name in
     let child_ns = List.fold_left (fun a c -> a + c.n_ns) 0 node.n_children in
     let child_minor =
       List.fold_left (fun a c -> a +. c.n_minor) 0. node.n_children
     in
-    add path ~self_ns:(node.n_ns - child_ns)
-      ~self_minor:(node.n_minor -. child_minor);
+    accumulate acc add_stat path
+      {
+        count = 1;
+        self_ns = node.n_ns - child_ns;
+        self_minor_words = node.n_minor -. child_minor;
+      };
     List.iter (walk path) node.n_children
   in
   List.iter
@@ -363,17 +421,7 @@ let of_events events =
       let closes = List.rev !(Hashtbl.find by_dom dom) in
       List.iter (walk "") (tree_of_closes closes))
     (List.rev !dom_order);
-  List.sort compare
-    (Hashtbl.fold
-       (fun path c acc ->
-         ( path,
-           {
-             count = c.c_count;
-             self_ns = c.c_self_ns;
-             self_minor_words = c.c_self_minor;
-           } )
-         :: acc)
-       acc [])
+  sorted acc
 
 (* top self-time paths, for Stats.print and report --summarize *)
 let top ?(limit = 10) snap =

@@ -1,15 +1,22 @@
-(** Call-path performance attribution on top of {!Span}.
+(** The one span store, and call-path performance attribution.
 
     Every domain keeps a stack of its open spans.  {!Span.enter} pushes
     a frame whose path is the parent's path plus the span name
     ([";"]-joined, flamegraph folded-stack style); {!Span.exit} closes
-    it, attributing {e self}-time (wall minus the wall of its direct
-    children) and {e self}-allocation (minor words minus the children's)
-    to the full path.  Because a parent accumulates each child's exact
-    recorded integers, self values telescope: summing self-time over a
-    well-nested tree reproduces the root's recorded wall to the
-    nanosecond — which is why the folded per-name totals can be pinned
-    {e equal} to the flat {!Span} totals, not merely close.
+    it and records it once, at the full path: the close's inclusive
+    wall time, maximum, minor/major words and latency bucket
+    ({!closes}, which {!Span.snapshot} rolls up per name), plus its
+    {e self}-time (wall minus the wall of its direct children) and
+    {e self}-allocation (minor words minus the children's) ({!snapshot}).
+    Because a parent accumulates each child's exact recorded integers,
+    self values telescope: summing self-time over a well-nested tree
+    reproduces the root's recorded wall to the nanosecond — which is
+    why the folded per-name totals can be pinned {e equal} to the
+    per-name {!Span} totals, not merely close.
+
+    GC words are the calling domain's own [Gc.counters] delta between
+    enter and close; a frame closed on another domain records its wall
+    time and no GC words.
 
     Accumulation is sharded per domain ({!Counter}-style 8-way
     [Domain.self] indexing) and the stacks live in domain-local
@@ -18,8 +25,9 @@
     frames popped over are detached and still record to their (already
     fixed) path when their own close arrives.
 
-    Disabled by default; [--profile] / [--stats] entry points enable it
-    together with {!Span}. *)
+    Disabled by default.  There is one switch: {!set_enabled} and
+    {!Span.set_enabled} set the same flag, which [--stats], [--report]
+    and [--profile] entry points turn on. *)
 
 type stat = { count : int; self_ns : int; self_minor_words : float }
 (** [count]: closes recorded at this exact path; [self_ns] /
@@ -31,21 +39,22 @@ val set_enabled : bool -> unit
 
 type token
 (** One open frame (or nothing, when profiling is disabled).  Produced
-    by {!enter}, consumed by {!close}; {!Span} threads it through its
-    handles. *)
+    by {!enter}, consumed by {!close}; {!Span} handles are tokens. *)
 
 val enter : string -> token
-(** Push a frame for [name] on the calling domain's stack.  The frame's
-    path is [<parent path>;name] ([name] alone at depth 0, or
-    [<base>;name] under {!with_root}). *)
+(** Push a frame for [name] on the calling domain's stack, reading the
+    clock and the domain's GC counters.  The frame's path is
+    [<parent path>;name] ([name] alone at depth 0, or [<base>;name]
+    under {!with_root}). *)
 
-val close : token -> wall_ns:int -> minor_words:float -> unit
-(** Record the frame's self values ([wall_ns] minus accumulated child
-    wall; likewise minor words) at its path, pop it, and charge
-    [wall_ns] / [minor_words] to the new top as child totals.  Closing
-    out of order detaches the frames opened above (their own close
-    still records, without touching the stack); closing from a
-    different domain, or a frame already popped over, only records. *)
+val close : token -> unit
+(** Read the clock and GC counters once, record the frame at its path,
+    pop it, and charge its wall / minor words to the new top as child
+    totals; when a sink is active, emit the ["span"] event.  Closing
+    twice is a no-op.  Closing out of order detaches the frames opened
+    above (their own close still records, without touching the stack);
+    closing from a different domain, or a frame already popped over,
+    only records. *)
 
 val current_path : unit -> string
 (** The calling domain's current open path ([""] when the stack is
@@ -64,12 +73,28 @@ val stack_depth : unit -> int
 val snapshot : unit -> (string * stat) list
 (** All recorded paths merged across shards, sorted by path. *)
 
+type closes = {
+  name : string;  (** the span name: the path's last segment *)
+  closes : int;
+  wall_ns : int;  (** inclusive wall time, summed over the closes *)
+  max_ns : int;
+  minor_words : float;  (** inclusive, the closing domain's own words *)
+  major_words : float;
+  latency : Histogram.t list;
+      (** the path's per-shard latency histograms; combine them with
+          {!Histogram.merge_counts} *)
+}
+
+val closes : unit -> (string * closes) list
+(** The inclusive view of the same table, merged across shards and
+    sorted by path. *)
+
 val name_totals : (string * stat) list -> (string * stat) list
 (** Per-name rollup of a {!snapshot}: a name's [self_ns] /
     [self_minor_words] sum over every path occurrence (so recursion
-    counts once per occurrence, matching the flat table), and its
+    counts once per occurrence, matching {!Span.snapshot}), and its
     [count] is the closes — paths ending in the name.  For well-nested
-    runs this equals the flat {!Span} totals exactly. *)
+    runs this equals the {!Span} totals exactly. *)
 
 type flavor = Wall_ns | Minor_words
 
@@ -100,3 +125,4 @@ val top : ?limit:int -> (string * stat) list -> (string * stat) list
 (** The [limit] (default 10) hottest paths by self-time, descending. *)
 
 val reset_all : unit -> unit
+(** Clear the table ({!Span.reset_all} is the same function). *)

@@ -28,26 +28,6 @@ type run = {
   run_outcome : outcome option;
 }
 
-let int_field k j =
-  match Json.member k j with Some (Json.Int i) -> Some i | _ -> None
-
-let str_field k j =
-  match Json.member k j with Some (Json.Str s) -> Some s | _ -> None
-
-let int_array_field k j =
-  match Json.member k j with
-  | Some (Json.List l) ->
-      let ok = List.for_all (function Json.Int _ -> true | _ -> false) l in
-      if ok then
-        Some
-          (Array.of_list
-             (List.map (function Json.Int i -> i | _ -> 0) l))
-      else None
-  | _ -> None
-
-let event_name j =
-  match Json.member "event" j with Some (Json.Str s) -> s | _ -> "?"
-
 (* Fields the parser consumes by name; anything else in a
    dynamics.start event is preserved as run metadata (the recorder's
    ?meta fields — seed and friends — travel there). *)
@@ -57,11 +37,11 @@ let structural_start_fields =
 
 let parse_step j =
   match
-    ( int_field "step" j,
-      int_field "player" j,
-      int_field "old_cost" j,
-      int_field "new_cost" j,
-      int_field "social_cost" j )
+    ( Json.int_field "step" j,
+      Json.int_field "player" j,
+      Json.int_field "old_cost" j,
+      Json.int_field "new_cost" j,
+      Json.int_field "social_cost" j )
   with
   | Some index, Some player, Some old_cost, Some new_cost, Some social_cost ->
       Some
@@ -71,21 +51,21 @@ let parse_step j =
           old_cost;
           new_cost;
           social_cost;
-          old_targets = int_array_field "old_targets" j;
-          new_targets = int_array_field "new_targets" j;
+          old_targets = Json.int_array_field "old_targets" j;
+          new_targets = Json.int_array_field "new_targets" j;
         }
   | _ -> None
 
 let parse_outcome j =
-  match (str_field "outcome" j, int_field "steps" j) with
+  match (Json.str_field "outcome" j, Json.int_field "steps" j) with
   | Some outcome, Some total_steps ->
       Some
         {
           outcome;
           total_steps;
-          period = int_field "period" j;
-          final_social_cost = int_field "social_cost" j;
-          final_profile = str_field "profile" j;
+          period = Json.int_field "period" j;
+          final_social_cost = Json.int_field "social_cost" j;
+          final_profile = Json.str_field "profile" j;
         }
   | _ -> None
 
@@ -105,12 +85,12 @@ let empty_run =
 let start_run j =
   {
     empty_run with
-    version = str_field "version" j;
-    budgets = int_array_field "budgets" j;
-    start_profile = str_field "profile" j;
-    rule = str_field "rule" j;
-    schedule = str_field "schedule" j;
-    max_steps = int_field "max_steps" j;
+    version = Json.str_field "version" j;
+    budgets = Json.int_array_field "budgets" j;
+    start_profile = Json.str_field "profile" j;
+    rule = Json.str_field "rule" j;
+    schedule = Json.str_field "schedule" j;
+    max_steps = Json.int_field "max_steps" j;
     meta =
       (match j with
       | Json.Obj fields ->
@@ -136,7 +116,7 @@ let runs_of_events events =
   in
   List.iter
     (fun j ->
-      match event_name j with
+      match Json.event_name j with
       | "dynamics.start" ->
           close ();
           current := Some (start_run j)
@@ -155,10 +135,11 @@ let runs_of_events events =
               let r =
                 {
                   r with
-                  rule = (match r.rule with None -> str_field "rule" j | s -> s);
+                  rule =
+                    (match r.rule with None -> Json.str_field "rule" j | s -> s);
                   schedule =
                     (match r.schedule with
-                    | None -> str_field "schedule" j
+                    | None -> Json.str_field "schedule" j
                     | s -> s);
                   run_outcome = Some o;
                 }

@@ -60,8 +60,8 @@ val now_us : unit -> float
 
 val to_us : float -> float
 (** Convert a [Unix.gettimeofday] reading onto the {!now_us} clock —
-    how {!Span} stamps a span's exact start ([t0_us]) on the same
-    origin as the close event's [ts_us]. *)
+    how {!Profile.close} stamps a span's exact start ([t0_us]) on the
+    same origin as the close event's [ts_us]. *)
 
 val emit : string -> (string * Json.t) list -> unit
 (** [emit name fields] stamps the event with [ts_us] ({!now_us} at call

@@ -1,3 +1,7 @@
+(* Spans are a thin front over Profile, the one span store: a handle is
+   a Profile frame, and the per-name view below is a rollup of
+   Profile's per-path table. *)
+
 type stat = {
   count : int;
   total_ns : int;
@@ -9,122 +13,21 @@ type stat = {
   p99_ns : float;
 }
 
-type open_span = {
-  name : string;
-  t0 : float;
-  gc0 : Gcstats.snapshot;
-  ptok : Profile.token;
-  mutable closed : bool;
-}
+type handle = Profile.token
 
-type handle = Disabled | Open of open_span
-
-type cell = {
-  mutable count : int;
-  mutable total_ns : int;
-  mutable max_ns : int;
-  mutable minor_words : float;
-  mutable major_words : float;
-  (* per-family latency distribution; unregistered so the domain-value
-     histogram listing stays free of span duplicates *)
-  hist : Histogram.t;
-}
-
-(* The aggregate table is sharded per domain (same Domain.self-indexed
-   pattern as Counter), so Parallel workers closing spans concurrently
-   never contend on one global mutex.  Snapshots merge the shards:
-   counts and totals sum, max takes the max, and quantiles come from
-   the element-wise summed histogram buckets — the multi-domain totals
-   must equal the single-domain totals (pinned by test). *)
-type shard = { tbl : (string, cell) Hashtbl.t; mu : Mutex.t }
-
-let shards = 8
-let shard_index () = (Domain.self () :> int) land (shards - 1)
-
-let table =
-  Array.init shards (fun _ -> { tbl = Hashtbl.create 32; mu = Mutex.create () })
-
-let enabled_flag = Atomic.make false
-
-let enabled () = Atomic.get enabled_flag
-let set_enabled b = Atomic.set enabled_flag b
-
-let record name ns ~gc =
-  let sh = table.(shard_index ()) in
-  Mutex.protect sh.mu (fun () ->
-      let cell =
-        match Hashtbl.find_opt sh.tbl name with
-        | Some c -> c
-        | None ->
-            let c =
-              {
-                count = 0;
-                total_ns = 0;
-                max_ns = 0;
-                minor_words = 0.;
-                major_words = 0.;
-                hist = Histogram.unregistered name;
-              }
-            in
-            Hashtbl.add sh.tbl name c;
-            c
-      in
-      cell.count <- cell.count + 1;
-      cell.total_ns <- cell.total_ns + ns;
-      if ns > cell.max_ns then cell.max_ns <- ns;
-      (match (gc : Gcstats.delta option) with
-      | Some d ->
-          cell.minor_words <- cell.minor_words +. d.Gcstats.minor_words;
-          cell.major_words <- cell.major_words +. d.Gcstats.major_words
-      | None -> ());
-      Histogram.record cell.hist ns)
+let enabled = Profile.enabled
+let set_enabled = Profile.set_enabled
 
 (* span entry doubles as a fault probe point ("span.<name>"): one
    atomic load when nothing is armed *)
 let enter name =
   if Fault.armed () then Fault.hit ("span." ^ name);
-  if not (Atomic.get enabled_flag) then Disabled
-  else
-    Open
-      {
-        name;
-        t0 = Unix.gettimeofday ();
-        gc0 = Gcstats.capture ();
-        ptok = Profile.enter name;
-        closed = false;
-      }
+  Profile.enter name
 
-let exit = function
-  | Disabled -> ()
-  | Open span ->
-      if not span.closed then begin
-        span.closed <- true;
-        let ns = int_of_float ((Unix.gettimeofday () -. span.t0) *. 1e9) in
-        let ns = max 0 ns in
-        let d = Gcstats.since span.gc0 in
-        record span.name ns ~gc:(Some d);
-        (* the profiler sees the same integers the flat table recorded,
-           which is what makes folded-total == flat-total exact *)
-        Profile.close span.ptok ~wall_ns:ns ~minor_words:d.Gcstats.minor_words;
-        (* a sinked run also sees each span close as an event, which is
-           what Trace_export turns into Chrome complete slices.  t0_us
-           is the span's exact start on the shared event clock (ts_us
-           lags the close by the emit path, so ts - dur cannot recover
-           it); dom and minor_w let `bbng_cli flame` re-nest per-domain
-           stacks and attribute allocation offline. *)
-        if Sink.active () then
-          Sink.emit "span"
-            [
-              ("name", Json.Str span.name);
-              ("dur_us", Json.Float (float_of_int ns /. 1e3));
-              ("t0_us", Json.Float (Sink.to_us span.t0));
-              ("dom", Json.Int (Domain.self () :> int));
-              ("minor_w", Json.Float d.Gcstats.minor_words);
-            ]
-      end
+let exit = Profile.close
 
 let with_ name f =
-  if not (Atomic.get enabled_flag) then begin
+  if not (Profile.enabled ()) then begin
     if Fault.armed () then Fault.hit ("span." ^ name);
     f ()
   end
@@ -133,51 +36,38 @@ let with_ name f =
     Fun.protect ~finally:(fun () -> exit h) f
   end
 
-let time = with_
-
+(* A name's closes are the paths ending in it: counts and totals sum,
+   max takes the max, and quantiles come from the element-wise summed
+   latency buckets. *)
 let snapshot () =
-  (* merge per-shard cells by name without stopping writers *)
-  let merged : (string, cell list ref) Hashtbl.t = Hashtbl.create 32 in
-  Array.iter
-    (fun sh ->
-      Mutex.protect sh.mu (fun () ->
-          Hashtbl.iter
-            (fun name c ->
-              match Hashtbl.find_opt merged name with
-              | Some l -> l := c :: !l
-              | None -> Hashtbl.add merged name (ref [ c ]))
-            sh.tbl))
-    table;
-  let all =
-    Hashtbl.fold
-      (fun name cells acc ->
-        let count = List.fold_left (fun a c -> a + c.count) 0 !cells in
-        let total_ns = List.fold_left (fun a c -> a + c.total_ns) 0 !cells in
-        let max_ns = List.fold_left (fun a c -> max a c.max_ns) 0 !cells in
-        let minor_words =
-          List.fold_left (fun a c -> a +. c.minor_words) 0. !cells
-        in
-        let major_words =
-          List.fold_left (fun a c -> a +. c.major_words) 0. !cells
-        in
-        let counts = Histogram.merge_counts (List.map (fun c -> c.hist) !cells) in
-        let q = Histogram.quantile_of_counts ~max_value:max_ns counts in
-        let s : stat =
-          {
-            count;
-            total_ns;
-            max_ns;
-            minor_words;
-            major_words;
-            p50_ns = q 0.5;
-            p90_ns = q 0.9;
-            p99_ns = q 0.99;
-          }
-        in
-        (name, s) :: acc)
-      merged []
+  let by_name = Hashtbl.create 32 in
+  List.iter
+    (fun (_, c) ->
+      let name = c.Profile.name in
+      Hashtbl.replace by_name name
+        (c :: Option.value ~default:[] (Hashtbl.find_opt by_name name)))
+    (Profile.closes ());
+  let stat (cs : Profile.closes list) =
+    let sum f = List.fold_left (fun a c -> a + f c) 0 cs in
+    let sumf f = List.fold_left (fun a c -> a +. f c) 0. cs in
+    let max_ns = List.fold_left (fun a c -> max a c.Profile.max_ns) 0 cs in
+    let q =
+      Histogram.quantile_of_counts ~max_value:max_ns
+        (Histogram.merge_counts
+           (List.concat_map (fun c -> c.Profile.latency) cs))
+    in
+    {
+      count = sum (fun c -> c.Profile.closes);
+      total_ns = sum (fun c -> c.Profile.wall_ns);
+      max_ns;
+      minor_words = sumf (fun c -> c.Profile.minor_words);
+      major_words = sumf (fun c -> c.Profile.major_words);
+      p50_ns = q 0.5;
+      p90_ns = q 0.9;
+      p99_ns = q 0.99;
+    }
   in
-  List.sort compare all
+  List.sort compare
+    (Hashtbl.fold (fun name cs acc -> (name, stat cs) :: acc) by_name [])
 
-let reset_all () =
-  Array.iter (fun sh -> Mutex.protect sh.mu (fun () -> Hashtbl.reset sh.tbl)) table
+let reset_all = Profile.reset_all

@@ -1,18 +1,27 @@
 (** Nestable wall-clock timing spans.
 
-    Spans aggregate into a process-global table keyed by span name:
-    count, total and maximum duration, a log-bucketed latency
-    {!Histogram} (so [--stats] can report p50/p90/p99 per span family),
-    and the {!Gcstats} minor/major-word allocation attributed to the
-    span's scope.  Nesting is free-form — an inner span's time (and
-    allocation) is also counted inside every enclosing span (the table
-    records durations, not an exclusive-time tree).
+    A span records into {!Profile}'s per-path table, the one span
+    store: each close is recorded once, at its full call path.  The
+    per-name view {!snapshot} rolls that table up over the paths whose
+    last segment is the name — count, total and maximum duration,
+    p50/p90/p99 from the summed log-bucketed latency {!Histogram}s,
+    and the minor/major words the span allocated.  Nesting is
+    free-form — an inner span's time (and allocation) is also counted
+    inside every enclosing span (durations are inclusive, not an
+    exclusive-time tree; {!Profile} keeps the self-time split).
+
+    GC words are the calling domain's own [Gc.counters] delta, so a
+    span is never charged another domain's allocation; a span closed on
+    a different domain from the one that opened it records its wall
+    time but no GC words.
 
     Spans are {e disabled by default} and then cost one atomic load per
-    {!with_} call (no clock read, no GC capture, no histogram, no
-    allocation beyond the caller's closure).  [--stats] / [--report]
-    style entry points call {!set_enabled}[ true]; timed sections must
-    not change behavior either way.
+    {!with_} call (no clock read, no GC read, no allocation beyond the
+    caller's closure).  One switch governs spans and {!Profile} alike:
+    {!set_enabled} and {!Profile.set_enabled} set the same flag, and
+    {!reset_all} and {!Profile.reset_all} clear the same table.
+    [--stats] / [--report] / [--profile] entry points turn it on; timed
+    sections must not change behavior either way.
 
     While a sink is active, every span close also {!Sink.emit}s a
     ["span"] event carrying [name], [dur_us], the exact start stamp
@@ -21,14 +30,10 @@
     {!Trace_export} turns into Chrome trace complete slices and
     {!Profile.of_events} re-nests into offline folded stacks.
 
-    Every enter/exit pair also feeds {!Profile}: the profiler keeps a
-    per-domain stack of open spans and attributes self-time and
-    self-allocation to the full call path (see {!Profile}).
-
-    The aggregate table is sharded per domain (the {!Counter} pattern),
-    so spans close concurrently from {!Bbng_core.Parallel} domains
-    without contending; keep spans coarse (per player / per phase, not
-    per vertex). *)
+    The table is sharded per domain (the {!Counter} pattern), so spans
+    close concurrently from {!Bbng_core.Parallel} domains without
+    contending; keep spans coarse (per player / per phase, not per
+    vertex). *)
 
 type handle
 (** An open span.  Handles are affine: closing twice is a no-op, and a
@@ -47,6 +52,7 @@ type stat = {
 
 val enabled : unit -> bool
 val set_enabled : bool -> unit
+(** The same flag as {!Profile.set_enabled}. *)
 
 val enter : string -> handle
 val exit : handle -> unit
@@ -59,11 +65,9 @@ val with_ : string -> (unit -> 'a) -> 'a
     (recording duration, latency-histogram sample and GC delta) even if
     [f] raises. *)
 
-val time : string -> (unit -> 'a) -> 'a
-(** Alias of {!with_} (the original name; kept for instrumented call
-    sites). *)
-
 val snapshot : unit -> (string * stat) list
-(** All recorded spans, sorted by name. *)
+(** Every recorded span name, sorted: the rollup of {!Profile.closes}
+    over the paths ending in the name. *)
 
 val reset_all : unit -> unit
+(** The same table as {!Profile.reset_all}. *)

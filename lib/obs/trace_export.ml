@@ -3,19 +3,7 @@ let read_events ic =
     | Json.Obj _ as j when Json.member "event" j <> None -> Some j
     | _ -> None)
 
-let event_name j =
-  match Json.member "event" j with Some (Json.Str s) -> s | _ -> "?"
-
-let num_field k j =
-  match Json.member k j with
-  | Some (Json.Int i) -> Some (float_of_int i)
-  | Some (Json.Float f) -> Some f
-  | _ -> None
-
-let ts_us j = num_field "ts_us" j
-
-let str_field k j =
-  match Json.member k j with Some (Json.Str s) -> Some s | _ -> None
+let ts_us j = Json.num_field "ts_us" j
 
 (* --- Chrome trace-event conversion --- *)
 
@@ -42,17 +30,17 @@ let args_of j =
 
 let convert_event j =
   let ts = Option.value (ts_us j) ~default:0. in
-  match event_name j with
+  match Json.event_name j with
   | "span" ->
       (* the event is stamped at close; the exact start stamp t0_us is
          preferred (ts - dur only approximates it by the emit lag), and
          the recording domain becomes the Chrome thread lane *)
-      let dur = Option.value (num_field "dur_us" j) ~default:0. in
+      let dur = Option.value (Json.num_field "dur_us" j) ~default:0. in
       let name =
         match Json.member "name" j with Some (Json.Str s) -> s | _ -> "span"
       in
       let start =
-        match num_field "t0_us" j with
+        match Json.num_field "t0_us" j with
         | Some t0 -> t0
         | None -> Float.max 0. (ts -. dur)
       in
@@ -78,7 +66,7 @@ let convert_event j =
             ]
         | "progress.heartbeat", _, Some v ->
             let track =
-              match str_field "task" j with
+              match Json.str_field "task" j with
               | Some task -> "work_done:" ^ task
               | None -> "work_done"
             in
@@ -121,7 +109,7 @@ let summarize events oc =
   let tally = Hashtbl.create 8 in
   List.iter
     (fun j ->
-      let k = event_name j in
+      let k = Json.event_name j in
       Hashtbl.replace tally k (1 + Option.value ~default:0 (Hashtbl.find_opt tally k)))
     events;
   let counts =
@@ -131,13 +119,15 @@ let summarize events oc =
   in
   List.iter (fun (k, v) -> Printf.fprintf oc "  %-24s %d\n" k v) counts;
   (* dynamics outcomes are the run's headline *)
-  let outcomes = List.filter (fun j -> event_name j = "dynamics.outcome") events in
+  let outcomes =
+    List.filter (fun j -> Json.event_name j = "dynamics.outcome") events
+  in
   if List.length outcomes <= 5 then
     List.iter
       (fun j ->
         Printf.fprintf oc "outcome: %s (rule %s) after %s steps, social cost %s\n"
-          (Option.value ~default:"?" (str_field "outcome" j))
-          (Option.value ~default:"?" (str_field "rule" j))
+          (Option.value ~default:"?" (Json.str_field "outcome" j))
+          (Option.value ~default:"?" (Json.str_field "rule" j))
           (match Json.member "steps" j with
           | Some (Json.Int i) -> string_of_int i
           | _ -> "?")
@@ -153,8 +143,8 @@ let summarize events oc =
     List.iter
       (fun j ->
         let key =
-          ( Option.value ~default:"?" (str_field "rule" j),
-            Option.value ~default:"?" (str_field "outcome" j) )
+          ( Option.value ~default:"?" (Json.str_field "rule" j),
+            Option.value ~default:"?" (Json.str_field "outcome" j) )
         in
         Hashtbl.replace tally key
           (1 + Option.value ~default:0 (Hashtbl.find_opt tally key)))
@@ -209,13 +199,13 @@ let summarize events oc =
   (* convergence diagnostics: the windowed detector's verdict history
      and its final word (see Dynamics.run) *)
   let diags =
-    List.filter (fun j -> event_name j = "dynamics.diagnosis") events
+    List.filter (fun j -> Json.event_name j = "dynamics.diagnosis") events
   in
   if diags <> [] then begin
     let tally = Hashtbl.create 4 in
     List.iter
       (fun j ->
-        let s = Option.value ~default:"?" (str_field "state" j) in
+        let s = Option.value ~default:"?" (Json.str_field "state" j) in
         Hashtbl.replace tally s
           (1 + Option.value ~default:0 (Hashtbl.find_opt tally s)))
       diags;
@@ -228,7 +218,7 @@ let summarize events oc =
          (List.map (fun (k, v) -> Printf.sprintf "%s x%d" k v) counts));
     let last = List.nth diags (List.length diags - 1) in
     Printf.fprintf oc "  last: %s at step %s"
-      (Option.value ~default:"?" (str_field "state" last))
+      (Option.value ~default:"?" (Json.str_field "state" last))
       (match Json.member "step" last with
       | Some (Json.Int i) -> string_of_int i
       | _ -> "?");
@@ -246,14 +236,14 @@ let summarize events oc =
   (* telemetry: the last heartbeat per task, with the achieved overall
      rate — on a truncated .partial this line dates the death *)
   let beats =
-    List.filter (fun j -> event_name j = "progress.heartbeat") events
+    List.filter (fun j -> Json.event_name j = "progress.heartbeat") events
   in
   if beats <> [] then begin
     let last = Hashtbl.create 4 in
     let order = ref [] in
     List.iter
       (fun j ->
-        let task = Option.value ~default:"?" (str_field "task" j) in
+        let task = Option.value ~default:"?" (Json.str_field "task" j) in
         if not (Hashtbl.mem last task) then order := task :: !order;
         Hashtbl.replace last task j)
       beats;
@@ -262,18 +252,18 @@ let summarize events oc =
     List.iter
       (fun task ->
         let j = Hashtbl.find last task in
-        let done_ = Option.value ~default:0. (num_field "done" j) in
+        let done_ = Option.value ~default:0. (Json.num_field "done" j) in
         let progress =
-          match num_field "total" j with
+          match Json.num_field "total" j with
           | Some total -> Printf.sprintf "%.0f/%.0f" done_ total
           | None -> Printf.sprintf "%.0f" done_
         in
         let achieved =
           (* overall rate over the task's lifetime, not the last
              window: done / elapsed *)
-          match num_field "elapsed_ms" j with
+          match Json.num_field "elapsed_ms" j with
           | Some ms when ms > 0. -> done_ /. ms *. 1e3
-          | _ -> Option.value ~default:0. (num_field "rate_per_s" j)
+          | _ -> Option.value ~default:0. (Json.num_field "rate_per_s" j)
         in
         Printf.fprintf oc "  %-24s %s done · %.1f/s achieved · last beat +%.3fms\n"
           task progress achieved
@@ -295,13 +285,13 @@ let summarize events oc =
       hot
   end;
   (* the final run.summary, re-rendered *)
-  (match List.find_opt (fun j -> event_name j = "run.summary") events with
+  (match List.find_opt (fun j -> Json.event_name j = "run.summary") events with
   | None -> Printf.fprintf oc "(no run.summary event — truncated run?)\n"
   | Some s ->
-      (match str_field "run_id" s with
+      (match Json.str_field "run_id" s with
       | Some id -> Printf.fprintf oc "ledger id: %s\n" id
       | None -> ());
-      (match (str_field "ocaml_version" s, Json.member "word_size" s) with
+      (match (Json.str_field "ocaml_version" s, Json.member "word_size" s) with
       | Some v, Some (Json.Int w) ->
           Printf.fprintf oc "recorded by: ocaml %s, %d-bit\n" v w
       | _ -> ());
@@ -333,7 +323,7 @@ let summarize events oc =
       (match Json.member "spans" s with
       | Some (Json.Obj fields) when fields <> [] ->
           Printf.fprintf oc "spans (count / total ms / p50 ms / p99 ms / max ms):\n";
-          let numf k j = Option.value ~default:0. (num_field k j) in
+          let numf k j = Option.value ~default:0. (Json.num_field k j) in
           let by_total =
             List.sort
               (fun (_, a) (_, b) ->
@@ -349,7 +339,7 @@ let summarize events oc =
       | _ -> ());
       (match Json.member "gc" s with
       | Some gc ->
-          let numf k = Option.value ~default:0. (num_field k gc) in
+          let numf k = Option.value ~default:0. (Json.num_field k gc) in
           Printf.fprintf oc
             "gc: minor %.0f words (%.0f collections), major %.0f words (%.0f), heap %.0f words\n"
             (numf "minor_words") (numf "minor_collections") (numf "major_words")

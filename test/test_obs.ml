@@ -55,8 +55,8 @@ let span_stat name =
 let test_span_nesting () =
   with_spans (fun () ->
       Span.reset_all ();
-      Span.time "test.outer" (fun () ->
-          Span.time "test.inner" (fun () -> Unix.sleepf 0.002));
+      Span.with_ "test.outer" (fun () ->
+          Span.with_ "test.inner" (fun () -> Unix.sleepf 0.002));
       let outer = span_stat "test.outer" and inner = span_stat "test.inner" in
       check_int "outer count" 1 outer.Span.count;
       check_int "inner count" 1 inner.Span.count;
@@ -81,14 +81,14 @@ let test_span_disabled_is_inert () =
   Span.reset_all ();
   let h = Span.enter "test.disabled" in
   Span.exit h;
-  ignore (Span.time "test.disabled" (fun () -> 7));
+  ignore (Span.with_ "test.disabled" (fun () -> 7));
   check_true "nothing recorded while disabled"
     (List.assoc_opt "test.disabled" (Span.snapshot ()) = None)
 
 let test_span_records_on_raise () =
   with_spans (fun () ->
       Span.reset_all ();
-      (try Span.time "test.raising" (fun () -> failwith "boom")
+      (try Span.with_ "test.raising" (fun () -> failwith "boom")
        with Failure _ -> ());
       check_int "span closed despite raise" 1 (span_stat "test.raising").Span.count)
 
@@ -671,6 +671,46 @@ let test_summary_fields_provenance () =
   check_true "gc delta in summary" (List.mem_assoc "gc" fields);
   check_true "histograms in summary" (List.mem_assoc "histograms" fields)
 
+(* --- span GC words are the calling domain's own --- *)
+
+let test_span_ignores_other_domains_gc () =
+  with_spans (fun () ->
+      Span.reset_all ();
+      let stop = Atomic.make false and running = Atomic.make false in
+      let hog =
+        Domain.spawn (fun () ->
+            while not (Atomic.get stop) do
+              Atomic.set running true;
+              ignore (Sys.opaque_identity (Array.make 100_000 0))
+            done)
+      in
+      Fun.protect
+        ~finally:(fun () ->
+          Atomic.set stop true;
+          Domain.join hog)
+        (fun () ->
+          while not (Atomic.get running) do
+            Domain.cpu_relax ()
+          done;
+          (* start from an empty minor heap, so a collection the other
+             domain forces mid-span has nothing of ours to promote *)
+          Gc.minor ();
+          Span.with_ "test.span.idle" (fun () -> Unix.sleepf 0.02));
+      let major = (span_stat "test.span.idle").Span.major_words in
+      check_true
+        (Printf.sprintf "idle span charged %.0f major words" major)
+        (major < 1000.))
+
+let test_span_counts_own_major_words () =
+  with_spans (fun () ->
+      Span.reset_all ();
+      Span.with_ "test.span.big" (fun () ->
+          ignore (Sys.opaque_identity (Array.make 1_000_000 0)));
+      let major = (span_stat "test.span.big").Span.major_words in
+      check_true
+        (Printf.sprintf "big allocation charged %.0f major words" major)
+        (major >= 1e6))
+
 let suite =
   [
     case "counter basics" test_counter_basics;
@@ -702,4 +742,8 @@ let suite =
     case "stats print ordering" test_stats_print_ordering;
     case "spans json name-sorted" test_spans_json_name_sorted;
     case "run.summary provenance" test_summary_fields_provenance;
+    case "span ignores other domains' allocation"
+      test_span_ignores_other_domains_gc;
+    case "span counts its own major allocation"
+      test_span_counts_own_major_words;
   ]

@@ -1,12 +1,14 @@
-(* Call-path attribution (Bbng_obs.Profile) and the sharded Span table.
+(* Call-path attribution (Bbng_obs.Profile), the one span store, and
+   its per-name view (Bbng_obs.Span.snapshot).
 
-   The load-bearing properties, straight from the ISSUE's acceptance
-   criteria: folded per-name totals equal the flat Span totals exactly
-   (integer telescoping, not approximation); out-of-order and double
-   closes never corrupt a domain's path stack; offline reconstruction
-   from recorded span events matches the live profile; multi-domain
-   span totals equal single-domain totals now that the table is
-   sharded; and torn .partial recordings still flame. *)
+   The load-bearing properties: folded per-name totals equal the
+   per-name Span totals exactly (integer telescoping, not
+   approximation); out-of-order and double closes never corrupt a
+   domain's path stack; offline reconstruction from recorded span
+   events matches the live profile; multi-domain span totals equal
+   single-domain totals on the sharded table; the per-name rollup
+   agrees with a fold of the recorded span events; and torn .partial
+   recordings still flame. *)
 
 open Helpers
 open Bbng_core
@@ -16,6 +18,7 @@ module Sink = Bbng_obs.Sink
 module Json = Bbng_obs.Json
 module Histogram = Bbng_obs.Histogram
 module Trace_export = Bbng_obs.Trace_export
+module Stats = Bbng_obs.Stats
 
 (* Every test drives the process-global span/profile state: snapshot
    the enabled flags, start from empty tables, and restore on the way
@@ -318,6 +321,92 @@ let test_quantile_of_counts () =
            (Histogram.bucket_counts h) q))
     [ 0.; 0.5; 0.9; 0.99; 1. ]
 
+(* --- the per-name rollup against the event stream --- *)
+
+(* per span name: (closes, sum of round(dur_us * 1e3), max) over the
+   recorded "span" events *)
+let fold_span_events events =
+  let tbl = Hashtbl.create 8 in
+  List.iter
+    (fun j ->
+      match
+        (Json.event_name j, Json.str_field "name" j, Json.num_field "dur_us" j)
+      with
+      | "span", Some name, Some dur_us ->
+          let ns = int_of_float (Float.round (dur_us *. 1e3)) in
+          let c, t, m =
+            Option.value ~default:(0, 0, 0) (Hashtbl.find_opt tbl name)
+          in
+          Hashtbl.replace tbl name (c + 1, t + ns, max m ns)
+      | _ -> ())
+    events;
+  List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
+
+(* well-nested trees on every worker domain, then a few handles closed
+   out of order (some twice) on the calling domain *)
+let record_mixed ~domains ~seed tree =
+  ignore (Parallel.map ~domains ~n:4 (fun _ -> run_tree tree));
+  check_name_totals_match_flat ~eps_minor:1e-6 ();
+  let st = Random.State.make [| 0x5EED; seed |] in
+  let handles =
+    Array.init 4 (fun i -> Span.enter [| "ta"; "tb"; "tc" |].(i mod 3))
+  in
+  let order = Array.init 4 (fun i -> i) in
+  for i = 3 downto 1 do
+    let j = Random.State.int st (i + 1) in
+    let t = order.(i) in
+    order.(i) <- order.(j);
+    order.(j) <- t
+  done;
+  Array.iter
+    (fun i ->
+      Span.exit handles.(i);
+      if Random.State.bool st then Span.exit handles.(i))
+    order
+
+let test_rollup_matches_events =
+  qcheck ~count:40 "per-name rollup == fold of span events"
+    QCheck.(pair (make tree_gen) (int_range 0 1_000_000))
+    (fun (tree, seed) ->
+      List.for_all
+        (fun domains ->
+          scoped (fun () ->
+              let events, skipped =
+                record_to_events (fun () -> record_mixed ~domains ~seed tree)
+              in
+              check_int "clean recording" 0 skipped;
+              check_int "stack drained" 0 (Profile.stack_depth ());
+              let rolled =
+                List.map
+                  (fun (k, (s : Span.stat)) ->
+                    (k, (s.Span.count, s.Span.total_ns, s.Span.max_ns)))
+                  (Span.snapshot ())
+              in
+              fold_span_events events = rolled))
+        [ 1; 4 ])
+
+let test_summary_span_fields () =
+  scoped (fun () ->
+      Span.with_ "pin_outer" (fun () -> Span.with_ "pin_inner" (fun () -> ()));
+      match List.assoc_opt "spans" (Stats.summary_fields ()) with
+      | Some (Json.Obj spans) ->
+          Alcotest.(check (list string))
+            "span names" [ "pin_inner"; "pin_outer" ] (List.map fst spans);
+          List.iter
+            (fun (name, sp) ->
+              match sp with
+              | Json.Obj fields ->
+                  Alcotest.(check (list string))
+                    (name ^ ": field names")
+                    [
+                      "count"; "total_ms"; "max_ms"; "p50_ms"; "p90_ms";
+                      "p99_ms"; "minor_words"; "major_words";
+                    ]
+                    (List.map fst fields)
+              | _ -> Alcotest.failf "span %S is not an object" name)
+            spans
+      | _ -> Alcotest.fail "run.summary has no spans object")
+
 let suite =
   [
     case "nested attribution records full paths" test_nested_attribution;
@@ -330,4 +419,6 @@ let suite =
     case "parallel workers root under caller path" test_worker_paths_rooted;
     case "concurrent recording is lossless" test_concurrent_recording;
     case "quantile_of_counts matches direct quantile" test_quantile_of_counts;
+    test_rollup_matches_events;
+    case "run.summary span fields are pinned" test_summary_span_fields;
   ]
