@@ -62,6 +62,17 @@ grep -q '"player":11,"tier":"exact","engine":"bfs","scanned":66,' _build/T22_max
   exit 1
 }
 dune exec bin/bbng_cli.exe -- verify _build/T22_max.json
+# the golden refuted profile: player 1 refutes and player 2 is never
+# audited, which the certificate certifiers count as an early exit
+for mode in exact swap; do
+  flag=""
+  [ "$mode" = swap ] && flag="--swap"
+  dune exec bin/bbng_cli.exe -- certify -c max "1,2;0;0" $flag --stats 2>&1 >/dev/null \
+    | grep -Eq '^ *equilibrium\.early_exits +1$' || {
+    echo "check: refuted $mode certificate did not count an early exit"
+    exit 1
+  }
+done
 
 echo "== CSR engine vs legacy oracle on golden census graphs =="
 # the flat CSR BFS/iFUB-diameter engine must agree with the retained

@@ -133,136 +133,12 @@ let exact ?budget game profile player =
   | Some (c, cost) -> { targets = unshift player c; cost }
   | None -> assert false (* k = 0 always yields the empty subset *)
 
-exception Found of move
-
 let record_search_size evals =
   if Bbng_obs.Span.enabled () then Bbng_obs.Histogram.record h_candidates evals
-
-let scan_for_improvement ctx ~stop_at_first =
-  if ctx.current_cost <= ctx.floor then begin
-    Bbng_obs.Counter.bump c_pruned_floor;
-    record_search_size 0;
-    None
-  end
-  else if satisfies_lemma_2_2 ctx.profile ctx.player then begin
-    Bbng_obs.Counter.bump c_pruned_lemma;
-    record_search_size 0;
-    None
-  end
-  else begin
-    let n = Game.n ctx.game in
-    let best = ref None in
-    let evals = ref 0 in
-    let buf = Array.make ctx.budget 0 in
-    let result =
-      try
-        Combinatorics.iter_combinations ~n:(n - 1) ~k:ctx.budget (fun c ->
-            unshift_into buf ctx.player c;
-            incr evals;
-            let cost = eval ctx buf in
-            if cost < ctx.current_cost then begin
-              Bbng_obs.Counter.bump c_improving;
-              let better_than_best =
-                match !best with None -> true | Some m -> cost < m.cost
-              in
-              if better_than_best then begin
-                let m = { targets = Array.copy buf; cost } in
-                if stop_at_first || cost <= ctx.floor then raise (Found m);
-                best := Some m
-              end
-            end);
-        !best
-      with Found m -> Some m
-    in
-    record_search_size !evals;
-    result
-  end
-
-let swap_candidates ctx =
-  (* (kept-set, replacement) pairs: drop each owned arc in turn, try
-     every replacement target not already owned and not the player. *)
-  let owned = Strategy.strategy ctx.profile ctx.player in
-  let n = Game.n ctx.game in
-  let is_owned v = Array.exists (fun w -> w = v) owned in
-  let moves = ref [] in
-  Array.iteri
-    (fun drop_idx _ ->
-      for v = 0 to n - 1 do
-        if v <> ctx.player && not (is_owned v) then begin
-          let targets =
-            Array.mapi (fun i w -> if i = drop_idx then v else w) owned
-          in
-          Array.sort compare targets;
-          moves := targets :: !moves
-        end
-      done)
-    owned;
-  List.rev !moves
-
-let swap_scan ctx ~stop_at_first =
-  if ctx.current_cost <= ctx.floor then begin
-    Bbng_obs.Counter.bump c_pruned_floor;
-    record_search_size 0;
-    None
-  end
-  else begin
-    let best = ref None in
-    let evals = ref 0 in
-    let result =
-      try
-        List.iter
-          (fun targets ->
-            incr evals;
-            let cost = eval ctx targets in
-            if cost < ctx.current_cost then begin
-              Bbng_obs.Counter.bump c_improving;
-              let better = match !best with None -> true | Some m -> cost < m.cost in
-              if better then begin
-                let m = { targets; cost } in
-                if stop_at_first then raise (Found m);
-                best := Some m
-              end
-            end)
-          (swap_candidates ctx);
-        !best
-      with Found m -> Some m
-    in
-    record_search_size !evals;
-    result
-  end
 
 type search = Exact_best | First_improving | Best_swap | First_swap
 
 type priced = { current : int; improving : move option }
-
-(* The context already priced the player's current strategy exactly, so
-   the search hands that cost back with its verdict: callers that need
-   it (a refutation, a dynamics step's gain) must not re-realize the
-   profile to get it again. *)
-let improve ?budget search game profile player =
-  let ctx = make_context ?scan_budget:budget game profile player in
-  let improving =
-    match search with
-    | Exact_best -> scan_for_improvement ctx ~stop_at_first:false
-    | First_improving -> scan_for_improvement ctx ~stop_at_first:true
-    | Best_swap -> swap_scan ctx ~stop_at_first:false
-    | First_swap -> swap_scan ctx ~stop_at_first:true
-  in
-  { current = ctx.current_cost; improving }
-
-let exact_improvement ?budget game profile player =
-  (improve ?budget First_improving game profile player).improving
-
-let best_improvement ?budget game profile player =
-  (improve ?budget Exact_best game profile player).improving
-
-let swap_best ?budget game profile player =
-  (improve ?budget Best_swap game profile player).improving
-
-let first_improving_swap ?budget game profile player =
-  (improve ?budget First_swap game profile player).improving
-
-(* --- audited checks: the same ladder, with evidence --- *)
 
 type tier =
   | Cost_floor
@@ -296,57 +172,95 @@ type audit = {
   improving : move option;
 }
 
-(* Shared audited scan: walk candidates tracking the global cheapest
-   one (not just improving ones), stopping at the first strict
-   improvement — so a no-improvement audit is a complete scan whose
-   [best] witnesses "nothing beats the current strategy" (the current
-   strategy itself is among the exact-tier candidates, hence
-   [best.cost = current] at an equilibrium), while a refutation audit
-   stops as early as the plain certifier would.  [~candidates] is the
-   size of the space the tier set out to scan — it stays on the audit
-   even when the scan degrades, so a verifier can compare it against
-   its own re-count.  [iter_targets] may hand every candidate in one
-   reused buffer: a candidate is copied only when it is kept. *)
-let audit_candidates ctx ~tier ~candidates iter_targets =
-  let best = ref None in
-  let improving = ref None in
+(* Candidate spaces in scan order, each candidate handed to [f] in one
+   reused buffer ([Deviation_eval.cost] only reads it): the
+   lexicographic [b]-subsets of the other players, or the single-arc
+   swaps — owned arcs in index order, each replaced by every target
+   neither owned nor the player, in increasing order. *)
+let iter_exhaustive ctx f =
+  let buf = Array.make ctx.budget 0 in
+  Combinatorics.iter_combinations ~n:(Game.n ctx.game - 1) ~k:ctx.budget
+    (fun c ->
+      unshift_into buf ctx.player c;
+      f buf)
+
+let iter_swaps ctx f =
+  let owned = Strategy.strategy ctx.profile ctx.player in
+  let buf = Array.make ctx.budget 0 in
+  Array.iteri
+    (fun drop _ ->
+      for v = 0 to Game.n ctx.game - 1 do
+        let owned_already = Array.exists (Int.equal v) owned in
+        if v <> ctx.player && not owned_already then begin
+          Array.blit owned 0 buf 0 ctx.budget;
+          buf.(drop) <- v;
+          Array.sort compare buf;
+          f buf
+        end
+      done)
+    owned
+
+(* The one candidate loop behind every search and audit.  It tracks
+   the cheapest candidate seen (the first one on ties) as an int and
+   one buffer that each new minimum is blitted into, so the scan
+   builds a move only once, when it ends; and it stops at the first
+   candidate cheaper than [stop_below].  That is the current cost for
+   the first-improvement searches and the audits, so a scan that finds
+   no improvement is complete and its [best] witnesses "nothing beats
+   the current strategy" (at an equilibrium the current strategy is
+   itself a candidate, hence [best.cost = current]).  It is one past
+   the cost floor for the best-improvement searches: nothing prices
+   below the floor, so a candidate at it is already the first minimum,
+   and the improving move is [best] whenever that beats the current
+   cost.  [~candidates] is the size of the space the tier set out to
+   scan; it stays on the audit even when the scan degrades, so a
+   verifier can compare it against its own re-count. *)
+let scan ctx ~tier ~candidates ~stop_below iter_targets =
+  let best = Array.make ctx.budget 0 in
+  let best_cost = ref max_int in
   let scanned = ref 0 in
-  let interrupted = ref false in
-  (try
-     iter_targets (fun targets ->
-         incr scanned;
-         let cost = eval ctx targets in
-         (match !best with
-         | Some (m : move) when m.cost <= cost -> ()
-         | _ -> best := Some { targets = Array.copy targets; cost });
-         if cost < ctx.current_cost then begin
-           Bbng_obs.Counter.bump c_improving;
-           improving := Some { targets = Array.copy targets; cost };
-           raise Exit
-         end)
-   with
-  | Exit -> ()
-  | Bbng_obs.Budgeted.Expired ->
-      (* the raising candidate was never evaluated: don't count it, and
-         don't trust [best] beyond what was actually priced *)
-      decr scanned;
-      interrupted := true;
-      Bbng_obs.Counter.bump c_degraded);
+  let tier =
+    try
+      iter_targets ctx (fun targets ->
+          let cost = eval ctx targets in
+          incr scanned;
+          if cost < !best_cost then begin
+            best_cost := cost;
+            Array.blit targets 0 best 0 ctx.budget
+          end;
+          if cost < ctx.current_cost then begin
+            Bbng_obs.Counter.bump c_improving;
+            if cost < stop_below then raise Exit
+          end);
+      tier
+    with
+    | Exit -> tier
+    | Bbng_obs.Budgeted.Expired ->
+        (* the raising candidate was never priced, so it is not counted
+           and cannot be [best]; an interrupted first-improvement scan
+           has found no improvement, or it would have stopped *)
+        Bbng_obs.Counter.bump c_degraded;
+        Degraded_scan
+  in
   record_search_size !scanned;
+  let best =
+    if !scanned = 0 then None else Some { targets = best; cost = !best_cost }
+  in
   {
-    tier = (if !interrupted then Degraded_scan else tier);
+    tier;
     engine = Deviation_eval.engine ctx.eval_ctx;
     scanned = !scanned;
     candidates;
     current = ctx.current_cost;
-    best = !best;
-    (* a found improvement always escapes via Exit before any further
-       eval, so an interrupted scan has [improving = None] by
-       construction *)
-    improving = !improving;
+    best;
+    improving =
+      (match best with
+      | Some m when m.cost < ctx.current_cost -> best
+      | _ -> None);
   }
 
-let pruned_audit ctx tier =
+let pruned ctx counter tier =
+  Bbng_obs.Counter.bump counter;
   record_search_size 0;
   {
     tier;
@@ -358,37 +272,57 @@ let pruned_audit ctx tier =
     improving = None;
   }
 
-let audit_exact ?budget game profile player =
+(* The one pruning ladder: the cost floor cuts every search, Lemma 2.2
+   (a statement about exact best responses) only the exhaustive ones. *)
+let audit ?budget search game profile player =
   let ctx = make_context ?scan_budget:budget game profile player in
-  if ctx.current_cost <= ctx.floor then begin
-    Bbng_obs.Counter.bump c_pruned_floor;
-    pruned_audit ctx Cost_floor
-  end
-  else if satisfies_lemma_2_2 ctx.profile ctx.player then begin
-    Bbng_obs.Counter.bump c_pruned_lemma;
-    pruned_audit ctx Lemma_2_2_tier
-  end
+  let n = Game.n game in
+  let stop_below =
+    match search with
+    | First_improving | First_swap -> ctx.current_cost
+    | Exact_best | Best_swap -> ctx.floor + 1
+  in
+  if ctx.current_cost <= ctx.floor then pruned ctx c_pruned_floor Cost_floor
   else
-    let n = Game.n ctx.game in
-    let buf = Array.make ctx.budget 0 in
-    audit_candidates ctx ~tier:Exhaustive
-      ~candidates:(Combinatorics.binomial (n - 1) ctx.budget)
-      (fun f ->
-        Combinatorics.iter_combinations ~n:(n - 1) ~k:ctx.budget (fun c ->
-            unshift_into buf ctx.player c;
-            f buf))
+    match search with
+    | Exact_best | First_improving ->
+        if satisfies_lemma_2_2 profile player then
+          pruned ctx c_pruned_lemma Lemma_2_2_tier
+        else
+          scan ctx ~tier:Exhaustive
+            ~candidates:(Combinatorics.binomial (n - 1) ctx.budget)
+            ~stop_below iter_exhaustive
+    | Best_swap | First_swap ->
+        scan ctx ~tier:Swap_exhaustive
+          ~candidates:(Combinatorics.Exact (ctx.budget * (n - 1 - ctx.budget)))
+          ~stop_below iter_swaps
+
+(* The context already priced the player's current strategy exactly, so
+   the search hands that cost back with its verdict: callers that need
+   it (a refutation, a dynamics step's gain) must not re-realize the
+   profile to get it again. *)
+let improve ?budget search game profile player =
+  match audit ?budget search game profile player with
+  | { tier = Degraded_scan; _ } -> raise Bbng_obs.Budgeted.Expired
+  | a -> { current = a.current; improving = a.improving }
+
+let exact_improvement ?budget game profile player =
+  (improve ?budget First_improving game profile player).improving
+
+let best_improvement ?budget game profile player =
+  (improve ?budget Exact_best game profile player).improving
+
+let swap_best ?budget game profile player =
+  (improve ?budget Best_swap game profile player).improving
+
+let first_improving_swap ?budget game profile player =
+  (improve ?budget First_swap game profile player).improving
+
+let audit_exact ?budget game profile player =
+  audit ?budget First_improving game profile player
 
 let audit_swap ?budget game profile player =
-  let ctx = make_context ?scan_budget:budget game profile player in
-  if ctx.current_cost <= ctx.floor then begin
-    Bbng_obs.Counter.bump c_pruned_floor;
-    pruned_audit ctx Cost_floor
-  end
-  else
-    let n = Game.n ctx.game in
-    audit_candidates ctx ~tier:Swap_exhaustive
-      ~candidates:(Combinatorics.Exact (ctx.budget * (n - 1 - ctx.budget)))
-      (fun f -> List.iter f (swap_candidates ctx))
+  audit ?budget First_swap game profile player
 
 let greedy ?budget game profile player =
   let ctx = make_context ?scan_budget:budget game profile player in

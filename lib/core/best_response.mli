@@ -107,16 +107,27 @@ val improve :
     tier, so callers never re-price the player through
     {!Game.player_cost}.  Each plain search above is
     [(improve s ...).improving].
-    @raise Bbng_obs.Budgeted.Expired if the token trips mid-scan. *)
+
+    It is the audited scan below, projected: the first-improvement
+    searches are {!audit_exact} / {!audit_swap} themselves, and the
+    best-improvement ones stop early only at a candidate priced at the
+    cost floor, which nothing beats — either way the move returned is
+    the first cheapest candidate in scan order.
+    @raise Bbng_obs.Budgeted.Expired if the token trips mid-scan (the
+    interrupted scan is counted in [br.degraded_scans]). *)
 
 (** {1 Audited checks}
 
-    The equilibrium certifier's evidence-producing layer: the same
-    pruning ladder as {!exact_improvement} / {!first_improving_swap},
-    but returning {e what was checked} — which tier decided, how many
-    candidates were evaluated, and the cheapest candidate seen — so a
-    certificate written to disk can later be re-verified without
-    re-running the search (see [Equilibrium.verify_certificate]). *)
+    Every search above is a projection of one audited scan: one pruning
+    ladder (the cost floor cuts every search, Lemma 2.2 only the
+    exhaustive ones) in front of one candidate loop that tracks the
+    cheapest candidate seen.  An audit is that scan with
+    first-improvement stopping, returned whole — which tier decided,
+    how many candidates were evaluated, and the cheapest candidate seen
+    — so a certificate written to disk can later be re-verified without
+    re-running the search (see [Equilibrium.verify_certificate]).  Every
+    certifier in [Equilibrium], verdict or certificate, reads its
+    answer off these audits. *)
 
 type tier =
   | Cost_floor       (** current cost equals the Lemma 2.2 floor; no scan *)
@@ -154,8 +165,9 @@ type audit = {
 val audit_exact :
   ?budget:Bbng_obs.Budgeted.t ->
   Game.t -> Strategy.t -> int -> audit
-(** Audited exact check.  Prunes exactly like {!exact_improvement}
-    (and agrees with it on [improving = None]); when no pruning fires
+(** Audited exact check.  It is the scan {!exact_improvement} runs, so
+    its [improving] is that search's result by construction; when no
+    pruning fires
     and no improvement exists, the scan is complete — [scanned =
     C(n-1,b)] and [best.cost = current] (the current strategy is among
     the candidates).  A refutation stops at the first improvement
@@ -172,9 +184,10 @@ val audit_exact :
 val audit_swap :
   ?budget:Bbng_obs.Budgeted.t ->
   Game.t -> Strategy.t -> int -> audit
-(** Audited swap-stability check (cost-floor pruning only; Lemma 2.2
-    is about exact best responses).  Degrades under an expired
-    [?budget] exactly like {!audit_exact}. *)
+(** Audited swap-stability check: the scan {!first_improving_swap}
+    runs (cost-floor pruning only; Lemma 2.2 is about exact best
+    responses).  Degrades under an expired [?budget] exactly like
+    {!audit_exact}. *)
 
 val greedy :
   ?budget:Bbng_obs.Budgeted.t ->

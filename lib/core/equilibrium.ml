@@ -6,14 +6,6 @@ let c_early_exits = Bbng_obs.Counter.make "equilibrium.early_exits"
 let c_certificates = Bbng_obs.Counter.make "equilibrium.certificates_produced"
 let c_verified = Bbng_obs.Counter.make "equilibrium.certificates_verified"
 
-(* Every per-player best-response check in a certification funnels
-   through here: one span (coarse enough for the mutex-protected span
-   table, even from Parallel domains) and one counter bump. *)
-let check_player search game profile player =
-  Bbng_obs.Counter.bump c_players;
-  Bbng_obs.Span.with_ "equilibrium.certify_player" (fun () ->
-      Best_response.improve search game profile player)
-
 type refutation = {
   player : int;
   better : Best_response.move;
@@ -25,51 +17,84 @@ type verdict =
   | Refuted of refutation
   | Degraded of int list
 
-(* The refutation's current cost is the one the search priced: no second
-   realization of the profile. *)
-let refute search game profile player =
-  let r = check_player search game profile player in
-  Option.map
-    (fun better -> { player; better; current_cost = r.Best_response.current })
-    r.Best_response.improving
+(* Every per-player audit of every certifier funnels through here: one
+   span (coarse enough for the mutex-protected span table, even from
+   Parallel domains) and one counter bump. *)
+let audit_player auditor game profile player =
+  Bbng_obs.Counter.bump c_players;
+  Bbng_obs.Span.with_ "equilibrium.certify_player" (fun () ->
+      auditor game profile player)
 
-(* An early exit is a refutation that left players unchecked, under
-   either certifier. *)
-let note_refutation n (r : refutation) =
-  if r.player < n - 1 then Bbng_obs.Counter.bump c_early_exits;
-  Refuted r
-
-let certify_with search game profile =
-  let n = Game.n game in
-  let rec scan player =
-    if player >= n then Equilibrium
+(* Evidence in player order, up to and including the first refutation;
+   [audit_of] is asked only for the players it returns. *)
+let evidence_upto_refutation n audit_of =
+  let rec from player =
+    if player >= n then []
     else
-      match refute search game profile player with
-      | Some r -> note_refutation n r
-      | None -> scan (player + 1)
+      let a = audit_of player in
+      (player, a)
+      :: (if a.Best_response.improving <> None then [] else from (player + 1))
   in
-  scan 0
+  from 0
 
-let certify game profile = certify_with Best_response.First_improving game profile
+(* The one sequential loop: players are audited in order and the first
+   refutation ends it — an early exit when players were left
+   unaudited. *)
+let audit_in_order ?(on_audit = ignore) auditor game profile =
+  let n = Game.n game in
+  let evidence =
+    evidence_upto_refutation n (fun player ->
+        let a = audit_player auditor game profile player in
+        on_audit a;
+        a)
+  in
+  if List.length evidence < n then Bbng_obs.Counter.bump c_early_exits;
+  evidence
+
+(* The refutation's current cost is the one the audit priced: no second
+   realization of the profile. *)
+let verdict_of_evidence evidence =
+  let rec go unresolved = function
+    | [] ->
+        (* no improvement found anywhere; the claim is an equilibrium
+           only if every scan ran to completion *)
+        if unresolved = [] then Equilibrium else Degraded (List.rev unresolved)
+    | (player, (a : Best_response.audit)) :: rest -> (
+        match a.Best_response.improving with
+        | Some better ->
+            Refuted { player; better; current_cost = a.Best_response.current }
+        | None ->
+            go
+              (if a.Best_response.tier = Best_response.Degraded_scan then
+                 player :: unresolved
+               else unresolved)
+              rest)
+  in
+  go [] evidence
+
+let certify game profile =
+  verdict_of_evidence (audit_in_order Best_response.audit_exact game profile)
+
 let is_nash game profile = certify game profile = Equilibrium
 
 let certify_parallel ?domains game profile =
   let n = Game.n game in
   match
-    Parallel.find_map ?domains ~n
-      (refute Best_response.First_improving game profile)
+    Parallel.find_map ?domains ~n (fun player ->
+        let a = audit_player Best_response.audit_exact game profile player in
+        Option.map (fun _ -> (player, a)) a.Best_response.improving)
   with
-  | Some r -> note_refutation n r
+  | Some ((player, _) as refuting) ->
+      (* first to finish, so players after it may have been skipped *)
+      if player < n - 1 then Bbng_obs.Counter.bump c_early_exits;
+      verdict_of_evidence [ refuting ]
   | None -> Equilibrium
 
 let is_nash_parallel ?domains game profile =
-  let n = Game.n game in
-  Parallel.for_all ?domains ~n (fun player ->
-      (check_player Best_response.First_improving game profile player)
-        .Best_response.improving = None)
+  certify_parallel ?domains game profile = Equilibrium
 
 let certify_swap game profile =
-  certify_with Best_response.First_swap game profile
+  verdict_of_evidence (audit_in_order Best_response.audit_swap game profile)
 
 let is_swap_stable game profile = certify_swap game profile = Equilibrium
 
@@ -88,6 +113,14 @@ let mode_of_name = function
   | "swap" -> Some Swap_mode
   | _ -> None
 
+(* The candidate space a [mode] audit of a budget-[b] player sets out
+   to scan: what its evidence records as [candidates], re-counted here
+   for the verifier and the heartbeat. *)
+let mode_space mode ~n b =
+  match mode with
+  | Exact_mode -> Combinatorics.binomial (n - 1) b
+  | Swap_mode -> Combinatorics.Exact (b * (n - 1 - b))
+
 type certificate = {
   cert_version : Cost.version;
   cert_mode : mode;
@@ -95,54 +128,28 @@ type certificate = {
   cert_evidence : (int * Best_response.audit) list;
 }
 
-let certificate_verdict cert =
-  match
-    List.find_opt
-      (fun (_, (a : Best_response.audit)) -> a.Best_response.improving <> None)
-      cert.cert_evidence
-  with
-  | Some (player, a) ->
-      Refuted
-        {
-          player;
-          better = Option.get a.Best_response.improving;
-          current_cost = a.Best_response.current;
-        }
-  | None -> (
-      (* no improvement found anywhere; the claim is an equilibrium
-         only if every scan ran to completion *)
-      match
-        List.filter_map
-          (fun (player, (a : Best_response.audit)) ->
-            if a.Best_response.tier = Best_response.Degraded_scan then
-              Some player
-            else None)
-          cert.cert_evidence
-      with
-      | [] -> Equilibrium
-      | unresolved -> Degraded unresolved)
+let certificate_verdict cert = verdict_of_evidence cert.cert_evidence
 
 let verdict_name = function
   | Equilibrium -> "equilibrium"
   | Refuted _ -> "refuted"
   | Degraded _ -> "degraded"
 
-let audited_player auditor game profile player =
-  Bbng_obs.Counter.bump c_players;
-  Bbng_obs.Span.with_ "equilibrium.certify_player" (fun () ->
-      auditor game profile player)
-
 (* Work-total estimate for a certification's heartbeat: the sum of the
    per-player candidate spaces, saturating — [max_int] reads as
    "unknown" in {!Bbng_obs.Progress}, so a saturated space simply
    drops total/ETA from the beats instead of faking a number.  Audits
    step by their [scanned] count, so done/total use the same unit. *)
-let certify_work_total game =
+let certify_work_total mode game =
   let n = Game.n game in
   let budgets = Game.budgets game in
   let acc = ref 0 in
   for p = 0 to n - 1 do
-    let c = Combinatorics.binomial_sat (n - 1) (Budget.get budgets p) in
+    let c =
+      match mode_space mode ~n (Budget.get budgets p) with
+      | Combinatorics.Exact c -> c
+      | Combinatorics.Saturated -> max_int
+    in
     acc := (if c = max_int || !acc > max_int - c then max_int else !acc + c)
   done;
   !acc
@@ -180,77 +187,56 @@ let observe_certificate game cert =
   Bbng_obs.Ledger.note_outcome verdict;
   cert
 
-let certify_cert_with ?budget auditor mode game profile =
+(* What only the certificate producers pay for: the
+   [equilibrium.certify] span, a heartbeat task stepped by every audit
+   ([evidence] gets the stepping callback) and the telemetry above. *)
+let produce ?budget mode game profile evidence =
   Bbng_obs.Span.with_ "equilibrium.certify" @@ fun () ->
   Bbng_obs.Counter.bump c_certificates;
-  let n = Game.n game in
-  observe_certificate game
-  @@ Bbng_obs.Progress.with_task ?budget ~total:(certify_work_total game)
-       "certify" (fun progress ->
-         let rec scan player acc =
-           if player >= n then List.rev acc
-           else
-             let a = audited_player auditor game profile player in
-             progress_audit progress a;
-             if a.Best_response.improving <> None then
-               List.rev ((player, a) :: acc)
-             else scan (player + 1) ((player, a) :: acc)
-         in
-         {
-           cert_version = Game.version game;
-           cert_mode = mode;
-           cert_profile = profile;
-           cert_evidence = scan 0 [];
-         })
-
-let certify_cert ?budget game profile =
-  certify_cert_with ?budget
-    (Best_response.audit_exact ?budget)
-    Exact_mode game profile
-
-let certify_swap_cert ?budget game profile =
-  certify_cert_with ?budget
-    (Best_response.audit_swap ?budget)
-    Swap_mode game profile
-
-let certify_parallel_cert ?domains ?budget game profile =
-  Bbng_obs.Span.with_ "equilibrium.certify" @@ fun () ->
-  Bbng_obs.Counter.bump c_certificates;
-  let n = Game.n game in
-  let audits =
-    (* each audit builds its own evaluation context, so every domain
-       owns its rows: nothing of the distance-row cache crosses domains.
-       The progress task IS shared: every worker steps it by its scan
-       count, and the ticker's CAS elects one beat emitter at a time. *)
-    Bbng_obs.Progress.with_task ?budget ~total:(certify_work_total game)
-      "certify" (fun progress ->
-        Parallel.map ?domains ~n (fun player ->
-            let a =
-              audited_player
-                (Best_response.audit_exact ?budget)
-                game profile player
-            in
-            progress_audit progress a;
-            a))
-  in
-  (* truncate after the first (lowest-player) refutation so the
-     evidence shape — and the witness — matches the sequential
-     certifier, which makes the parallel variant deterministic where
-     [certify_parallel] is first-to-finish *)
-  let rec collect player acc =
-    if player >= n then List.rev acc
-    else
-      let a = audits.(player) in
-      if a.Best_response.improving <> None then List.rev ((player, a) :: acc)
-      else collect (player + 1) ((player, a) :: acc)
+  let evidence =
+    Bbng_obs.Progress.with_task ?budget
+      ~total:(certify_work_total mode game)
+      "certify"
+      (fun progress -> evidence (progress_audit progress))
   in
   observe_certificate game
     {
       cert_version = Game.version game;
-      cert_mode = Exact_mode;
+      cert_mode = mode;
       cert_profile = profile;
-      cert_evidence = collect 0 [];
+      cert_evidence = evidence;
     }
+
+let certify_cert ?budget game profile =
+  produce ?budget Exact_mode game profile (fun on_audit ->
+      audit_in_order ~on_audit (Best_response.audit_exact ?budget) game profile)
+
+let certify_swap_cert ?budget game profile =
+  produce ?budget Swap_mode game profile (fun on_audit ->
+      audit_in_order ~on_audit (Best_response.audit_swap ?budget) game profile)
+
+let certify_parallel_cert ?domains ?budget game profile =
+  let n = Game.n game in
+  produce ?budget Exact_mode game profile (fun on_audit ->
+      (* each audit builds its own evaluation context, so every domain
+         owns its rows: nothing of the distance-row cache crosses
+         domains.  The progress task IS shared: every worker steps it
+         by its scan count, and the ticker's CAS elects one beat
+         emitter at a time. *)
+      let audits =
+        Parallel.map ?domains ~n (fun player ->
+            let a =
+              audit_player (Best_response.audit_exact ?budget) game profile
+                player
+            in
+            on_audit a;
+            a)
+      in
+      (* truncate after the first (lowest-player) refutation so the
+         evidence shape — and the witness — matches the sequential
+         certifier, which makes the parallel variant deterministic where
+         [certify_parallel] is first-to-finish *)
+      evidence_upto_refutation n (Array.get audits))
 
 (* --- certificate (de)serialization through the artifact envelope --- *)
 
@@ -413,12 +399,9 @@ let certificate_of_artifact (art : Bbng_obs.Certificate.t) =
       match (tier : Best_response.tier) with
       | Best_response.Cost_floor | Best_response.Lemma_2_2_tier ->
           Combinatorics.Exact 0
-      | Best_response.Exhaustive -> Combinatorics.binomial (n - 1) b
-      | Best_response.Swap_exhaustive -> Combinatorics.Exact (b * (n - 1 - b))
-      | Best_response.Degraded_scan -> (
-          match mode with
-          | Exact_mode -> Combinatorics.binomial (n - 1) b
-          | Swap_mode -> Combinatorics.Exact (b * (n - 1 - b)))
+      | Best_response.Exhaustive -> mode_space Exact_mode ~n b
+      | Best_response.Swap_exhaustive -> mode_space Swap_mode ~n b
+      | Best_response.Degraded_scan -> mode_space mode ~n b
     in
     let* evidence =
       match Json.member "players" body with
@@ -643,7 +626,7 @@ let verify_certificate ?(samples = 32) cert =
             if cert.cert_mode <> Exact_mode then
               fail "player %d: exact tier in a swap certificate" player
             else
-              let expected = Combinatorics.binomial (n - 1) budget in
+              let expected = mode_space Exact_mode ~n budget in
               let* () = check_candidates expected in
               match a.Best_response.improving with
               | Some _ -> (
@@ -728,11 +711,7 @@ let verify_certificate ?(samples = 32) cert =
                and does not secretly improve.  No spot-check: absence
                of improvement over unscanned candidates is exactly what
                a degraded tier does NOT claim. *)
-            let expected =
-              match cert.cert_mode with
-              | Exact_mode -> Combinatorics.binomial (n - 1) budget
-              | Swap_mode -> Combinatorics.Exact (budget * (n - 1 - budget))
-            in
+            let expected = mode_space cert.cert_mode ~n budget in
             let* () = check_candidates expected in
             let scan_completed =
               (* an interrupted scan of a saturated space is trivially

@@ -40,9 +40,13 @@ val certify_parallel : ?domains:int -> Game.t -> Strategy.t -> verdict
 (** Like {!certify}, with the per-player best-response checks fanned
     out over OCaml 5 domains (see {!Parallel}).  When refuted, the
     returned witness may belong to any deviating player (whichever
-    domain finished first), not necessarily the smallest index.  Both
-    certifiers count a refutation in [equilibrium.early_exits] only
-    when the refuted player is not the last one. *)
+    domain finished first), not necessarily the smallest index.  It
+    counts a refutation in [equilibrium.early_exits] only when the
+    refuted player is not the last one.  The sequential certifiers
+    ({!certify}, {!certify_swap}, {!certify_cert},
+    {!certify_swap_cert}) share one player loop and count every
+    refutation that left players unaudited; {!certify_parallel_cert}
+    audits every player and counts none. *)
 
 val is_nash_parallel : ?domains:int -> Game.t -> Strategy.t -> bool
 

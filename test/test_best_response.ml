@@ -186,6 +186,107 @@ let prop_greedy_never_beats_exact =
       (Best_response.greedy game p player).Best_response.cost
       >= (Best_response.exact game p player).Best_response.cost)
 
+(* --- brute-force oracle for [improve] --- *)
+
+(* Every candidate a search scans, in its scan order, each priced by the
+   generic evaluator: lexicographic [b]-subsets of the other players for
+   the exact searches; for the swap searches, owned arcs in index order,
+   each replaced by every target neither owned nor the player, in
+   increasing order. *)
+let oracle_candidates search game p player =
+  let n = Strategy.n p in
+  let b = Budget.get (Strategy.budgets p) player in
+  let acc = ref [] in
+  let add targets =
+    acc := (targets, Game.deviation_cost game p ~player ~targets) :: !acc
+  in
+  (match search with
+  | Best_response.Exact_best | Best_response.First_improving ->
+      Bbng_graph.Combinatorics.iter_combinations ~n:(n - 1) ~k:b (fun c ->
+          add (Array.map (fun i -> if i < player then i else i + 1) c))
+  | Best_response.Best_swap | Best_response.First_swap ->
+      let owned = Strategy.strategy p player in
+      Array.iteri
+        (fun drop _ ->
+          for v = 0 to n - 1 do
+            if v <> player && not (Array.mem v owned) then begin
+              let targets = Array.copy owned in
+              targets.(drop) <- v;
+              Array.sort compare targets;
+              add targets
+            end
+          done)
+        owned);
+  List.rev !acc
+
+(* [First_*]: the first strict improvement; [*_best]: the first minimum,
+   when it is below the current cost *)
+let oracle_improving search current candidates =
+  match search with
+  | Best_response.First_improving | Best_response.First_swap ->
+      List.find_opt (fun (_, cost) -> cost < current) candidates
+  | Best_response.Exact_best | Best_response.Best_swap -> (
+      match
+        List.fold_left
+          (fun best ((_, cost) as c) ->
+            match best with
+            | Some (_, b) when b <= cost -> best
+            | _ -> Some c)
+          None candidates
+      with
+      | Some (_, cost) as best when cost < current -> best
+      | _ -> None)
+
+let same_move (m : Best_response.move option) expected =
+  match (m, expected) with
+  | None, None -> true
+  | Some m, Some (targets, cost) ->
+      m.Best_response.targets = targets && m.Best_response.cost = cost
+  | _ -> false
+
+let prop_improve_matches_oracle =
+  qcheck ~count:60 "improve agrees with a brute-force oracle"
+    (sparse_or_dense_budget_gen ~n_min:2 ~n_max:7) (fun input ->
+      let p = random_profile_of input in
+      let n = Strategy.n p in
+      List.for_all
+        (fun version ->
+          let game = Game.make version (Strategy.budgets p) in
+          List.for_all
+            (fun player ->
+              let current = Game.player_cost game p player in
+              List.for_all
+                (fun search ->
+                  let before = Bbng_obs.Counter.find "br.candidates" in
+                  let r = Best_response.improve search game p player in
+                  let scanned = Bbng_obs.Counter.find "br.candidates" - before in
+                  let audit =
+                    match search with
+                    | Best_response.First_improving ->
+                        Some (Best_response.audit_exact game p player)
+                    | Best_response.First_swap ->
+                        Some (Best_response.audit_swap game p player)
+                    | Best_response.Exact_best | Best_response.Best_swap -> None
+                  in
+                  r.Best_response.current = current
+                  && same_move r.Best_response.improving
+                       (oracle_improving search current
+                          (oracle_candidates search game p player))
+                  &&
+                  match audit with
+                  | None -> true
+                  | Some a ->
+                      a.Best_response.improving = r.Best_response.improving
+                      && a.Best_response.scanned = scanned)
+                [
+                  Best_response.Exact_best;
+                  Best_response.First_improving;
+                  Best_response.Best_swap;
+                  Best_response.First_swap;
+                ])
+            (List.init n Fun.id))
+        Cost.all_versions)
+
 let suite =
   [
     case "exact absorbs isolated vertices" test_exact_connects;
@@ -201,4 +302,5 @@ let suite =
     prop_swap_never_beats_exact;
     prop_exact_at_most_current;
     prop_greedy_never_beats_exact;
+    prop_improve_matches_oracle;
   ]

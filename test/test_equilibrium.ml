@@ -233,6 +233,9 @@ let early_exits_during f =
   let v = f () in
   (v, Bbng_obs.Counter.find "equilibrium.early_exits" - before)
 
+let via_certificate certifier game p =
+  Equilibrium.certificate_verdict (certifier game p)
+
 let test_early_exits_on_last_player () =
   let p = reversed_path 4 in
   let game = Game.make Cost.Sum (Strategy.budgets p) in
@@ -247,17 +250,31 @@ let test_early_exits_on_last_player () =
       ("certify", Equilibrium.certify);
       ("parallel/1", Equilibrium.certify_parallel ~domains:1);
       ("parallel/2", Equilibrium.certify_parallel ~domains:2);
+      ("cert", via_certificate (Equilibrium.certify_cert ?budget:None));
+      ("swap cert", via_certificate (Equilibrium.certify_swap_cert ?budget:None));
+      ( "parallel cert/2",
+        via_certificate
+          (Equilibrium.certify_parallel_cert ~domains:2 ?budget:None) );
     ];
-  (* the forward path refutes on player 0: players were skipped *)
+  (* the forward path refutes on player 0: players were skipped, except
+     by the parallel certificate, which audits every player *)
   let p = Strategy.of_digraph (Bbng_graph.Generators.directed_path 4) in
   let game = Game.make Cost.Sum (Strategy.budgets p) in
   List.iter
-    (fun (name, certifier) ->
+    (fun (name, expected, certifier) ->
       let _, exits = early_exits_during (fun () -> certifier game p) in
-      check_int (name ^ ": early exit counted") 1 exits)
+      check_int (name ^ ": early exits counted") expected exits)
     [
-      ("certify", Equilibrium.certify);
-      ("parallel/1", Equilibrium.certify_parallel ~domains:1);
+      ("certify", 1, Equilibrium.certify);
+      ("parallel/1", 1, Equilibrium.certify_parallel ~domains:1);
+      ("cert", 1, via_certificate (Equilibrium.certify_cert ?budget:None));
+      ( "swap cert",
+        1,
+        via_certificate (Equilibrium.certify_swap_cert ?budget:None) );
+      ( "parallel cert/2",
+        0,
+        via_certificate
+          (Equilibrium.certify_parallel_cert ~domains:2 ?budget:None) );
     ]
 
 let suite =

@@ -223,6 +223,36 @@ let test_heartbeat_saturated_total () =
         (Json.member "total" b = None && Json.member "eta_s" b = None))
     beats
 
+(* a certification declares the candidate space its audits step
+   through: C(n-1, b) per player when exact, b(n-1-b) swaps per player
+   under --swap *)
+let test_certify_heartbeat_total () =
+  let p = Strategy.of_string "2,5,8;2;3;4;5;6;7;8;9;10;" in
+  let n = Strategy.n p in
+  let budgets = Budget.to_array (Strategy.budgets p) in
+  let game = Game.make Cost.Sum (Strategy.budgets p) in
+  let last_total certifier =
+    let _, events = with_recording (fun () -> certifier game p) in
+    match
+      List.rev
+        (List.filter
+           (fun e -> Json.member "task" e = Some (Json.Str "certify"))
+           (heartbeats_of events))
+    with
+    | last :: _ -> Json.member "total" last
+    | [] -> Alcotest.fail "no certify heartbeat"
+  in
+  let sum f = Array.fold_left (fun acc b -> acc + f b) 0 budgets in
+  check_true "exact total is the sum of C(n-1, b)"
+    (last_total (Equilibrium.certify_cert ?budget:None)
+    = Some
+        (Json.Int
+           (sum (fun b ->
+                Bbng_graph.Combinatorics.binomial_sat (n - 1) b))));
+  check_true "swap total is the sum of b(n-1-b)"
+    (last_total (Equilibrium.certify_swap_cert ?budget:None)
+    = Some (Json.Int (sum (fun b -> b * (n - 1 - b)))))
+
 let test_replay_ignores_heartbeats () =
   (* a flight recording laced with telemetry must replay untouched:
      Dynamics.run heartbeats at every step with a zero interval *)
@@ -330,6 +360,7 @@ let suite =
     test_histogram_buckets_cumulative;
     case "heartbeat fields" test_heartbeat_fields;
     case "saturated totals suppress total/eta" test_heartbeat_saturated_total;
+    case "certify heartbeat declares its scan space" test_certify_heartbeat_total;
     case "replay ignores heartbeats" test_replay_ignores_heartbeats;
     case "feed_line tolerates torn lines" test_feed_line_truncation_tolerant;
     case "tail consumes only complete lines" test_tail_consumes_only_complete_lines;

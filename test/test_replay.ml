@@ -280,6 +280,87 @@ let prop_random_runs_replay =
       | runs ->
           QCheck.Test.fail_reportf "expected 1 run, got %d" (List.length runs))
 
+(* --- golden recordings reproduce move for move --- *)
+
+(* Replay only checks that each recorded step improves, so a changed
+   tie-break in a search would still replay cleanly.  Re-running each
+   golden recording's header through [Dynamics.run] must instead
+   reproduce every step — player, arcs, costs, diameter — and the
+   outcome exactly. *)
+let test_golden_runs_reproduce () =
+  let files =
+    Sys.readdir "golden" |> Array.to_list
+    |> List.filter (fun f ->
+           String.starts_with ~prefix:"DYN_" f
+           && Filename.check_suffix f ".jsonl")
+    |> List.sort compare
+  in
+  check_true "golden recordings found" (files <> []);
+  List.iter
+    (fun file ->
+      let events, _skipped =
+        In_channel.with_open_text (Filename.concat "golden" file)
+          Bbng_obs.Trace_export.read_events
+      in
+      let run =
+        match Bbng_obs.Replay.runs_of_events events with
+        | [ run ] -> run
+        | runs -> Alcotest.failf "%s: %d runs recorded" file (List.length runs)
+      in
+      let get what = function
+        | Some x -> x
+        | None -> Alcotest.failf "%s: header has no %s" file what
+      in
+      let version =
+        match get "version" run.Bbng_obs.Replay.version with
+        | "MAX" -> Cost.Max
+        | "SUM" -> Cost.Sum
+        | v -> Alcotest.failf "%s: unknown version %s" file v
+      in
+      let rule =
+        get "rule" (Option.bind run.Bbng_obs.Replay.rule Dynamics.rule_of_name)
+      in
+      if run.Bbng_obs.Replay.schedule <> Some "round-robin" then
+        Alcotest.failf "%s: only round-robin recordings are re-run" file;
+      let start = Strategy.of_string (get "profile" run.Bbng_obs.Replay.start_profile) in
+      let game =
+        Game.make version
+          (Budget.of_array (get "budgets" run.Bbng_obs.Replay.budgets))
+      in
+      let steps = ref [] in
+      let outcome =
+        Dynamics.run
+          ~max_steps:(get "max_steps" run.Bbng_obs.Replay.max_steps)
+          ~on_step:(fun e -> steps := e :: !steps)
+          game ~schedule:Schedule.Round_robin ~rule start
+      in
+      let steps = List.rev !steps in
+      let recorded = run.Bbng_obs.Replay.steps in
+      check_int (file ^ ": step count") (List.length recorded) (List.length steps);
+      List.iter2
+        (fun (r : Bbng_obs.Replay.step) (e : Dynamics.trace_entry) ->
+          let at what = Printf.sprintf "%s step %d: %s" file r.index what in
+          check_int (at "player") r.player e.player;
+          check_int (at "old cost") r.old_cost e.old_cost;
+          check_int (at "new cost") r.new_cost e.new_cost;
+          check_int (at "social cost") r.social_cost e.social_cost;
+          check_int_array (at "old targets") (get "old_targets" r.old_targets)
+            e.old_targets;
+          check_int_array (at "new targets") (get "new_targets" r.new_targets)
+            e.new_targets)
+        recorded steps;
+      let o = get "outcome" run.Bbng_obs.Replay.run_outcome in
+      let final = Dynamics.final_profile outcome in
+      check_true (file ^ ": outcome")
+        (o.Bbng_obs.Replay.outcome = Dynamics.outcome_name outcome);
+      check_int (file ^ ": total steps") o.Bbng_obs.Replay.total_steps
+        (Dynamics.steps outcome);
+      check_true (file ^ ": final profile")
+        (o.Bbng_obs.Replay.final_profile = Some (Strategy.to_string final));
+      check_true (file ^ ": final social cost")
+        (o.Bbng_obs.Replay.final_social_cost = Some (Game.social_cost game final)))
+    files
+
 let suite =
   [
     case "converged run round-trips" test_converged_round_trip;
@@ -293,4 +374,5 @@ let suite =
     case "interrupted prefix replays" test_interrupted_prefix_replays;
     case "headerless recording fails cleanly" test_headerless_recording_fails_cleanly;
     prop_random_runs_replay;
+    case "golden recordings reproduce" test_golden_runs_reproduce;
   ]
