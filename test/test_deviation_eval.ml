@@ -435,6 +435,58 @@ let test_batch_selection () =
       check_int (label "forced overlay builds none") b1 (blocks ()))
     [ (20, 0); (21, 1); (22, 2) ]
 
+let test_overlay_and_batch_work () =
+  (* the work charges [cost] documents for the overlay and the batch, on
+     a profile whose counts are known by hand: player 0 of
+     0→1→2→3 plus 4→0, so G∖0 is the path 1-2-3 (a component holding
+     no static neighbour) and the vertex 4 (base 0) *)
+  let module Budgeted = Bbng_obs.Budgeted in
+  let b = Budget.of_list [ 1; 1; 1; 0; 1 ] in
+  let p = Strategy.make b [| [| 1 |]; [| 2 |]; [| 3 |]; [||]; [| 0 |] |] in
+  let n = Strategy.n p in
+  let charged c f =
+    let budget = Budgeted.create ~work_limit:max_int () in
+    Deviation_eval.set_budget c budget;
+    f c;
+    Budgeted.work_done budget
+  in
+  let price targets c = ignore (Deviation_eval.cost c targets) in
+  List.iter
+    (fun version ->
+      let label what = Printf.sprintf "%s %s" (Cost.version_name version) what in
+      (* a forced overlay charges its reached vertices, the player included *)
+      List.iter
+        (fun (targets, reached, what) ->
+          check_int (label what) reached (charged (bfs_of version p 0) (price targets)))
+        [
+          ([| 2 |], n, "overlay, connected");
+          ([| 4 |], 2, "overlay, disconnected (reaches 0 and 4)");
+          ([||], 2, "overlay, empty candidate");
+        ];
+      (* a batch context's lone current-cost query is an overlay BFS *)
+      check_int (label "batch current cost before any block") n
+        (charged (Deviation_eval.make_batched version p ~player:0) (fun c ->
+             ignore (Deviation_eval.current_cost c))))
+    Cost.all_versions;
+  (* one block holds all four candidates.  SUM seeds all of them and
+     runs until the frontier empties: 1 and 3 reach each other at level
+     2, so levels 0..3.  MAX seeds the three candidates of the path (4
+     leaves it unreached and needs no BFS): 2 is done at level 1, 1 and
+     3 at level 2, so levels 0..2.  A block charges n per level plus n,
+     and every lookup 1. *)
+  List.iter
+    (fun (version, levels) ->
+      let label what = Printf.sprintf "%s %s" (Cost.version_name version) what in
+      let c = Deviation_eval.make_batched version p ~player:0 in
+      check_int (label "first lookup builds the block")
+        ((n * (levels + 1)) + 1)
+        (charged c (price [| 2 |]));
+      check_int (label "three more lookups") 3
+        (charged c (fun c -> List.iter (fun v -> price [| v |] c) [ 1; 3; 4 ]));
+      check_int (label "current cost from a built block") 1
+        (charged c (fun c -> ignore (Deviation_eval.current_cost c))))
+    [ (Cost.Sum, 4); (Cost.Max, 3) ]
+
 let prop_batch_tiny =
   batch_agrees ~n_min:2 ~n_max:12 ~count:300 ~generic:max_int
     "n 2-12: batch == overlay == generic"
@@ -470,6 +522,7 @@ let suite =
     prop_equivalent_to_generic;
     prop_current_cost_equivalent;
     case "batch selection and blocks" test_batch_selection;
+    case "overlay and batch work charges" test_overlay_and_batch_work;
     prop_batch_tiny;
     prop_batch_one_word;
     prop_batch_two_words;
