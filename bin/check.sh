@@ -248,7 +248,17 @@ rm -rf "$cendir"
 mkdir -p "$cendir/fresh" "$cendir/killed"
 root=$(pwd)
 ( cd "$cendir/fresh" && "$root/$cli" census -b 1,1,1,1,1 --shard-size 64 \
-    --out CEN.jsonl --metrics-out CEN.prom > /dev/null )
+    --out CEN.jsonl --metrics-out CEN.prom --report CEN.report.jsonl > /dev/null )
+# the recording has one span per shard (1024 profiles / 64) and none per
+# audited player: verdict certifications record no per-player span
+shard_spans=$(grep '"event":"span"' "$cendir/fresh/CEN.report.jsonl" \
+  | grep -c '"name":"census.shard"')
+player_spans=$(grep '"event":"span"' "$cendir/fresh/CEN.report.jsonl" \
+  | grep -c '"name":"equilibrium.certify_player"' || true)
+[ "$shard_spans" = 16 ] && [ "$player_spans" = 0 ] || {
+  echo "check: census recording has $shard_spans census.shard spans (want 16) and $player_spans equilibrium.certify_player spans (want 0)"
+  exit 1
+}
 # the census's own progress counters reach the OpenMetrics snapshot,
 # one family each
 "$bench" --validate-metrics "$cendir/fresh/CEN.prom"

@@ -105,9 +105,10 @@ let shard_of_plan plan sid =
 
 (* --- checkpoint codec --- *)
 
-(* Every row is digest-stamped like the run ledger's: the digest covers
-   the row minus its own digest field, so a torn tail, a truncated
-   line, or a hand-edited row all read as "skipped", never as data. *)
+(* Every row is digest-stamped (the run ledger's rows are not): the
+   digest covers the row minus its own digest field, so a torn tail, a
+   truncated line, or a hand-edited row all read as "skipped", never as
+   data. *)
 let stamp fields =
   let payload = Json.to_string (Json.Obj fields) in
   Json.Obj
@@ -377,11 +378,15 @@ let histogram_of tbl =
 let bump tbl d by =
   Hashtbl.replace tbl d (by + Option.value ~default:0 (Hashtbl.find_opt tbl d))
 
+(* One [census.shard] span per shard: the verdict certifications inside
+   record none of their own, so a recording of a census of many tiny
+   profiles costs one close per shard, not one per player. *)
 let scan_shard ?(budget = Obs.Budgeted.unlimited) ?progress game shard =
   let n = Game.n game in
   let acc = ref Structure.Iso_acc.empty in
   let diams = Hashtbl.create 8 in
   let found = ref 0 in
+  Obs.Span.with_ "census.shard" @@ fun () ->
   Obs.Budgeted.guard budget (fun () ->
       Equilibrium.iter_profiles_range (Game.budgets game) ~lo:shard.lo
         ~hi:shard.hi (fun profile ->
@@ -504,7 +509,9 @@ let run ?limit ?(budget = Obs.Budgeted.unlimited) game =
   let acc = ref Structure.Iso_acc.empty in
   let diams = Hashtbl.create 8 in
   let expired = ref None in
+  (* the whole scan is one range: one [census.shard] span *)
   Obs.Progress.with_task ~total ~budget "census" (fun progress ->
+      Obs.Span.with_ "census.shard" @@ fun () ->
       try
         Equilibrium.iter_profiles budgets (fun profile ->
             Obs.Budgeted.checkpoint ~cost:n budget;

@@ -17,9 +17,10 @@ let h_candidates = Bbng_obs.Histogram.make "br.candidates_per_search"
 
 (* All evaluators share one incremental evaluation context: the static
    part of the graph is materialized once and each candidate strategy
-   is priced by the engine the player's budget selects — an overlay BFS
-   per candidate or per block of 63 candidates at b <= 1, a min-combine
-   of cached distance rows at b >= 2 (see Deviation_eval). *)
+   is priced by the engine the player's budget selects — at b <= 1 one
+   BFS of G∖i per candidate, seeded by its target and the static
+   neighbours, or one bit-parallel BFS per block of 63 candidates; at
+   b >= 2 a min-combine of cached distance rows (see Deviation_eval). *)
 type context = {
   game : Game.t;
   profile : Strategy.t;

@@ -1,5 +1,3 @@
-module Bfs = Bbng_graph.Bfs
-
 let c_contexts = Bbng_obs.Counter.make "deveval.contexts"
 let c_evals = Bbng_obs.Counter.make "deveval.incremental_evals"
 let c_rows_built = Bbng_obs.Counter.make "deveval.rows_built"
@@ -15,6 +13,32 @@ let engine_of_name = function
   | "bfs" -> Some Bfs_overlay
   | "rows" -> Some Rows
   | _ -> None
+
+(* G∖i: every arc except the player's owned ones, as undirected
+   adjacency in flat CSR shape — row u is adj.[offs.(u) .. offs.(u+1)).
+   The BFS and min-combine hot loops below are straight int-array scans
+   over these two vectors — no per-vertex array chase, no closure.  The
+   player appears in its in-neighbours' rows, so every walk skips it.
+   [queue] is the one BFS queue every pricer shares. *)
+type graph = {
+  n : int;
+  player : int;
+  offs : int array;              (* n + 1 *)
+  adj : int array;
+  queue : int array;
+}
+
+(* The components of G∖i, labelled once per context.  [comp.(v)] is v's
+   label ([-1] at the player) and [size.(c)] its vertex count;
+   [isolated.(c)] is 1 on the set I of components holding no static
+   neighbour (|I| = [c_i]), 0 elsewhere.  A κ count marks the members
+   of I its targets hit 2 and restores them before it returns. *)
+type components = {
+  comp : int array;
+  size : int array;
+  isolated : int array;
+  c_i : int;
+}
 
 (* Distance rows of the player-deleted static graph, built lazily one
    BFS at a time.  [rows.(v)] caches dist_{G∖player}(v, ·); [base] is
@@ -42,18 +66,12 @@ type rows_state = {
 
 (* Bit-parallel pricing of single-target candidates (see the interface
    and the section below).  [shape] describes G∖i once per context:
-   [base.(v)] = dist_{G∖i}(staticN(i), v) ([max_int] where no static
-   neighbour reaches, and at the player), [comp] labels the components
-   of G∖i ([-1] at the player), and [isolated] marks the set I of
-   components holding no static neighbour.  [desc] lists the
-   non-player vertices by [base] descending, I first, and [above.(l+1)]
-   counts those with [base > l] for -1 <= l <= [max_base]. *)
+   [base.(v)] = dist_{G∖i}(staticN(i), v) (the sentinel n² where no
+   static neighbour reaches, and at the player).  [desc] lists the
+   non-player vertices by [base] descending, unreached ones first, and
+   [above.(l+1)] counts those with [base > l] for -1 <= l <= [max_base]. *)
 type shape = {
   base : int array;
-  comp : int array;
-  comp_size : int array;
-  isolated : bool array;
-  c_i : int;                     (* |I| *)
   reach : int;                   (* non-player vertices of finite base *)
   base_sum : int;                (* their total base *)
   max_base : int;                (* -1 when no static neighbour *)
@@ -63,14 +81,14 @@ type shape = {
 
 (* Block [j] holds the candidates [width·j .. width·j + width-1] in
    vertex order, skipping the player; [costs.(t)] is valid once
-   [built.(j)] holds for t's block.  [g] and [u] are bit-sliced vertical
+   [built.(j)] holds for t's block.  [gl] and [u] are bit-sliced vertical
    counters, plane [p] holding bit [p] of every source's count. *)
 type batch = {
   shape : shape;
   kernel : Bbng_graph.Bit_bfs.t;
   costs : int array;
   built : bool array;
-  g : int array;
+  gl : int array;
   u : int array;
 }
 
@@ -81,23 +99,12 @@ type pricer =
 
 type t = {
   version : Cost.version;
-  player : int;
-  n : int;
+  g : graph;
   engine : engine;
-  (* all arcs except the player's owned ones, in flat CSR shape: row u
-     is static_targets.[static_offs.(u) .. static_offs.(u+1)).  The
-     BFS and min-combine hot loops below are straight int-array scans
-     over these two vectors — no per-vertex array chase, no closure. *)
-  static_offs : int array;       (* n + 1 *)
-  static_targets : int array;
   own : int array;               (* the player's strategy in the profile *)
+  components : components Lazy.t;  (* forced by the first κ or batch *)
   pricer : pricer;
-  (* reusable scratch: [seen.(v) = stamp] marks validity of [dist.(v)] *)
-  mutable stamp : int;
-  seen : int array;
-  dist : int array;
-  queue : int array;
-  comp_seen : int array;         (* second stamp space for kappa *)
+  row : int array;               (* the overlay's per-candidate row *)
   (* cooperative cancellation: each evaluation checkpoints the token on
      entry and charges its work after, so a deadline or work limit
      stops a candidate scan between evaluations (a single eval is
@@ -106,85 +113,162 @@ type t = {
   mutable budget : Bbng_obs.Budgeted.t;
 }
 
-(* --- batch engine, part 1: the shape of G∖i --- *)
+(* --- the G∖i kernel: one BFS, one labelling, one row combine --- *)
 
-(* [base] by one BFS from the player's static neighbours, components by
-   a DFS over the rest (the shared [queue] serves as both), then a
-   counting sort of the non-player vertices by [base] descending.  The
-   player appears in its in-neighbours' rows, so every walk skips it. *)
-let make_shape ~n ~player offs adj queue =
-  let base = Array.make n max_int in
-  let tail = ref 0 in
-  for k = offs.(player) to offs.(player + 1) - 1 do
-    let s = adj.(k) in
-    if base.(s) = max_int then begin
-      base.(s) <- 0;
-      queue.(!tail) <- s;
-      incr tail
-    end
+(* A row maps every vertex to its distance in G∖i from the nearest of
+   its seeds, the sentinel n² elsewhere — at the player always.
+   [seed g row tail v] makes [v] a seed unless it is one already (a
+   brace contributes the same static neighbour twice) and returns the
+   new queue tail. *)
+let seed g row tail v =
+  if row.(v) = g.n * g.n then begin
+    row.(v) <- 0;
+    g.queue.(tail) <- v;
+    tail + 1
+  end
+  else tail
+
+let seed_static g row tail =
+  let tail = ref tail in
+  for k = g.offs.(g.player) to g.offs.(g.player + 1) - 1 do
+    tail := seed g row !tail g.adj.(k)
   done;
-  let head = ref 0 in
+  !tail
+
+(* The BFS of G∖i: expands the queued vertices [head .. tail) of [row]
+   until nothing new is reached and returns the final tail, so
+   [queue.(0 .. tail-1)] lists the reached vertices. *)
+let bfs g row head tail =
+  let inf = g.n * g.n and offs = g.offs and adj = g.adj and queue = g.queue in
+  let head = ref head and tail = ref tail in
   while !head < !tail do
     let u = queue.(!head) in
     incr head;
+    let du1 = row.(u) + 1 in
     for k = offs.(u) to offs.(u + 1) - 1 do
       let v = adj.(k) in
-      if v <> player && base.(v) = max_int then begin
-        base.(v) <- base.(u) + 1;
+      if v <> g.player && row.(v) = inf then begin
+        row.(v) <- du1;
         queue.(!tail) <- v;
         incr tail
       end
     done
   done;
-  let comp = Array.make n (-1) and ncomp = ref 0 in
-  for start = 0 to n - 1 do
-    if start <> player && comp.(start) < 0 then begin
-      let c = !ncomp in
-      incr ncomp;
-      comp.(start) <- c;
-      queue.(0) <- start;
-      let top = ref 1 in
-      while !top > 0 do
-        decr top;
-        let u = queue.(!top) in
-        for k = offs.(u) to offs.(u + 1) - 1 do
-          let v = adj.(k) in
-          if v <> player && comp.(v) < 0 then begin
-            comp.(v) <- c;
-            queue.(!top) <- v;
-            incr top
-          end
-        done
-      done
+  !tail
+
+(* One BFS per component, all into one row: a BFS from a vertex no
+   earlier one reached appends exactly its component to the queue. *)
+let label_components g =
+  let n = g.n in
+  let row = Array.make n (n * n) and comp = Array.make n (-1) in
+  let size = Array.make n 0 and isolated = Array.make n 1 in
+  let ncomp = ref 0 and tail = ref 0 in
+  for s = 0 to n - 1 do
+    if s <> g.player && comp.(s) < 0 then begin
+      let first = !tail in
+      tail := bfs g row first (seed g row first s);
+      for k = first to !tail - 1 do
+        comp.(g.queue.(k)) <- !ncomp
+      done;
+      size.(!ncomp) <- !tail - first;
+      incr ncomp
     end
   done;
-  let comp_size = Array.make !ncomp 0 and isolated = Array.make !ncomp true in
+  for k = g.offs.(g.player) to g.offs.(g.player + 1) - 1 do
+    isolated.(comp.(g.adj.(k))) <- 0
+  done;
+  let c_i = ref 0 in
+  for c = 0 to !ncomp - 1 do
+    c_i := !c_i + isolated.(c)
+  done;
+  { comp; size; isolated; c_i = !c_i }
+
+(* κ - 1 for a candidate: the components of I its targets miss.  By the
+   one-arc lemma a candidate reaches exactly the components of its
+   targets and of the static neighbours — the latter are the components
+   outside I. *)
+let unreached_components cs targets =
+  let hit = ref 0 in
+  for k = 0 to Array.length targets - 1 do
+    let c = cs.comp.(targets.(k)) in
+    if cs.isolated.(c) = 1 then begin
+      cs.isolated.(c) <- 2;
+      incr hit
+    end
+  done;
+  for k = 0 to Array.length targets - 1 do
+    let c = cs.comp.(targets.(k)) in
+    if cs.isolated.(c) = 2 then cs.isolated.(c) <- 1
+  done;
+  cs.c_i - !hit
+
+(* The cost of a candidate whose distances from the player are
+   1 + min(pre(v), last(v)): the overlay passes its one row twice, the
+   rows engine its prefix and its last target's row (at b = 0 the base
+   row twice).  Every row holds the sentinel at the player, so the pass
+   needs no per-vertex player test — the player falls out of the
+   [m < inf] branch and is pre-counted in [reached]. *)
+let combine t pre last targets =
+  let n = t.g.n in
+  let inf = n * n in
+  let reached = ref 1 in
+  match t.version with
+  | Cost.Sum ->
+      let sum = ref 0 in
+      for v = 0 to n - 1 do
+        let m = pre.(v) and d = last.(v) in
+        let m = if d < m then d else m in
+        if m < inf then begin
+          incr reached;
+          sum := !sum + m + 1
+        end
+      done;
+      !sum + ((n - !reached) * inf)
+  | Cost.Max ->
+      let mx = ref 0 in
+      for v = 0 to n - 1 do
+        let m = pre.(v) and d = last.(v) in
+        let m = if d < m then d else m in
+        if m < inf then begin
+          incr reached;
+          if m + 1 > !mx then mx := m + 1
+        end
+      done;
+      if !reached = n then !mx
+      else inf + (unreached_components (Lazy.force t.components) targets * inf)
+
+(* --- batch engine, part 1: the shape of G∖i --- *)
+
+(* [base] by one BFS from the player's static neighbours, then a
+   counting sort of the non-player vertices by [base] descending. *)
+let make_shape g =
+  let n = g.n and player = g.player in
+  let inf = n * n in
+  let base = Array.make n inf in
+  ignore (bfs g base 0 (seed_static g base 0));
   let reach = ref 0 and base_sum = ref 0 and max_base = ref (-1) in
   for v = 0 to n - 1 do
-    if v <> player then comp_size.(comp.(v)) <- comp_size.(comp.(v)) + 1;
     let d = base.(v) in
-    if d < max_int then begin
-      isolated.(comp.(v)) <- false;
+    if d < inf then begin
       incr reach;
       base_sum := !base_sum + d;
       if d > !max_base then max_base := d
     end
   done;
-  let c_i = Array.fold_left (fun a i -> if i then a + 1 else a) 0 isolated in
-  (* bucket [d + 1] counts base d; bucket 0 the isolated vertices *)
+  (* bucket [d + 1] counts base d; bucket 0 the unreached vertices *)
   let mb = !max_base in
-  let bucket v = if base.(v) = max_int then 0 else base.(v) + 1 in
+  let bucket v = if base.(v) = inf then 0 else base.(v) + 1 in
   let count = Array.make (mb + 2) 0 in
   for v = 0 to n - 1 do
     if v <> player then count.(bucket v) <- count.(bucket v) + 1
   done;
-  (* above.(l+1) = #{base > l}: the isolated ones plus buckets above l+1 *)
+  (* above.(l+1) = #{base > l}: the unreached ones plus buckets above l+1 *)
   let above = Array.make (mb + 2) 0 in
   above.(mb + 1) <- count.(0);
   for l = mb - 1 downto -1 do
     above.(l + 1) <- above.(l + 2) + count.(l + 2)
   done;
-  (* descending order: isolated first, then base mb, mb-1, ..., 0 *)
+  (* descending order: unreached first, then base mb, mb-1, ..., 0 *)
   let start = Array.make (mb + 2) 0 in
   for d = 0 to mb do
     start.(d + 1) <- above.(d + 1)
@@ -198,18 +282,7 @@ let make_shape ~n ~player offs adj queue =
       start.(b) <- start.(b) + 1
     end
   done;
-  {
-    base;
-    comp;
-    comp_size;
-    isolated;
-    c_i;
-    reach = !reach;
-    base_sum = !base_sum;
-    max_base = mb;
-    desc;
-    above;
-  }
+  { base; reach = !reach; base_sum = !base_sum; max_base = mb; desc; above }
 
 (* default cap: whole-row cache up to ~8M ints (64 MB), never below 16
    rows — at paper scales this never evicts *)
@@ -233,15 +306,15 @@ let make_rows_state ~n row_cache_cap =
 
 let rec bit_length x = if x = 0 then 0 else 1 + bit_length (x lsr 1)
 
-let make_batch ~n ~player offs adj queue =
-  let width = Bbng_graph.Bit_bfs.width in
+let make_batch g =
+  let width = Bbng_graph.Bit_bfs.width and n = g.n in
   {
-    shape = make_shape ~n ~player offs adj queue;
-    kernel = Bbng_graph.Bit_bfs.create ~offs ~targets:adj;
+    shape = make_shape g;
+    kernel = Bbng_graph.Bit_bfs.create ~offs:g.offs ~targets:g.adj;
     costs = Array.make n 0;
     built = Array.make (((n - 1) + width - 1) / width) false;
     (* G <= n - 1, and U sums G over at most n + 1 levels *)
-    g = Array.make (bit_length n) 0;
+    gl = Array.make (bit_length n) 0;
     u = Array.make (bit_length (n * (n + 1))) 0;
   }
 
@@ -258,14 +331,14 @@ let build ?(budget = Bbng_obs.Budgeted.unlimited) ?engine ?row_cache_cap ~batch
   for i = 0 to n - 1 do
     if i <> player then Array.iter (fun j -> bump i j) (Strategy.strategy profile i)
   done;
-  let static_offs = Array.make (n + 1) 0 in
+  let offs = Array.make (n + 1) 0 in
   for i = 0 to n - 1 do
-    static_offs.(i + 1) <- static_offs.(i) + deg.(i)
+    offs.(i + 1) <- offs.(i) + deg.(i)
   done;
-  let static_targets = Array.make (max static_offs.(n) 1) 0 in
-  let fill = Array.sub static_offs 0 n in
+  let adj = Array.make (max offs.(n) 1) 0 in
+  let fill = Array.sub offs 0 n in
   let add u v =
-    static_targets.(fill.(u)) <- v;
+    adj.(fill.(u)) <- v;
     fill.(u) <- fill.(u) + 1
   in
   for i = 0 to n - 1 do
@@ -276,8 +349,8 @@ let build ?(budget = Bbng_obs.Budgeted.unlimited) ?engine ?row_cache_cap ~batch
           add j i)
         (Strategy.strategy profile i)
   done;
+  let g = { n; player; offs; adj; queue = Array.make (max n 1) 0 } in
   let own = Array.copy (Strategy.strategy profile player) in
-  let queue = Array.make (max n 1) 0 in
   (* Rows beat per-candidate BFSs once a scan re-visits targets, which
      C(n-1, b) enumeration does heavily for b >= 2.  At b <= 1 every
      candidate is one target on the same graph G∖i, so a scan with at
@@ -293,24 +366,17 @@ let build ?(budget = Bbng_obs.Budgeted.unlimited) ?engine ?row_cache_cap ~batch
     | None when Array.length own >= 2 ->
         (Rows, Rows_cache (make_rows_state ~n row_cache_cap))
     | None when batch || n - 1 >= Bbng_graph.Bit_bfs.width ->
-        ( Bfs_overlay,
-          Batch (lazy (make_batch ~n ~player static_offs static_targets queue)) )
+        (Bfs_overlay, Batch (lazy (make_batch g)))
     | None -> (Bfs_overlay, Overlay)
   in
   {
     version;
-    player;
-    n;
+    g;
     engine;
-    static_offs;
-    static_targets;
     own;
+    components = lazy (label_components g);
     pricer;
-    stamp = 0;
-    seen = Array.make n 0;
-    dist = Array.make n 0;
-    queue;
-    comp_seen = Array.make n 0;
+    row = Array.make n 0;
     budget;
   }
 
@@ -322,49 +388,18 @@ let make_batched ?budget version profile ~player =
     invalid_arg "Deviation_eval.make_batched: budget above 1";
   build ?budget ~batch:true version profile ~player
 
-let player t = t.player
+let player t = t.g.player
 let version t = t.version
 let engine t = t.engine
 let budget t = t.budget
 let set_budget t budget = t.budget <- budget
 
-(* Count connected components among vertices not reached by the last
-   evaluation, walking only static adjacency (correct: no static edge
-   joins a reached and an unreached vertex — see the interface
-   comment).  Both engines mark their reach set into [seen] under the
-   current [stamp] before calling this. *)
-let unreached_components t =
-  let comps = ref 0 in
-  let stamp = t.stamp in
-  for start = 0 to t.n - 1 do
-    if t.seen.(start) <> stamp && t.comp_seen.(start) <> stamp then begin
-      incr comps;
-      (* small DFS with the shared queue as a stack *)
-      let top = ref 1 in
-      t.queue.(0) <- start;
-      t.comp_seen.(start) <- stamp;
-      while !top > 0 do
-        decr top;
-        let u = t.queue.(!top) in
-        for k = t.static_offs.(u) to t.static_offs.(u + 1) - 1 do
-          let v = t.static_targets.(k) in
-          if t.seen.(v) <> stamp && t.comp_seen.(v) <> stamp then begin
-            t.comp_seen.(v) <- stamp;
-            t.queue.(!top) <- v;
-            incr top
-          end
-        done
-      done
-    end
-  done;
-  !comps
-
 let validate_targets t targets =
   let b = Array.length targets in
   for i = 0 to b - 1 do
     let v = targets.(i) in
-    if v < 0 || v >= t.n then invalid_arg "Deviation_eval.cost: target out of range";
-    if v = t.player then invalid_arg "Deviation_eval.cost: self target";
+    if v < 0 || v >= t.g.n then invalid_arg "Deviation_eval.cost: target out of range";
+    if v = t.g.player then invalid_arg "Deviation_eval.cost: self target";
     (* a duplicate under-spends the budget while pricing as if legal;
        b is tiny, so the quadratic check is cheaper than sorting *)
     for j = i + 1 to b - 1 do
@@ -372,133 +407,46 @@ let validate_targets t targets =
     done
   done
 
-(* --- overlay engine: one fresh BFS per candidate --- *)
+(* --- overlay engine: one row per candidate --- *)
 
+(* The candidate's row is one BFS of G∖i seeded by its targets and the
+   static neighbours; the work charged is the reached count, the player
+   included. *)
 let overlay_cost t targets =
-  t.stamp <- t.stamp + 1;
-  let stamp = t.stamp in
-  let offs = t.static_offs and adj = t.static_targets in
-  let head = ref 0 and tail = ref 0 in
-  let visit v d =
-    if t.seen.(v) <> stamp then begin
-      t.seen.(v) <- stamp;
-      t.dist.(v) <- d;
-      t.queue.(!tail) <- v;
-      incr tail
-    end
-  in
-  visit t.player 0;
-  (* the player's tentative arcs only matter as first steps *)
-  Array.iter (fun v -> visit v 1) targets;
-  for k = offs.(t.player) to offs.(t.player + 1) - 1 do
-    visit adj.(k) 1
+  let g = t.g and row = t.row in
+  Array.fill row 0 g.n (g.n * g.n);
+  let tail = ref (seed_static g row 0) in
+  for k = 0 to Array.length targets - 1 do
+    tail := seed g row !tail targets.(k)
   done;
-  (* skip the player itself in the queue: position 0 *)
-  head := 0;
-  while !head < !tail do
-    let u = t.queue.(!head) in
-    incr head;
-    if u <> t.player then begin
-      let du1 = t.dist.(u) + 1 in
-      for k = offs.(u) to offs.(u + 1) - 1 do
-        let v = adj.(k) in
-        if t.seen.(v) <> stamp then begin
-          t.seen.(v) <- stamp;
-          t.dist.(v) <- du1;
-          t.queue.(!tail) <- v;
-          incr tail
-        end
-      done
-    end
-  done;
-  let reached = !tail in
-  Bbng_obs.Budgeted.spend t.budget reached;
-  let inf = t.n * t.n in
-  match t.version with
-  | Cost.Sum ->
-      let acc = ref 0 in
-      for i = 0 to reached - 1 do
-        acc := !acc + t.dist.(t.queue.(i))
-      done;
-      !acc + ((t.n - reached) * inf)
-  | Cost.Max ->
-      if reached = t.n then begin
-        let acc = ref 0 in
-        for i = 0 to reached - 1 do
-          if t.dist.(t.queue.(i)) > !acc then acc := t.dist.(t.queue.(i))
-        done;
-        !acc
-      end
-      else begin
-        (* kappa = 1 (player's component) + components among unreached *)
-        let kappa = 1 + unreached_components t in
-        inf + ((kappa - 1) * inf)
-      end
+  Bbng_obs.Budgeted.spend t.budget (bfs g row 0 !tail + 1);
+  combine t row row targets
 
 (* --- rows engine: per-target distance rows, O(n) prefix combine --- *)
 
-(* One BFS of the player-deleted static graph from the seeds already
-   placed in [t.queue]; the row maps every vertex to its distance from
-   the nearest seed (the sentinel n² elsewhere, including at the
-   player).  The cache is only updated after the BFS completes, so an
-   exception (budget expiry, an injected fault) or a SIGKILL mid-build
-   never leaves a torn row. *)
-let finish_row t row tail0 =
-  let inf = t.n * t.n in
-  let offs = t.static_offs and adj = t.static_targets in
-  let head = ref 0 and tail = ref tail0 in
-  while !head < !tail do
-    let u = t.queue.(!head) in
-    incr head;
-    let du1 = row.(u) + 1 in
-    for k = offs.(u) to offs.(u + 1) - 1 do
-      let v = adj.(k) in
-      if v <> t.player && row.(v) = inf then begin
-        row.(v) <- du1;
-        t.queue.(!tail) <- v;
-        incr tail
-      end
-    done
-  done;
-  Bbng_obs.Budgeted.spend t.budget !tail;
+(* The row of [target], or the base row when [target < 0].  The cache
+   is only updated after the BFS completes, so an exception (budget
+   expiry, an injected fault) or a SIGKILL mid-build never leaves a
+   torn row. *)
+let build_row t target =
+  Bbng_obs.Fault.hit "deveval.row_build";
+  Bbng_obs.Counter.bump c_rows_built;
+  let g = t.g in
+  let row = Array.make g.n (g.n * g.n) in
+  let tail = if target < 0 then seed_static g row 0 else seed g row 0 target in
+  Bbng_obs.Budgeted.spend t.budget (bfs g row 0 tail);
   row
-
-let build_row_single t target =
-  Bbng_obs.Fault.hit "deveval.row_build";
-  Bbng_obs.Counter.bump c_rows_built;
-  let row = Array.make t.n (t.n * t.n) in
-  row.(target) <- 0;
-  t.queue.(0) <- target;
-  finish_row t row 1
-
-(* seeded by the player's static neighbourhood (duplicates merged —
-   a brace contributes the same endpoint twice) *)
-let build_base_row t =
-  Bbng_obs.Fault.hit "deveval.row_build";
-  Bbng_obs.Counter.bump c_rows_built;
-  let inf = t.n * t.n in
-  let row = Array.make t.n inf in
-  let tail = ref 0 in
-  for k = t.static_offs.(t.player) to t.static_offs.(t.player + 1) - 1 do
-    let s = t.static_targets.(k) in
-    if row.(s) = inf then begin
-      row.(s) <- 0;
-      t.queue.(!tail) <- s;
-      incr tail
-    end
-  done;
-  finish_row t row !tail
 
 let base_row t (rs : rows_state) =
   match rs.base with
   | Some row -> row
   | None ->
-      let row = build_base_row t in
+      let row = build_row t (-1) in
       rs.base <- Some row;
       row
 
 let miss_row t rs target =
-  let row = build_row_single t target in
+  let row = build_row t target in
   if rs.live >= rs.cap then begin
     match Queue.take_opt rs.order with
     | Some victim ->
@@ -535,7 +483,7 @@ let prefix_row t rs base targets k =
     rs.pre_row
   end
   else begin
-    let n = t.n and pre = rs.pre_row in
+    let n = t.g.n and pre = rs.pre_row in
     rs.pre_len <- -1;
     Array.blit base 0 pre 0 n;
     for i = 0 to k - 1 do
@@ -551,68 +499,22 @@ let prefix_row t rs base targets k =
   end
 
 (* The (b+1)-way min-combine is the per-candidate hot path — a full
-   exhaustive scan runs it C(n-1, b) times — so it is one pass over two
-   rows: the prefix (base plus the first b-1 targets, see [prefix_row])
-   and the last target's row (at b = 0 the base row stands in for it;
-   min(base, base) = base).  Every row holds the sentinel at the player
-   (build_row never relaxes it), so the pass needs no per-vertex player
-   test — the player falls out of the [m < inf] branch and is
-   pre-counted in [reached]; and cache-hit accounting is batched into
-   one atomic [Counter.add] per evaluation.  The reach set is not
-   marked in the pass either: only the MAX disconnection walk needs the
-   mark, and that rare path re-derives it from the same two rows.  Rows
-   are held by reference throughout: a cache eviction while gathering
-   the last row cannot invalidate one already in hand. *)
+   exhaustive scan runs it C(n-1, b) times — so it is one [combine] of
+   two rows: the prefix (base plus the first b-1 targets, see
+   [prefix_row]) and the last target's row.  Cache-hit accounting is
+   batched into one atomic [Counter.add] per evaluation.  Rows are held
+   by reference throughout: a cache eviction while gathering the last
+   row cannot invalidate one already in hand. *)
 let rows_cost t rs targets =
-  let n = t.n in
-  let inf = n * n in
   let b = Array.length targets in
   rs.hits <- 0;
   let base = base_row t rs in
   let pre = if b = 0 then base else prefix_row t rs base targets (b - 1) in
   let last = if b = 0 then base else cached_row t rs targets.(b - 1) in
-  Bbng_obs.Budgeted.spend t.budget ((b + 1) * n);
-  let reached = ref 1 in
-  let result =
-    match t.version with
-    | Cost.Sum ->
-        let sum = ref 0 in
-        for v = 0 to n - 1 do
-          let m = pre.(v) and d = last.(v) in
-          let m = if d < m then d else m in
-          if m < inf then begin
-            incr reached;
-            sum := !sum + m + 1
-          end
-        done;
-        !sum + ((n - !reached) * inf)
-    | Cost.Max ->
-        let mx = ref 0 in
-        for v = 0 to n - 1 do
-          let m = pre.(v) and d = last.(v) in
-          let m = if d < m then d else m in
-          if m < inf then begin
-            incr reached;
-            if m + 1 > !mx then mx := m + 1
-          end
-        done;
-        if !reached = n then !mx
-        else begin
-          (* disconnected under MAX: mark the reach set for the
-             component walk *)
-          t.stamp <- t.stamp + 1;
-          let stamp = t.stamp in
-          t.seen.(t.player) <- stamp;
-          for v = 0 to n - 1 do
-            if pre.(v) < inf || last.(v) < inf then t.seen.(v) <- stamp
-          done;
-          let kappa = 1 + unreached_components t in
-          inf + ((kappa - 1) * inf)
-        end
-  in
+  Bbng_obs.Budgeted.spend t.budget ((b + 1) * t.g.n);
+  let result = combine t pre last targets in
   if rs.hits > 0 then Bbng_obs.Counter.add c_row_hits rs.hits;
   result
-
 (* --- batch engine, part 2: pricing a block of candidates --- *)
 
 (* Bit-sliced vertical counters: plane [p] holds bit [p] of the count
@@ -661,7 +563,7 @@ let vget c bit =
 
 (* SUM.  With m_s(v) = min(base(v), d_s(v)) the candidate-dependent part
    of the cost, G_l(s) = #{v : base(v) > l, s reached v within l} is
-   kept incrementally in [g] — a source enters at the level it reaches
+   kept incrementally in [gl] — a source enters at the level it reaches
    v (if below base(v)) and leaves at level base(v) — and [u]
    accumulates U(s) = sum over the first L levels of G_l(s).  Then
    Σ_v m_s(v) = base_sum - U(s) when s sits in a component holding a
@@ -670,8 +572,8 @@ let vget c bit =
    the BFS runs until its frontier is empty).  Returns the level count. *)
 let sum_levels sh bs ~isolated_sources =
   let k = bs.kernel and base = sh.base in
-  let g = bs.g and u = bs.u in
-  Array.fill g 0 (Array.length g) 0;
+  let gl = bs.gl and u = bs.u in
+  Array.fill gl 0 (Array.length gl) 0;
   Array.fill u 0 (Array.length u) 0;
   let level = ref 0 and go = ref true in
   while !go do
@@ -681,16 +583,16 @@ let sum_levels sh bs ~isolated_sources =
     for i = 0 to Bbng_graph.Bit_bfs.count k - 1 do
       let v = queue.(i) in
       let w = front.(v) in
-      if w <> 0 && base.(v) > l then vadd g w
+      if w <> 0 && base.(v) > l then vadd gl w
     done;
     if l <= sh.max_base then
       for i = sh.above.(l + 1) to sh.above.(l) - 1 do
         let v = sh.desc.(i) in
         let r = seen.(v) land lnot front.(v) in
-        if r <> 0 then vsub g r;
+        if r <> 0 then vsub gl r;
         Bbng_graph.Bit_bfs.prune k v
       done;
-    vaddv u g;
+    vaddv u gl;
     if l + 1 < sh.max_base || (isolated_sources <> 0 && Bbng_graph.Bit_bfs.count k > 0)
     then begin
       Bbng_graph.Bit_bfs.step k;
@@ -741,8 +643,9 @@ let max_levels sh bs ~first ~len ~vertex seeded =
    reaches v at distance 1 + min(base(v), d_{G∖i}(t, v)), and t reaches
    exactly its own component of G∖i.  So the candidate's reach is the
    static neighbours' components plus comp(t), and its unreached
-   components number κ - 1 = c_I - [t ∈ I] — both in O(1) — and a
-   disconnected MAX candidate needs no BFS at all.  Every other
+   components number κ - 1 = c_I - [t ∈ I] — both in O(1) from the
+   context's labelling — and a disconnected MAX candidate needs no BFS
+   at all.  Every other
    candidate is a source of one bit-parallel BFS.  Both versions prune
    v at level base(v): a source arriving there or later gains nothing
    at v, nor beyond it (base(w) <= base(v) + d(v, w)).  The work charged
@@ -750,18 +653,19 @@ let max_levels sh bs ~first ~len ~vertex seeded =
 let build_block t bs j =
   Bbng_obs.Counter.bump c_blocks;
   let module B = Bbng_graph.Bit_bfs in
-  let sh = bs.shape and n = t.n and player = t.player in
+  let sh = bs.shape and cs = Lazy.force t.components in
+  let n = t.g.n and player = t.g.player in
   let inf = n * n in
   let first = j * B.width in
   let len = min B.width (n - 1 - first) in
   let vertex x = if x < player then x else x + 1 in
-  let in_i s = sh.isolated.(sh.comp.(s)) in
+  let in_i s = cs.isolated.(cs.comp.(s)) = 1 in
   let k = bs.kernel in
   B.clear k;
   let seeded = ref 0 and isolated_sources = ref 0 in
   for x = 0 to len - 1 do
     let s = vertex (first + x) in
-    let unreached = sh.c_i - if in_i s then 1 else 0 in
+    let unreached = cs.c_i - if in_i s then 1 else 0 in
     match t.version with
     | Cost.Max when unreached > 0 -> bs.costs.(s) <- inf + (unreached * inf)
     | _ ->
@@ -783,7 +687,7 @@ let build_block t bs j =
             let u = vget bs.u x in
             let reach, dist_sum =
               if in_i s then
-                let size = sh.comp_size.(sh.comp.(s)) in
+                let size = cs.size.(cs.comp.(s)) in
                 (sh.reach + size, sh.base_sum + (levels * size) - u)
               else (sh.reach, sh.base_sum - u)
             in
@@ -796,7 +700,7 @@ let build_block t bs j =
   Bbng_obs.Budgeted.spend t.budget ((levels + 1) * n);
   bs.built.(j) <- true
 
-let block_of t v = (if v < t.player then v else v - 1) / Bbng_graph.Bit_bfs.width
+let block_of t v = (if v < t.g.player then v else v - 1) / Bbng_graph.Bit_bfs.width
 
 let batch_cost t bs target =
   let j = block_of t target in

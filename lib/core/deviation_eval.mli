@@ -19,9 +19,10 @@
     does {e not} depend on the candidate at all.
 
     - [Bfs_overlay] prices a context of budget ≤ 1.  With fewer than
-      one word ({!Bbng_graph.Bit_bfs.width} = 63) of candidates it runs
-      one fresh BFS per candidate, overlaying the player's tentative arc
-      as a first step: O(n + m) per candidate.  From one word on, a
+      one word ({!Bbng_graph.Bit_bfs.width} = 63) of candidates it
+      builds one distance row of [G∖i] per candidate, a BFS seeded by
+      the candidate's targets and staticN(i) together: O(n + m) per
+      candidate.  From one word on, a
       single-target candidate is priced in a {e block} of 63: block [j]
       holds the candidates [63j .. 63j+62] in vertex order (skipping the
       player), is built the first time one of its targets is asked for,
@@ -47,10 +48,15 @@
       O(C(n-1,b)·(n+m)) to
       O(n·(n+m) + C(n-1,b)·n + C(n-1,b-1)·(b-1)·n).
 
-    In every engine the vertices an evaluation misses induce the same
-    components as in the static graph (none of their edges involve the
-    player), so the MAX version's [kappa] is recovered without
-    rebuilding anything.
+    Every engine reads the MAX version's [kappa] off one labelling of
+    the components of [G∖i], built the first time a context needs it.
+    A candidate reaches exactly the components of its targets and of
+    staticN(i), so [kappa - 1] is the number of components holding no
+    static neighbour that no target hits: O(b) per candidate, and a
+    disconnected candidate is priced without walking the graph.  The
+    overlay, the row builds and the batch's base row all run one BFS
+    of [G∖i], and the overlay and the rows engine share one
+    [min(pre, last) + 1] row combine.
 
     The observable behaviour of every engine is {e identical} to the
     generic route (qcheck properties in the test suite pin

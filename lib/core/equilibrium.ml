@@ -18,12 +18,13 @@ type verdict =
   | Degraded of int list
 
 (* Every per-player audit of every certifier funnels through here: one
-   span (coarse enough for the mutex-protected span table, even from
-   Parallel domains) and one counter bump. *)
+   counter bump.  Only the certificate producers add a per-player span
+   (see [produce]), one per evidence entry; a verdict certification
+   records none, so a census of many tiny profiles is not dominated by
+   span closes. *)
 let audit_player auditor game profile player =
   Bbng_obs.Counter.bump c_players;
-  Bbng_obs.Span.with_ "equilibrium.certify_player" (fun () ->
-      auditor game profile player)
+  auditor game profile player
 
 (* Evidence in player order, up to and including the first refutation;
    [audit_of] is asked only for the players it returns. *)
@@ -40,13 +41,10 @@ let evidence_upto_refutation n audit_of =
 (* The one sequential loop: players are audited in order and the first
    refutation ends it — an early exit when players were left
    unaudited. *)
-let audit_in_order ?(on_audit = ignore) auditor game profile =
+let audit_in_order auditor game profile =
   let n = Game.n game in
   let evidence =
-    evidence_upto_refutation n (fun player ->
-        let a = audit_player auditor game profile player in
-        on_audit a;
-        a)
+    evidence_upto_refutation n (audit_player auditor game profile)
   in
   if List.length evidence < n then Bbng_obs.Counter.bump c_early_exits;
   evidence
@@ -188,16 +186,29 @@ let observe_certificate game cert =
   cert
 
 (* What only the certificate producers pay for: the
-   [equilibrium.certify] span, a heartbeat task stepped by every audit
-   ([evidence] gets the stepping callback) and the telemetry above. *)
+   [equilibrium.certify] span, an [equilibrium.certify_player] span and
+   a heartbeat step per audit, and the telemetry above.  [evidence]
+   gets the [mode]'s auditor with the span and the step wrapped in. *)
 let produce ?budget mode game profile evidence =
   Bbng_obs.Span.with_ "equilibrium.certify" @@ fun () ->
   Bbng_obs.Counter.bump c_certificates;
+  let auditor =
+    match mode with
+    | Exact_mode -> Best_response.audit_exact ?budget
+    | Swap_mode -> Best_response.audit_swap ?budget
+  in
   let evidence =
     Bbng_obs.Progress.with_task ?budget
       ~total:(certify_work_total mode game)
       "certify"
-      (fun progress -> evidence (progress_audit progress))
+      (fun progress ->
+        evidence (fun game profile player ->
+            let a =
+              Bbng_obs.Span.with_ "equilibrium.certify_player" (fun () ->
+                  auditor game profile player)
+            in
+            progress_audit progress a;
+            a))
   in
   observe_certificate game
     {
@@ -208,29 +219,23 @@ let produce ?budget mode game profile evidence =
     }
 
 let certify_cert ?budget game profile =
-  produce ?budget Exact_mode game profile (fun on_audit ->
-      audit_in_order ~on_audit (Best_response.audit_exact ?budget) game profile)
+  produce ?budget Exact_mode game profile (fun auditor ->
+      audit_in_order auditor game profile)
 
 let certify_swap_cert ?budget game profile =
-  produce ?budget Swap_mode game profile (fun on_audit ->
-      audit_in_order ~on_audit (Best_response.audit_swap ?budget) game profile)
+  produce ?budget Swap_mode game profile (fun auditor ->
+      audit_in_order auditor game profile)
 
 let certify_parallel_cert ?domains ?budget game profile =
   let n = Game.n game in
-  produce ?budget Exact_mode game profile (fun on_audit ->
+  produce ?budget Exact_mode game profile (fun auditor ->
       (* each audit builds its own evaluation context, so every domain
          owns its rows: nothing of the distance-row cache crosses
          domains.  The progress task IS shared: every worker steps it
          by its scan count, and the ticker's CAS elects one beat
          emitter at a time. *)
       let audits =
-        Parallel.map ?domains ~n (fun player ->
-            let a =
-              audit_player (Best_response.audit_exact ?budget) game profile
-                player
-            in
-            on_audit a;
-            a)
+        Parallel.map ?domains ~n (audit_player auditor game profile)
       in
       (* truncate after the first (lowest-player) refutation so the
          evidence shape — and the witness — matches the sequential

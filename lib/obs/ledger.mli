@@ -1,6 +1,8 @@
-(** Append-only run index ("the ledger"): one digest-stamped JSONL row
-    per run, so campaigns of many runs stay queryable after the fact
-    ([bbng_cli runs list/show/diff/gc/rebuild]).
+(** Append-only run index ("the ledger"): one JSONL row per run, so
+    campaigns of many runs stay queryable after the fact
+    ([bbng_cli runs list/show/diff/gc/rebuild]).  Rows carry no digest
+    of their own: the parse is tolerant, a torn line is skipped, and a
+    row records its report's digest ([report_digest]).
 
     Producing side — a process-global pending row.  A front end (the
     CLI, the bench harness) calls {!set_context} once; instrumented

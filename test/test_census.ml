@@ -178,6 +178,36 @@ let prop_sharded_matches_run =
          = List.map Strategy.to_string b'.Census.iso_classes
       && a.Census.diameter_histogram = b'.Census.diameter_histogram)
 
+(* a recorded census costs one span close per shard: the verdict
+   certifications inside record no per-player span, while a certificate
+   keeps one per evidence entry *)
+let test_spans_per_shard () =
+  let module Span = Bbng_obs.Span in
+  let closes name =
+    match List.assoc_opt name (Span.snapshot ()) with
+    | Some s -> s.Span.count
+    | None -> 0
+  in
+  let was = Span.enabled () in
+  Span.set_enabled true;
+  Fun.protect
+    ~finally:(fun () -> Span.set_enabled was)
+    (fun () ->
+      let game = Game.make Cost.Sum (Budget.unit_budgets 5) in
+      let shards0 = closes "census.shard"
+      and players0 = closes "equilibrium.certify_player" in
+      let c = complete_exn (Census.run_sharded ~shard_size:64 game) in
+      check_int "profiles" 1024 c.Census.scanned_profiles;
+      check_int "one census.shard close per shard" 16
+        (closes "census.shard" - shards0);
+      check_int "no equilibrium.certify_player in a census" 0
+        (closes "equilibrium.certify_player" - players0);
+      let p = Bbng_constructions.Unit_budget.concentrated_sun ~n:5 in
+      let cert = Equilibrium.certify_cert game p in
+      check_int "one equilibrium.certify_player per evidence entry"
+        (List.length cert.Equilibrium.cert_evidence)
+        (closes "equilibrium.certify_player" - players0))
+
 let test_plan_shards_partition () =
   let game = Game.make Cost.Sum (Budget.unit_budgets 4) in
   let plan = Census.make_plan ~shard_size:7 game in
@@ -591,6 +621,7 @@ let suite =
     slow_case "sharded matches sequential" test_sharded_matches_run;
     prop_sharded_matches_run;
     case "census counters match the outcome" test_counters_match_outcome;
+    case "one span per shard" test_spans_per_shard;
     case "plan shards partition the space" test_plan_shards_partition;
     case "make_plan guards" test_make_plan_guards;
     case "budget expiry: sequential partial" test_budget_partial_run;

@@ -133,9 +133,9 @@ let test_engine_resolution () =
     (engine_of ~engine:Deviation_eval.Rows 1 = Deviation_eval.Rows)
 
 let test_rows_max_disconnected_hit_count () =
-  (* a disconnected MAX evaluation re-reads its rows to mark the reach
-     set for the component walk; that re-read is not cache traffic, so
-     row_hits must move exactly as under SUM (here: not at all, every
+  (* a disconnected MAX evaluation reads kappa off the context's
+     component labelling, not off its rows: that is not cache traffic,
+     so row_hits must move exactly as under SUM (here: not at all, every
      row is a fresh build) *)
   let b = Budget.of_list [ 2; 0; 0; 0; 0 ] in
   let p = Strategy.make b [| [| 1; 2 |]; [||]; [||]; [||]; [||] |] in
