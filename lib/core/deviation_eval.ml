@@ -239,24 +239,20 @@ let combine t pre last targets =
 
 (* --- batch engine, part 1: the shape of G∖i --- *)
 
-(* [base] by one BFS from the player's static neighbours, then a
-   counting sort of the non-player vertices by [base] descending. *)
+(* [base] by one BFS from the player's static neighbours (its queue
+   lists the reached vertices by [base] ascending), then a counting
+   sort of the non-player vertices by [base] descending. *)
 let make_shape g =
   let n = g.n and player = g.player in
   let inf = n * n in
   let base = Array.make n inf in
-  ignore (bfs g base 0 (seed_static g base 0));
-  let reach = ref 0 and base_sum = ref 0 and max_base = ref (-1) in
-  for v = 0 to n - 1 do
-    let d = base.(v) in
-    if d < inf then begin
-      incr reach;
-      base_sum := !base_sum + d;
-      if d > !max_base then max_base := d
-    end
+  let reach = bfs g base 0 (seed_static g base 0) in
+  let base_sum = ref 0 in
+  for k = 0 to reach - 1 do
+    base_sum := !base_sum + base.(g.queue.(k))
   done;
   (* bucket [d + 1] counts base d; bucket 0 the unreached vertices *)
-  let mb = !max_base in
+  let mb = if reach = 0 then -1 else base.(g.queue.(reach - 1)) in
   let bucket v = if base.(v) = inf then 0 else base.(v) + 1 in
   let count = Array.make (mb + 2) 0 in
   for v = 0 to n - 1 do
@@ -282,7 +278,7 @@ let make_shape g =
       start.(b) <- start.(b) + 1
     end
   done;
-  { base; reach = !reach; base_sum = !base_sum; max_base = mb; desc; above }
+  { base; reach; base_sum = !base_sum; max_base = mb; desc; above }
 
 (* default cap: whole-row cache up to ~8M ints (64 MB), never below 16
    rows — at paper scales this never evicts *)
