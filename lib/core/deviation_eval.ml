@@ -136,10 +136,11 @@ let seed_static g row tail =
   !tail
 
 (* The BFS of G∖i: expands the queued vertices [head .. tail) of [row]
-   until nothing new is reached and returns the final tail, so
-   [queue.(0 .. tail-1)] lists the reached vertices. *)
+   until nothing new is reached and returns the final tail; the queue
+   then lists the reached vertices in BFS order. *)
 let bfs g row head tail =
-  let inf = g.n * g.n and offs = g.offs and adj = g.adj and queue = g.queue in
+  let inf = g.n * g.n and player = g.player in
+  let offs = g.offs and adj = g.adj and queue = g.queue in
   let head = ref head and tail = ref tail in
   while !head < !tail do
     let u = queue.(!head) in
@@ -147,7 +148,7 @@ let bfs g row head tail =
     let du1 = row.(u) + 1 in
     for k = offs.(u) to offs.(u + 1) - 1 do
       let v = adj.(k) in
-      if v <> g.player && row.(v) = inf then begin
+      if v <> player && row.(v) = inf then begin
         row.(v) <- du1;
         queue.(!tail) <- v;
         incr tail

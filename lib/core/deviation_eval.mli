@@ -22,20 +22,20 @@
       one word ({!Bbng_graph.Bit_bfs.width} = 63) of candidates it
       builds one distance row of [G∖i] per candidate, a BFS seeded by
       the candidate's targets and staticN(i) together: O(n + m) per
-      candidate.  From one word on, a
-      single-target candidate is priced in a {e block} of 63: block [j]
-      holds the candidates [63j .. 63j+62] in vertex order (skipping the
-      player), is built the first time one of its targets is asked for,
-      and is one bit-parallel BFS over [G∖i] from all its targets at
-      once.  Linking to [t] costs agg_v min(base(v), 1 + d_{G∖i}(t, v)),
-      so SUM sums come from bit-sliced per-source counters and MAX
-      eccentricities from per-source done masks; the components of
-      [G∖i] are labelled once per context, which gives each candidate's
-      reach and [kappa] in O(1), and a disconnected MAX candidate needs
-      no BFS.  A full scan costs O(⌈(n-1)/63⌉ · L · (n + m)) with L the
-      BFS depth, against O((n-1) · (n + m)) per candidate.  The
-      player's current strategy alone (all a pruned search asks for)
-      keeps the overlay BFS.
+      candidate.  From one word on, a single-target candidate is
+      priced in a {e block} of 63: block [j] holds the candidates
+      [63j .. 63j+62] in vertex order (skipping the player), is built
+      the first time one of its targets is asked for, and is one
+      bit-parallel BFS over [G∖i] from all its targets at once.
+      Linking to [t] costs agg_v min(base(v), 1 + d_{G∖i}(t, v)), so
+      SUM sums come from bit-sliced per-source counters and MAX
+      eccentricities from per-source done masks; the context's
+      component labelling (below) gives each candidate's reach and
+      [kappa] in O(1), and a disconnected MAX candidate needs no BFS.
+      A full scan costs O(⌈(n-1)/63⌉ · L · (n + m)) with L the BFS
+      depth, against O((n-1) · (n + m)) per candidate.  The player's
+      current strategy alone (all a pruned search asks for) keeps the
+      overlay's one row.
     - [Rows] precomputes one BFS row per first-hop vertex of [G∖i]
       (lazily, cached under a configurable cap with eviction counters),
       plus a single multi-source row for the static neighbors.  It also
@@ -52,11 +52,11 @@
     the components of [G∖i], built the first time a context needs it.
     A candidate reaches exactly the components of its targets and of
     staticN(i), so [kappa - 1] is the number of components holding no
-    static neighbour that no target hits: O(b) per candidate, and a
-    disconnected candidate is priced without walking the graph.  The
-    overlay, the row builds and the batch's base row all run one BFS
-    of [G∖i], and the overlay and the rows engine share one
-    [min(pre, last) + 1] row combine.
+    static neighbour that no target hits: O(b) per candidate, with no
+    walk of the components the candidate misses.  The overlay, the row
+    builds and the batch's base row all run one BFS of [G∖i], and the
+    overlay and the rows engine share one [min(pre, last) + 1] row
+    combine.
 
     The observable behaviour of every engine is {e identical} to the
     generic route (qcheck properties in the test suite pin
