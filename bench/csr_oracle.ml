@@ -1,10 +1,10 @@
 (* CSR-vs-legacy answer check over a recorded census artifact.
 
    Reads a CENSUS_*.jsonl golden, re-realizes every equilibrium class
-   representative it names, and compares the flat-engine answers
-   (Csr-backed [Bfs.distances], iFUB [Distances.diameter]) against the
-   retained adjacency-walking oracle on each graph.  This is the
-   out-of-process twin of the qcheck oracle in test_csr.ml: random
+   representative it names, and compares the kernel answers
+   (direction-optimizing [Bfs.distances], iFUB [Distances.diameter])
+   against the retained top-down walker on each graph.  This is the
+   out-of-process twin of the kernel-vs-legacy qchecks: random
    graphs exercise the engine broadly, but the goldens pin it on the
    exact graphs the paper's census artifacts were computed from —
    bin/check.sh runs this stage so a kernel regression cannot ship

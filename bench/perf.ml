@@ -49,10 +49,9 @@ let census_shard_results =
    Bechamel samples restores the fit. *)
 let deviation_ctx = Deviation_eval.make Cost.Sum sun30 ~player:5
 
-(* Preallocated scratch for the raw CSR kernel bench: with dist/queue
+(* Preallocated scratch for the raw BFS kernel bench: with dist/queue
    reused across runs the workload is the zero-allocation sweep alone,
    so its minor-words column pins the "0 words per BFS" claim. *)
-let csr200 = Bbng_graph.Csr.snapshot gnp200
 let csr_dist = Array.make 200 (-1)
 let csr_queue = Array.make 200 0
 
@@ -62,7 +61,8 @@ let workloads =
     ( "bfs-csr-gnp200",
       fun () ->
         ignore
-          (Bbng_graph.Csr.bfs_into csr200 ~src:0 ~dist:csr_dist ~queue:csr_queue)
+          (Bbng_graph.Bfs.distances_into gnp200 ~src:0 ~dist:csr_dist
+             ~queue:csr_queue)
     );
     (* diameter ablation: the full n-sweep eccentricity fold this name
        always measured vs the pruned iFUB engine that [diameter] now

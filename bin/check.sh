@@ -75,8 +75,8 @@ for mode in exact swap; do
 done
 
 echo "== CSR engine vs legacy oracle on golden census graphs =="
-# the flat CSR BFS/iFUB-diameter engine must agree with the retained
-# adjacency-walking walker on every equilibrium graph named by the
+# the direction-optimizing BFS/iFUB-diameter engine must agree with the
+# retained top-down walker on every equilibrium graph named by the
 # committed census artifacts — a kernel regression fails here even if
 # it slips past the unit suite's random graphs
 found_census=0

@@ -4,13 +4,13 @@ module Undirected = Bbng_graph.Undirected
 let swap_moves g v =
   let n = Undirected.n g in
   let moves = ref [] in
-  Array.iter
+  Undirected.iter_neighbors
     (fun drop ->
       for add = n - 1 downto 0 do
         if add <> v && add <> drop && not (Undirected.mem_edge g v add) then
           moves := (drop, add) :: !moves
       done)
-    (Undirected.neighbors g v);
+    g v;
   !moves
 
 let apply_swap g v ~drop ~add =

@@ -12,7 +12,7 @@ let validate_strategy n player budget targets =
       (Printf.sprintf "Strategy: player %d plays %d targets, budget is %d"
          player (Array.length targets) budget);
   let sorted = Array.copy targets in
-  Array.sort compare sorted;
+  Array.sort Int.compare sorted;
   Array.iteri
     (fun k v ->
       if v < 0 || v >= n then
@@ -79,7 +79,7 @@ let random rng budgets =
     strategies =
       Array.init np (fun i ->
           let s = random_subset rng np i (Budget.get budgets i) in
-          Array.sort compare s;
+          Array.sort Int.compare s;
           s);
   }
 
@@ -97,7 +97,7 @@ let relabel p pi =
   Array.iteri
     (fun i s ->
       let s' = Array.map (fun v -> pi.(v)) s in
-      Array.sort compare s';
+      Array.sort Int.compare s';
       strategies.(pi.(i)) <- s')
     p.strategies;
   let budgets = Budget.of_array (Array.map Array.length strategies) in

@@ -5,12 +5,14 @@
     get distance {!unreachable} = [-1]; translation to the paper's
     [Cinf = n^2] convention happens in the game's cost layer.
 
-    The one-shot walkers ({!distances}, {!distances_from_set},
-    {!distance}, {!level_sets}) run over a flat {!Csr.t} snapshot of
-    the graph (memoized per domain) with per-domain frontier scratch,
-    so each call allocates only its result row; {!legacy_distances} is
-    the retained adjacency-walking implementation, kept as the qcheck
-    oracle the CSR engine is pinned against. *)
+    One kernel serves every entry point: a direction-optimizing sweep
+    over the graph's own flat CSR rows ({!Undirected.t}), with no
+    snapshot or copy in between.  {!distances_into} runs it on caller
+    scratch and allocates nothing; the one-shot walkers ({!distances},
+    {!distances_from_set}, {!distance}, {!level_sets}) use per-domain
+    frontier scratch, so each call allocates only its result row.
+    {!legacy_distances} is a plain top-down walker over the same rows,
+    kept as the qcheck oracle the kernel is pinned against. *)
 
 val unreachable : int
 (** [-1], the sentinel for "no path". *)
@@ -40,12 +42,28 @@ val distance :
     @raise Invalid_argument if [u] or [v] is out of range — including
     on the [u = v] fast path. *)
 
+val distances_into :
+  ?budget:Bbng_obs.Budgeted.t ->
+  Undirected.t ->
+  src:int ->
+  dist:int array ->
+  queue:int array ->
+  int
+(** [distances_into g ~src ~dist ~queue] is {!distances} written into
+    caller scratch: [dist] receives the hop distances ({!unreachable}
+    where no path) and [queue] is the frontier; both must have length
+    [>= n].  Returns the number of vertices popped (= reached), so a
+    result of [n] means [src] reaches everything.  Allocates nothing
+    and bumps no counter — the aggregate sweeps of {!Distances} run on
+    it.  [?budget] as in {!distances}.
+    @raise Invalid_argument on a bad [src] or short scratch arrays. *)
+
 val legacy_distances :
   ?budget:Bbng_obs.Budgeted.t -> Undirected.t -> int -> int array
-(** {!distances} computed by the retained per-vertex-adjacency walker
-    instead of the CSR snapshot.  Same contract, slower: this is the
-    oracle the CSR engine is property-tested against, not an API to
-    build on. *)
+(** {!distances} computed by a plain top-down walker over the same rows
+    instead of the direction-optimizing kernel.  Same contract, slower:
+    this is the oracle the kernel is property-tested against, not an
+    API to build on. *)
 
 val parents : ?budget:Bbng_obs.Budgeted.t -> Undirected.t -> int -> int array
 (** BFS tree parents; [parents.(src) = src]; [-1] for unreachable.  Ties

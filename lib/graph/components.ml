@@ -19,14 +19,14 @@ let components_skip g skip =
       while !top > 0 do
         decr top;
         let u = stack.(!top) in
-        Array.iter
+        Undirected.iter_neighbors
           (fun v ->
             if label.(v) = -1 && not skip.(v) then begin
               label.(v) <- id;
               stack.(!top) <- v;
               incr top
             end)
-          (Undirected.neighbors g u)
+          g u
       done
     end
   done;

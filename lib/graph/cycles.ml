@@ -90,14 +90,14 @@ let bfs_avoiding g ~skip_u ~skip_v ~src ~dst =
   let found = ref None in
   while !found = None && not (Queue.is_empty queue) do
     let u = Queue.pop queue in
-    Array.iter
+    Undirected.iter_neighbors
       (fun v ->
         let skipped = (u = skip_u && v = skip_v) || (u = skip_v && v = skip_u) in
         if (not skipped) && dist.(v) = -1 then begin
           dist.(v) <- dist.(u) + 1;
           if v = dst then found := Some dist.(v) else Queue.add v queue
         end)
-      (Undirected.neighbors g u)
+      g u
   done;
   !found
 

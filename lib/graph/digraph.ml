@@ -12,7 +12,7 @@ let check_vertex n u =
 (* Sorts [a] in place and checks it is duplicate-free and a valid target
    set for [u]: no self-loop, all in range. *)
 let normalize_targets n u a =
-  Array.sort compare a;
+  Array.sort Int.compare a;
   Array.iteri
     (fun i v ->
       check_vertex n v;

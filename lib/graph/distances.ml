@@ -13,6 +13,15 @@ let eccentricity_of_row row =
 
 let eccentricity ?budget g u = eccentricity_of_row (Bfs.distances ?budget g u)
 
+(* largest entry of the first n of a swept row: the source's
+   eccentricity once the sweep popped all n vertices *)
+let row_max n dist =
+  let m = ref 0 in
+  for v = 0 to n - 1 do
+    if dist.(v) > !m then m := dist.(v)
+  done;
+  !m
+
 (* The aggregate sweeps below share one scratch (dist row + frontier)
    across all n BFS runs of a call, so the per-sweep allocation is
    zero; only entry points that hand rows to the caller ([all_pairs],
@@ -26,12 +35,11 @@ let fold_eccentricities ?budget g f init =
   let n = Undirected.n g in
   if n = 0 then Some init
   else begin
-    let csr = Csr.snapshot g in
     let dist = Array.make n Bfs.unreachable and queue = Array.make n 0 in
     let rec go u acc =
       if u >= n then Some acc
-      else if Csr.bfs_into ?budget csr ~src:u ~dist ~queue < n then None
-      else go (u + 1) (f acc u (Csr.max_dist csr dist))
+      else if Bfs.distances_into ?budget g ~src:u ~dist ~queue < n then None
+      else go (u + 1) (f acc u (row_max n dist))
     in
     go 0 init
   end
@@ -54,12 +62,11 @@ let diameter ?budget g =
   if n = 0 then Some 0
   else begin
     Bbng_obs.Counter.bump c_sweeps;
-    let csr = Csr.snapshot g in
     let dist = Array.make n Bfs.unreachable and queue = Array.make n 0 in
-    let sweep src = Csr.bfs_into ?budget csr ~src ~dist ~queue in
+    let sweep src = Bfs.distances_into ?budget g ~src ~dist ~queue in
     let seed = ref 0 in
     for u = 1 to n - 1 do
-      if Csr.degree csr u > Csr.degree csr !seed then seed := u
+      if Undirected.degree g u > Undirected.degree g !seed then seed := u
     done;
     if sweep !seed < n then None
     else begin
@@ -75,7 +82,7 @@ let diameter ?budget g =
         done
       in
       let ds = Array.copy dist in
-      let ecc_seed = Csr.max_dist csr ds in
+      let ecc_seed = row_max n ds in
       absorb ds ecc_seed;
       let a = ref !seed in
       for v = 0 to n - 1 do
@@ -85,7 +92,7 @@ let diameter ?budget g =
       ignore (sweep a);
       Bbng_obs.Counter.bump c_ifub_sweeps;
       let da = Array.copy dist in
-      let ecc_a = Csr.max_dist csr da in
+      let ecc_a = row_max n da in
       absorb da ecc_a;
       let b = ref a in
       for v = 0 to n - 1 do
@@ -94,7 +101,7 @@ let diameter ?budget g =
       let b = !b in
       ignore (sweep b);
       Bbng_obs.Counter.bump c_ifub_sweeps;
-      let ecc_b = Csr.max_dist csr dist in
+      let ecc_b = row_max n dist in
       absorb dist ecc_b;
       let lb = ref (max ecc_seed (max ecc_a ecc_b)) in
       (* midpoint of an a-b shortest path: on it and halfway along, as
@@ -109,7 +116,7 @@ let diameter ?budget g =
       ignore (sweep mid);
       Bbng_obs.Counter.bump c_ifub_sweeps;
       let dm = dist in
-      let ecc_mid = Csr.max_dist csr dm in
+      let ecc_mid = row_max n dm in
       absorb dm ecc_mid;
       if ecc_mid > !lb then lb := ecc_mid;
       (* root choice: the fringe loop below sweeps every vertex deeper
@@ -126,7 +133,7 @@ let diameter ?budget g =
       let levels = da in
       if !deep_seed < !deep_mid then Array.blit ds 0 levels 0 n
       else Array.blit dm 0 levels 0 n;
-      let ecc_root = Csr.max_dist csr levels in
+      let ecc_root = row_max n levels in
       (* counting sort of the vertices by decreasing root level *)
       let count = Array.make (ecc_root + 1) 0 in
       for v = 0 to n - 1 do
@@ -157,7 +164,7 @@ let diameter ?budget g =
           if v <> a && v <> b && ub.(v) > !lb then begin
             ignore (sweep v);
             Bbng_obs.Counter.bump c_ifub_sweeps;
-            let e = Csr.max_dist csr dist in
+            let e = row_max n dist in
             absorb dist e;
             if e > !lb then lb := e
           end
@@ -200,11 +207,10 @@ let wiener_index ?budget g =
   let n = Undirected.n g in
   if n = 0 then Some 0
   else begin
-    let csr = Csr.snapshot g in
     let dist = Array.make n Bfs.unreachable and queue = Array.make n 0 in
     let rec go u acc =
       if u >= n then Some (acc / 2)
-      else if Csr.bfs_into ?budget csr ~src:u ~dist ~queue < n then None
+      else if Bfs.distances_into ?budget g ~src:u ~dist ~queue < n then None
       else begin
         let sum = ref 0 in
         for v = 0 to n - 1 do

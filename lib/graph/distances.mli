@@ -6,11 +6,11 @@
     surfaces as [None] / explicit unreachable counts, never as a
     made-up large number.
 
-    All aggregates run over the flat {!Csr.t} snapshot with one shared
-    scratch row per call, and every entry point takes [?budget]: each
-    BFS sweep checkpoints the token and charges its popped count, so a
-    census-scale aggregate is interruptible at sweep granularity — on
-    expiry the call raises {!Bbng_obs.Budgeted.Expired} (catch at the
+    All aggregates run the {!Bfs.distances_into} kernel over the
+    graph's own CSR rows with one shared scratch row per call, and every
+    entry point takes [?budget]: each BFS sweep checkpoints the token
+    and charges its popped count, so a census-scale aggregate is
+    interruptible at sweep granularity — on expiry the call raises {!Bbng_obs.Budgeted.Expired} (catch at the
     search boundary, e.g. with {!Bbng_obs.Budgeted.guard}), exactly
     like {!Bfs.distances}.  {!diameter} additionally prunes with the
     iFUB bound and usually finishes after a handful of sweeps. *)

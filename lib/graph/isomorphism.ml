@@ -28,8 +28,12 @@ let undirected_colors g =
   refine ~n
     ~initial:(Array.init n (Undirected.degree g))
     ~signature:(fun colors v ->
-      let nbrs = Array.map (fun u -> colors.(u)) (Undirected.neighbors g v) in
-      Array.sort compare nbrs;
+      let row = g.Undirected.offs.(v) in
+      let nbrs =
+        Array.init (Undirected.degree g v) (fun i ->
+            colors.(g.Undirected.targets.(row + i)))
+      in
+      Array.sort Int.compare nbrs;
       Array.to_list nbrs)
 
 let digraph_colors g =
@@ -39,15 +43,15 @@ let digraph_colors g =
     ~signature:(fun colors v ->
       let out = Array.map (fun u -> colors.(u)) (Digraph.out_neighbors g v) in
       let inn = Array.map (fun u -> colors.(u)) (Digraph.in_neighbors g v) in
-      Array.sort compare out;
-      Array.sort compare inn;
+      Array.sort Int.compare out;
+      Array.sort Int.compare inn;
       (Array.to_list out, Array.to_list inn))
 
 (* Multiset equality of color arrays: a cheap necessary condition. *)
 let same_color_profile c1 c2 =
   let s1 = Array.copy c1 and s2 = Array.copy c2 in
-  Array.sort compare s1;
-  Array.sort compare s2;
+  Array.sort Int.compare s1;
+  Array.sort Int.compare s2;
   s1 = s2
 
 (* Generic backtracking: map vertices of graph 1 (ordered rarest-color

@@ -88,14 +88,14 @@ let path_attachment_sizes g path =
     path_arr;
   while not (Queue.is_empty queue) do
     let u = Queue.pop queue in
-    Array.iter
+    Undirected.iter_neighbors
       (fun v ->
         if dist.(v) = -1 then begin
           dist.(v) <- dist.(u) + 1;
           owner.(v) <- owner.(u);
           Queue.add v queue
         end)
-      (Undirected.neighbors g u)
+      g u
   done;
   let a = Array.make len 0 in
   Array.iter (fun i -> if i >= 0 then a.(i) <- a.(i) + 1) owner;
@@ -128,13 +128,13 @@ let centers g =
         (fun v ->
           removed.(v) <- true;
           decr remaining;
-          Array.iter
+          Undirected.iter_neighbors
             (fun u ->
               if not removed.(u) then begin
                 deg.(u) <- deg.(u) - 1;
                 if deg.(u) = 1 then next := u :: !next
               end)
-            (Undirected.neighbors g v))
+            g v)
         !current;
       current := !next
     done;

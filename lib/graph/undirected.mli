@@ -6,11 +6,27 @@
     multiplicity (Theorems 4.1/4.2 treat a brace as a 2-cycle) query the
     original {!Digraph.t} instead.
 
-    The adjacency lists are deduplicated and sorted, so this type is also
-    the general-purpose simple-undirected-graph of the substrate, usable
-    on its own (e.g. for k-center instances). *)
+    The graph is stored as one flat CSR (compressed sparse row) pair of
+    [int] arrays: row [u] is [targets.(offs.(u)) .. targets.(offs.(u+1) - 1)],
+    sorted and duplicate-free.  This is the only adjacency of [U(G)] in
+    the substrate: {!Bfs} sweeps these arrays in place, and the
+    traversals that walk rows ({!Components}, {!Isomorphism}) read them
+    through {!iter_neighbors} or the fields, never through a copy.
+    Graphs are immutable; "mutation" always builds a new graph.
 
-type t
+    Since rows are deduplicated and sorted, this type is also the
+    general-purpose simple-undirected-graph of the substrate, usable on
+    its own (e.g. for k-center instances). *)
+
+type t = private {
+  n : int;
+  offs : int array;
+      (** Length [n + 1]: [offs.(0) = 0], [offs.(n) = 2 * edge_count]. *)
+  targets : int array;
+      (** Length [2 * edge_count]; every row is sorted and
+          duplicate-free.  Must not be mutated by callers. *)
+}
+(** Read-only flat view; build with {!of_digraph} or {!of_edges}. *)
 
 val of_digraph : Digraph.t -> t
 (** Underlying graph of a realization. *)
@@ -22,17 +38,16 @@ val of_edges : n:int -> (int * int) list -> t
 
 val n : t -> int
 
-val id : t -> int
-(** Process-unique build stamp.  Graphs are immutable, so the stamp is
-    also a version: derived snapshots ({!Csr.t}) cache against it and
-    can never go stale.  Not a structural hash — two [equal] graphs
-    built separately have different ids. *)
-
 val edge_count : t -> int
 (** Number of distinct undirected edges. *)
 
 val neighbors : t -> int -> int array
-(** Sorted, duplicate-free.  Must not be mutated by callers. *)
+(** A fresh copy of row [u] (sorted, duplicate-free).  Hot loops use
+    {!iter_neighbors} or the fields instead, which copy nothing. *)
+
+val iter_neighbors : (int -> unit) -> t -> int -> unit
+(** [iter_neighbors f g u] calls [f v] for every neighbour [v] of [u], in
+    increasing order, reading the row in place. *)
 
 val degree : t -> int -> int
 val max_degree : t -> int

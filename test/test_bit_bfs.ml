@@ -7,13 +7,7 @@
 open Helpers
 module Bit_bfs = Bbng_graph.Bit_bfs
 
-let csr_of g =
-  let n = Undirected.n g in
-  let offs = Array.make (n + 1) 0 in
-  for u = 0 to n - 1 do
-    offs.(u + 1) <- offs.(u) + Undirected.degree g u
-  done;
-  (offs, Array.concat (List.init n (Undirected.neighbors g)))
+let csr_of g = (g.Undirected.offs, g.Undirected.targets)
 
 let test_path_levels () =
   let offs, targets = csr_of path5 in

@@ -1,64 +1,56 @@
-(* The flat CSR engine against the retained legacy walker: structure
-   of the snapshot itself, the per-domain memo, and qcheck oracles
-   pinning CSR BFS and the iFUB diameter to the adjacency-walking
-   implementations over random gnp / tree / disconnected inputs. *)
+(* The BFS kernel against the retained legacy walker: the flat CSR
+   layout of [Undirected.t] itself, the scratch kernel entry, and qcheck
+   oracles pinning the kernel's BFS and the iFUB diameter to the plain
+   top-down walker over random gnp / tree / disconnected inputs. *)
 
 open Helpers
 module Bfs = Bbng_graph.Bfs
-module Csr = Bbng_graph.Csr
 module Distances = Bbng_graph.Distances
 module Generators = Bbng_graph.Generators
 
 let test_structure () =
-  let c = Csr.of_undirected path5 in
-  check_int "n" 5 (Csr.n c);
-  check_int "arcs = 2m" 8 (Csr.arc_count c);
-  check_int "end degree" 1 (Csr.degree c 0);
-  check_int "middle degree" 2 (Csr.degree c 2);
-  let empty = Csr.of_undirected (Undirected.of_edges ~n:3 []) in
-  check_int "edgeless arcs" 0 (Csr.arc_count empty);
-  check_int "edgeless degree" 0 (Csr.degree empty 1)
-
-let test_snapshot_memo () =
-  let c1 = Csr.snapshot path5 in
-  let c2 = Csr.snapshot path5 in
-  check_true "same graph hits the memo" (c1 == c2);
-  check_int "version stamp" (Undirected.id path5) (Csr.graph_id c1);
-  let c3 = Csr.snapshot cycle6 in
-  check_false "other graph rebuilds" (Obj.repr c1 == Obj.repr c3);
-  check_true "and re-snapshotting it hits again" (Csr.snapshot cycle6 == c3)
+  let c = path5 in
+  check_int "n" 5 (Undirected.n c);
+  check_int "arcs = 2m" 8 (Array.length c.Undirected.targets);
+  check_int_array "offsets" [| 0; 1; 3; 5; 7; 8 |] c.Undirected.offs;
+  check_int "end degree" 1 (Undirected.degree c 0);
+  check_int "middle degree" 2 (Undirected.degree c 2);
+  let empty = Undirected.of_edges ~n:3 [] in
+  check_int "edgeless arcs" 0 (Array.length empty.Undirected.targets);
+  check_int "edgeless degree" 0 (Undirected.degree empty 1)
 
 let test_bfs_into () =
-  let c = Csr.snapshot path5 in
   let dist = Array.make 5 9 and queue = Array.make 5 0 in
-  check_int "popped" 5 (Csr.bfs_into c ~src:2 ~dist ~queue);
+  check_int "popped" 5 (Bfs.distances_into path5 ~src:2 ~dist ~queue);
   check_int_array "distances" [| 2; 1; 0; 1; 2 |] dist;
-  let c2 = Csr.snapshot two_triangles in
   let dist = Array.make 6 9 and queue = Array.make 6 0 in
-  check_int "popped stops at the component" 3 (Csr.bfs_into c2 ~src:0 ~dist ~queue);
+  check_int "popped stops at the component" 3
+    (Bfs.distances_into two_triangles ~src:0 ~dist ~queue);
   check_int "unreachable sentinel" (-1) dist.(4)
 
 let test_bfs_into_validation () =
-  let c = Csr.snapshot path5 in
   let dist = Array.make 5 0 and queue = Array.make 5 0 in
   Alcotest.check_raises "source out of range"
-    (Invalid_argument "Csr.bfs_into: source 5 out of range [0,5)") (fun () ->
-      ignore (Csr.bfs_into c ~src:5 ~dist ~queue));
+    (Invalid_argument "Bfs.distances_into: source 5 out of range [0,5)") (fun () ->
+      ignore (Bfs.distances_into path5 ~src:5 ~dist ~queue));
   Alcotest.check_raises "short scratch"
-    (Invalid_argument "Csr.bfs_into: scratch arrays shorter than n") (fun () ->
-      ignore (Csr.bfs_into c ~src:0 ~dist:(Array.make 3 0) ~queue));
+    (Invalid_argument "Bfs.distances_into: scratch arrays shorter than n") (fun () ->
+      ignore (Bfs.distances_into path5 ~src:0 ~dist:(Array.make 3 0) ~queue));
   Alcotest.check_raises "empty sources"
-    (Invalid_argument "Csr.bfs_set_into: empty source set") (fun () ->
-      ignore (Csr.bfs_set_into c ~sources:[] ~dist ~queue))
+    (Invalid_argument "Bfs.distances_from_set: empty source set") (fun () ->
+      ignore (Bfs.distances_from_set path5 []));
+  Alcotest.check_raises "multi-source out of range"
+    (Invalid_argument "Bfs.distances_from_set: source 7 out of range [0,5)")
+    (fun () -> ignore (Bfs.distances_from_set path5 [ 0; 7 ]))
 
 let test_budget_expiry () =
   let module Budgeted = Bbng_obs.Budgeted in
-  let c = Csr.snapshot path5 in
   let dist = Array.make 5 0 and queue = Array.make 5 0 in
   let budget = Budgeted.create ~work_limit:0 () in
-  check_int "first sweep finishes" 5 (Csr.bfs_into ~budget c ~src:0 ~dist ~queue);
+  check_int "first sweep finishes" 5
+    (Bfs.distances_into ~budget path5 ~src:0 ~dist ~queue);
   Alcotest.check_raises "second trips at the checkpoint" Budgeted.Expired
-    (fun () -> ignore (Csr.bfs_into ~budget c ~src:0 ~dist ~queue))
+    (fun () -> ignore (Bfs.distances_into ~budget path5 ~src:0 ~dist ~queue))
 
 (* The oracles: same graphs through both engines.  random_gnp_of gives
    disconnected inputs often at these sizes, random_connected_of the
@@ -117,7 +109,6 @@ let prop_multi_source_matches_legacy =
 let suite =
   [
     case "snapshot structure" test_structure;
-    case "snapshot memo" test_snapshot_memo;
     case "bfs_into" test_bfs_into;
     case "bfs_into validation" test_bfs_into_validation;
     case "budget expiry" test_budget_expiry;

@@ -85,6 +85,83 @@ let prop_neighbors_symmetric =
         g;
       !ok)
 
+(* The builder against a naive neighbour set: random edge lists with
+   duplicate and reversed pairs (isolated vertices and n = 0, 1 come with
+   the size range), and random digraphs with braces.  Every row must be
+   the sorted, duplicate-free neighbour set, and the queries must agree
+   with it. *)
+let builder_gen =
+  QCheck.make
+    ~print:(fun (n, seed, digraph) ->
+      Printf.sprintf "n=%d seed=%d digraph=%b" n seed digraph)
+    QCheck.Gen.(
+      triple
+        (frequency [ (1, return 0); (1, return 1); (6, int_range 2 12) ])
+        (int_range 0 10_000) bool)
+
+let builder_input (n, seed, digraph) =
+  let st = rng seed in
+  let pairs = ref [] in
+  if n >= 2 then
+    if digraph then
+      for u = 0 to n - 1 do
+        for v = 0 to n - 1 do
+          if u <> v && Random.State.int st 4 = 0 then pairs := (u, v) :: !pairs
+        done
+      done
+    else
+      for _ = 1 to Random.State.int st (3 * n) do
+        let u = Random.State.int st n and v = Random.State.int st (n - 1) in
+        let v = if v >= u then v + 1 else v in
+        pairs := (u, v) :: !pairs;
+        match Random.State.int st 3 with
+        | 0 -> pairs := (u, v) :: !pairs
+        | 1 -> pairs := (v, u) :: !pairs
+        | _ -> ()
+      done;
+  let g =
+    if digraph then Undirected.of_digraph (Digraph.of_arcs ~n !pairs)
+    else Undirected.of_edges ~n !pairs
+  in
+  (g, !pairs)
+
+let prop_builder_matches_naive =
+  qcheck ~count:300 "builder rows == naive neighbour sets" builder_gen
+    (fun ((n, _, _) as input) ->
+      let g, pairs = builder_input input in
+      let naive u =
+        List.sort_uniq Int.compare
+          (List.filter_map
+             (fun (a, b) -> if a = u then Some b else if b = u then Some a else None)
+             pairs)
+      in
+      let rows = Array.init n naive in
+      let naive_edges =
+        List.concat
+          (List.init n (fun u ->
+               List.filter_map (fun v -> if u < v then Some (u, v) else None) rows.(u)))
+      in
+      let ok = ref (Undirected.n g = n) in
+      let check b = if not b then ok := false in
+      for u = 0 to n - 1 do
+        check (Array.to_list (Undirected.neighbors g u) = rows.(u));
+        check (Undirected.degree g u = List.length rows.(u));
+        for v = 0 to n - 1 do
+          check (Undirected.mem_edge g u v = List.mem v rows.(u))
+        done
+      done;
+      check (Undirected.edge_count g = List.length naive_edges);
+      check (Undirected.edges g = naive_edges);
+      check (g.Undirected.offs.(n) = Array.length g.Undirected.targets);
+      check (Undirected.equal g (Undirected.of_edges ~n naive_edges));
+      check
+        (Undirected.equal g
+           (Undirected.of_edges ~n (List.rev_map (fun (u, v) -> (v, u)) naive_edges)));
+      (match naive_edges with
+      | [] -> ()
+      | _ :: rest -> check (not (Undirected.equal g (Undirected.of_edges ~n rest))));
+      !ok)
+
 let suite =
   [
     case "of_edges" test_of_edges;
@@ -100,4 +177,5 @@ let suite =
     prop_degree_sum;
     prop_complement_involution;
     prop_neighbors_symmetric;
+    prop_builder_matches_naive;
   ]
