@@ -38,9 +38,10 @@ if [ "$found_golden" = 0 ]; then
   exit 1
 fi
 # a budget-3 player scanned in full: player 0 of a 10-vertex path plus
-# three arcs prices all C(10,3) = 120 candidates through the rows
-# engine's b >= 3 combine, and `verify` re-prices the rows evidence
-# through the generic evaluator
+# three arcs decides all C(10,3) = 120 candidates on the rows engine,
+# each priced by the b >= 3 combine or bound-decided (most of them under
+# MAX, none under SUM), and `scanned` counts both; `verify` re-prices
+# the rows evidence through the generic evaluator
 mkdir -p _build
 for v in max sum; do
   dune exec bin/bbng_cli.exe -- certify -c "$v" "2,5,8;2;3;4;5;6;7;8;9;10;" \
@@ -51,6 +52,22 @@ for v in max sum; do
   }
   dune exec bin/bbng_cli.exe -- verify "_build/B3_$v.json"
 done
+# the bound decides b = 2 candidates without pricing them, and they
+# still count as scanned: certifying the depth-4 Thm 3.4 tree (n=31,
+# SUM) must prune some candidates by the bound, show each internal
+# player's scan complete at C(30,2) = 435, and re-verify
+BT4=$(dune exec bin/bbng_cli.exe -- construct binary --depth 4 -c sum | sed -n 's/^profile: *//p')
+dune exec bin/bbng_cli.exe -- certify -c sum "$BT4" --stats --cert _build/BT4_sum.json \
+  2> _build/BT4_sum.stats > /dev/null
+grep -Eq '^ *br\.bound_pruned +[1-9][0-9]*$' _build/BT4_sum.stats || {
+  echo "check: the bound decided no candidate of the depth-4 tree"
+  exit 1
+}
+grep -q '"tier":"exact","engine":"rows","scanned":435,' _build/BT4_sum.json || {
+  echo "check: no depth-4 tree player scanned all 435 candidates"
+  exit 1
+}
+dune exec bin/bbng_cli.exe -- verify _build/BT4_sum.json
 # budget-1 players scanned in full by the bit-parallel batch: the k=22
 # tripod (n=67, MAX) gives each leg player 66 candidates, two words'
 # worth; its evidence keeps the "bfs" engine name, and `verify`

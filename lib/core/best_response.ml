@@ -9,8 +9,9 @@ let c_improving = Bbng_obs.Counter.make "br.improving_moves"
 let c_pruned_floor = Bbng_obs.Counter.make "br.pruned_floor"
 let c_pruned_lemma = Bbng_obs.Counter.make "br.pruned_lemma22"
 let c_degraded = Bbng_obs.Counter.make "br.degraded_scans"
+let c_bound_pruned = Bbng_obs.Counter.make "br.bound_pruned"
 
-(* candidates evaluated per improvement/swap search — a pruned search
+(* candidates decided per improvement/swap search — a pruned search
    records 0, so the distribution shows how often the floor and Lemma
    2.2 cuts fire, not just how much the surviving scans cost *)
 let h_candidates = Bbng_obs.Histogram.make "br.candidates_per_search"
@@ -195,7 +196,7 @@ let iter_swaps ctx f =
         if v <> ctx.player && not owned_already then begin
           Array.blit owned 0 buf 0 ctx.budget;
           buf.(drop) <- v;
-          Array.sort compare buf;
+          Array.sort Int.compare buf;
           f buf
         end
       done)
@@ -215,23 +216,45 @@ let iter_swaps ctx f =
    and the improving move is [best] whenever that beats the current
    cost.  [~candidates] is the size of the space the tier set out to
    scan; it stays on the audit even when the scan degrades, so a
-   verifier can compare it against its own re-count. *)
+   verifier can compare it against its own re-count.
+
+   An [Exhaustive] scan prices through [Deviation_eval.cost_within] at
+   the current cost, so a candidate whose bound lies strictly above it
+   is decided unpriced (handed back as [max_int]): it counts as scanned
+   and in [br.bound_pruned] but can be neither [best] nor an
+   improvement.  That changes no complete scan's outcome, because the
+   current strategy is itself a candidate, so the first minimum costs
+   at most the current cost.  A degraded scan's [best] is the cheapest
+   candidate priced, [None] when every candidate was bound-decided.
+   Swap scans are never bounded: the current strategy is not a swap,
+   so the cheapest swap may cost more than it. *)
 let scan ctx ~tier ~candidates ~stop_below iter_targets =
   let best = Array.make ctx.budget 0 in
   let best_cost = ref max_int in
   let scanned = ref 0 in
+  let price =
+    match tier with
+    | Exhaustive ->
+        fun targets ->
+          Deviation_eval.cost_within ctx.eval_ctx targets ~limit:ctx.current_cost
+    | _ -> Deviation_eval.cost ctx.eval_ctx
+  in
   let tier =
     try
       iter_targets ctx (fun targets ->
-          let cost = eval ctx targets in
+          Bbng_obs.Counter.bump c_candidates;
+          let cost = price targets in
           incr scanned;
-          if cost < !best_cost then begin
-            best_cost := cost;
-            Array.blit targets 0 best 0 ctx.budget
-          end;
-          if cost < ctx.current_cost then begin
-            Bbng_obs.Counter.bump c_improving;
-            if cost < stop_below then raise Exit
+          if cost = max_int then Bbng_obs.Counter.bump c_bound_pruned
+          else begin
+            if cost < !best_cost then begin
+              best_cost := cost;
+              Array.blit targets 0 best 0 ctx.budget
+            end;
+            if cost < ctx.current_cost then begin
+              Bbng_obs.Counter.bump c_improving;
+              if cost < stop_below then raise Exit
+            end
           end);
       tier
     with
@@ -245,7 +268,8 @@ let scan ctx ~tier ~candidates ~stop_below iter_targets =
   in
   record_search_size !scanned;
   let best =
-    if !scanned = 0 then None else Some { targets = best; cost = !best_cost }
+    if !best_cost = max_int then None
+    else Some { targets = best; cost = !best_cost }
   in
   {
     tier;
@@ -337,7 +361,7 @@ let greedy ?budget game profile player =
         (* Partial target sets are legal digraph-wise even though they
            violate the budget; cost is still well defined. *)
         let targets = Array.of_list (v :: !chosen) in
-        Array.sort compare targets;
+        Array.sort Int.compare targets;
         let cost = eval ctx targets in
         if cost < !best_cost then begin
           best_cost := cost;
@@ -348,5 +372,5 @@ let greedy ?budget game profile player =
     chosen := !best_v :: !chosen
   done;
   let targets = Array.of_list !chosen in
-  Array.sort compare targets;
+  Array.sort Int.compare targets;
   { targets; cost = eval ctx targets }

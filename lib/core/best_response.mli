@@ -32,10 +32,14 @@
     lexicographically, so at b ≥ 2 consecutive candidates share their
     first b-1 targets and the rows engine prices each in one O(n) pass
     over a cached prefix row; a whole scan is
-    O(n·(n+m) + C(n-1,b)·n + C(n-1,b-1)·(b-1)·n).  At b = 1 with
-    n - 1 ≥ 63 candidates, 63 consecutive ones share one bit-parallel
-    BFS of depth L, so a whole scan is O(⌈(n-1)/63⌉·L·(n+m)); a scan
-    that stops early pays for every block it entered. *)
+    O(n·(n+m) + C(n-1,b)·n + C(n-1,b-1)·(b-1)·n).  The exhaustive
+    audits (not {!exact}) first bound each candidate against the
+    current cost and skip the O(n) pass for one the bound decides, so
+    most candidates cost O(1) ({!Deviation_eval.cost_within}).  At
+    b = 1 with n - 1 ≥ 63 candidates, 63 consecutive ones share one
+    bit-parallel BFS of depth L, so a whole scan is
+    O(⌈(n-1)/63⌉·L·(n+m)); a scan that stops early pays for every block
+    it entered. *)
 
 type move = {
   targets : int array;  (** the (sorted) improving strategy *)
@@ -123,7 +127,7 @@ val improve :
     exhaustive ones) in front of one candidate loop that tracks the
     cheapest candidate seen.  An audit is that scan with
     first-improvement stopping, returned whole — which tier decided,
-    how many candidates were evaluated, and the cheapest candidate seen
+    how many candidates were decided, and the cheapest candidate priced
     — so a certificate written to disk can later be re-verified without
     re-running the search (see [Equilibrium.verify_certificate]).  Every
     certifier in [Equilibrium], verdict or certificate, reads its
@@ -136,7 +140,7 @@ type tier =
   | Swap_exhaustive  (** all [b(n-1-b)] single-arc swaps were enumerated *)
   | Degraded_scan
       (** the scan was interrupted by an expired cancellation token:
-          [scanned] candidates were evaluated, none improving — partial
+          [scanned] candidates were decided, none improving — partial
           evidence, not a best-response proof *)
 
 val tier_name : tier -> string
@@ -150,7 +154,12 @@ type audit = {
   engine : Deviation_eval.engine;
       (** which pricing engine evaluated the candidates — recorded so a
           verifier can re-price through the other one *)
-  scanned : int;          (** candidate strategies actually evaluated *)
+  scanned : int;
+      (** candidate strategies decided: priced, or (exhaustive tier)
+          bound-decided — proved dearer than the current strategy
+          without a price, see {!Deviation_eval.cost_within}.  Each is
+          counted in [br.candidates], a bound-decided one also in
+          [br.bound_pruned], and a bound-decided one is never [best]. *)
   candidates : Bbng_graph.Combinatorics.count;
       (** size of the space the tier set out to scan ([Exact 0] for the
           no-scan tiers); [Saturated] when [C(n-1,b)] overflows, which
@@ -173,13 +182,18 @@ val audit_exact :
     the candidates).  A refutation stops at the first improvement
     found, like the plain certifier.
 
+    The scan decides a candidate whose bound lies strictly above the
+    current cost without pricing it ({!Deviation_eval.cost_within}).
+    No complete scan's fields change: such a candidate is neither the
+    first minimum nor an improvement.
+
     Under an expired [?budget] the scan stops between candidate
     evaluations and the audit comes back with [tier = Degraded_scan],
-    [scanned] = candidates actually priced, [improving = None], and
-    [best] = cheapest candidate seen so far — never an exception.  The
-    cheap tiers ([Cost_floor], [Lemma_2_2_tier]) still classify players
-    regardless of the token, so a deadline degrades only the players
-    that genuinely needed the exponential scan. *)
+    [scanned] = candidates decided, [improving = None], and [best] =
+    cheapest candidate priced so far ([None] if none was) — never an
+    exception.  The cheap tiers ([Cost_floor], [Lemma_2_2_tier]) still
+    classify players regardless of the token, so a deadline degrades
+    only the players that genuinely needed the exponential scan. *)
 
 val audit_swap :
   ?budget:Bbng_obs.Budgeted.t ->

@@ -51,7 +51,13 @@ type components = {
    enumeration keeps a candidate's first b-1 targets fixed for long
    runs, so most candidates cost one two-row pass over [pre_row] and
    their last target's row.  Rows are deterministic functions of the
-   context, so a prefix stays valid across evictions. *)
+   context, so a prefix stays valid across evictions.
+
+   The rest serves the bounds of [cost_within].  [single.(t)] is f({t}),
+   the SUM cost of playing t alone (-1 until priced), and [empty] is
+   f(∅).  [bnd_len] is the prefix length that [pre_cost] (SUM: f(P)) and
+   the witness set [wit.(0 .. wit_len-1)] (MAX) were drawn for, under
+   [bnd_limit]; [-1] marks them stale, and every prefix rebuild does. *)
 type rows_state = {
   cap : int;
   rows : int array option array;
@@ -62,6 +68,13 @@ type rows_state = {
   pre_key : int array;
   mutable pre_len : int;
   mutable hits : int;           (* row-cache hits of the current combine *)
+  single : int array;
+  mutable empty : int;
+  mutable bnd_len : int;
+  mutable bnd_limit : int;
+  mutable pre_cost : int;
+  wit : int array;
+  mutable wit_len : int;
 }
 
 (* Bit-parallel pricing of single-target candidates (see the interface
@@ -299,6 +312,13 @@ let make_rows_state ~n row_cache_cap =
     pre_key = Array.make n 0;
     pre_len = -1;
     hits = 0;
+    single = Array.make n (-1);
+    empty = -1;
+    bnd_len = -1;
+    bnd_limit = 0;
+    pre_cost = 0;
+    wit = Array.make n 0;
+    wit_len = 0;
   }
 
 let rec bit_length x = if x = 0 then 0 else 1 + bit_length (x lsr 1)
@@ -464,7 +484,8 @@ let cached_row t rs target =
       r
   | None -> miss_row t rs target
 
-let rec same_prefix key targets i k =
+(* typed: a polymorphic [=] here would compare through [caml_equal] *)
+let rec same_prefix (key : int array) (targets : int array) i k =
   i >= k || (key.(i) = targets.(i) && same_prefix key targets (i + 1) k)
 
 (* The min of [base] and the rows of [targets.(0 .. k-1)]: [base]
@@ -482,6 +503,7 @@ let prefix_row t rs base targets k =
   else begin
     let n = t.g.n and pre = rs.pre_row in
     rs.pre_len <- -1;
+    rs.bnd_len <- -1;
     Array.blit base 0 pre 0 n;
     for i = 0 to k - 1 do
       let r = cached_row t rs targets.(i) in
@@ -495,6 +517,84 @@ let prefix_row t rs base targets k =
     pre
   end
 
+(* --- bounds: deciding a candidate above a limit without its combine --- *)
+
+(* A combine that prices a SUM bound's part (a singleton, a prefix)
+   rather than a candidate, counted and charged like a b = 1 candidate's;
+   SUM's combine never reads [targets]. *)
+let part_cost t pre last =
+  Bbng_obs.Counter.bump c_evals;
+  Bbng_obs.Budgeted.spend t.budget (2 * t.g.n);
+  combine t pre last [||]
+
+(* SUM.  f(S), the cost of playing S, sums over v the min of the base
+   row and the rows of S, each read as 1 + d or Cinf: a facility-location
+   cost, so the gain f(∅) - f(S) is submodular (Nemhauser–Wolsey–Fisher
+   1978).  Adding t to P gains at most what adding t to ∅ gains, so
+
+     f(P ∪ {t}) >= f(P) + f({t}) - f(∅).
+
+   f({t}) is one combine of the base row and t's row, priced once per
+   target; f(P) is priced once per prefix.  At |P| = 1 it is f({p}),
+   read off the prefix row min(base, row p) itself. *)
+let empty_cost t rs base =
+  if rs.empty < 0 then rs.empty <- part_cost t base base;
+  rs.empty
+
+let single_cost t rs base target row =
+  if rs.single.(target) < 0 then rs.single.(target) <- part_cost t base row;
+  rs.single.(target)
+
+(* MAX.  The cost is above [limit] exactly when some v has
+   min(pre(v), last(v)) + 1 > limit, for every [limit <= Cinf]: a
+   disconnected candidate (cost >= 2·Cinf) leaves an unreached v at the
+   sentinel in both rows.  Only the witnesses W = {v : pre(v) + 1 > limit}
+   (the player excluded: every row holds the sentinel there) can be such
+   a v, so W is drawn once per prefix and limit.  Above Cinf, W is
+   empty and nothing is decided. *)
+let refresh_bound t rs base pre targets ~limit =
+  let k = Array.length targets - 1 in
+  if rs.bnd_len <> k || rs.bnd_limit <> limit then begin
+    rs.bnd_len <- -1;
+    (match t.version with
+    | Cost.Sum ->
+        rs.pre_cost <-
+          (if k = 1 then single_cost t rs base targets.(0) pre
+           else part_cost t pre pre)
+    | Cost.Max ->
+        let n = t.g.n and len = ref 0 in
+        for v = 0 to n - 1 do
+          if pre.(v) + 1 > limit && v <> t.g.player then begin
+            rs.wit.(!len) <- v;
+            incr len
+          end
+        done;
+        rs.wit_len <- !len;
+        Bbng_obs.Budgeted.spend t.budget n);
+    rs.bnd_len <- k;
+    rs.bnd_limit <- limit
+  end
+
+(* Whether a bound proves the candidate (prefix row [pre], last target's
+   row [last]) dearer than [limit].  Charged 1 for the SUM bound and 1
+   per witness tried for MAX, which stops at the first that decides. *)
+let above t rs base pre last targets ~limit =
+  refresh_bound t rs base pre targets ~limit;
+  match t.version with
+  | Cost.Sum ->
+      let t_last = targets.(Array.length targets - 1) in
+      Bbng_obs.Budgeted.spend t.budget 1;
+      rs.pre_cost + single_cost t rs base t_last last - empty_cost t rs base
+      > limit
+  | Cost.Max ->
+      let wit = rs.wit and len = rs.wit_len in
+      let i = ref 0 in
+      while !i < len && last.(wit.(!i)) + 1 <= limit do
+        incr i
+      done;
+      Bbng_obs.Budgeted.spend t.budget (!i + 1);
+      !i < len
+
 (* The (b+1)-way min-combine is the per-candidate hot path — a full
    exhaustive scan runs it C(n-1, b) times — so it is one [combine] of
    two rows: the prefix (base plus the first b-1 targets, see
@@ -502,16 +602,36 @@ let prefix_row t rs base targets k =
    batched into one atomic [Counter.add] per evaluation.  Rows are held
    by reference throughout: a cache eviction while gathering the last
    row cannot invalidate one already in hand. *)
+let priced t rs pre last targets =
+  Bbng_obs.Counter.bump c_evals;
+  Bbng_obs.Budgeted.spend t.budget ((Array.length targets + 1) * t.g.n);
+  let result = combine t pre last targets in
+  if rs.hits > 0 then Bbng_obs.Counter.add c_row_hits rs.hits;
+  result
+
 let rows_cost t rs targets =
   let b = Array.length targets in
   rs.hits <- 0;
   let base = base_row t rs in
   let pre = if b = 0 then base else prefix_row t rs base targets (b - 1) in
   let last = if b = 0 then base else cached_row t rs targets.(b - 1) in
-  Bbng_obs.Budgeted.spend t.budget ((b + 1) * t.g.n);
-  let result = combine t pre last targets in
-  if rs.hits > 0 then Bbng_obs.Counter.add c_row_hits rs.hits;
-  result
+  priced t rs pre last targets
+
+(* [rows_cost] behind the bounds (b >= 2): a candidate [above] decides
+   costs no combine and is no evaluation, but its row reads count as
+   hits as a priced candidate's do, and it comes back as [max_int]. *)
+let rows_cost_within t rs targets ~limit =
+  let b = Array.length targets in
+  rs.hits <- 0;
+  let base = base_row t rs in
+  let pre = prefix_row t rs base targets (b - 1) in
+  let last = cached_row t rs targets.(b - 1) in
+  if above t rs base pre last targets ~limit then begin
+    if rs.hits > 0 then Bbng_obs.Counter.add c_row_hits rs.hits;
+    max_int
+  end
+  else priced t rs pre last targets
+
 (* --- batch engine, part 2: pricing a block of candidates --- *)
 
 (* Bit-sliced vertical counters: plane [p] holds bit [p] of the count
@@ -708,13 +828,22 @@ let batch_cost t bs target =
 let cost t targets =
   Bbng_obs.Budgeted.checkpoint t.budget;
   validate_targets t targets;
-  Bbng_obs.Counter.bump c_evals;
   match t.pricer with
-  | Overlay -> overlay_cost t targets
   | Rows_cache rs -> rows_cost t rs targets
   | Batch bs when Array.length targets = 1 ->
+      Bbng_obs.Counter.bump c_evals;
       batch_cost t (Lazy.force bs) targets.(0)
-  | Batch _ -> overlay_cost t targets
+  | Overlay | Batch _ ->
+      Bbng_obs.Counter.bump c_evals;
+      overlay_cost t targets
+
+let cost_within t targets ~limit =
+  match t.pricer with
+  | Rows_cache rs when Array.length targets >= 2 ->
+      Bbng_obs.Budgeted.checkpoint t.budget;
+      validate_targets t targets;
+      rows_cost_within t rs targets ~limit
+  | _ -> cost t targets
 
 (* A lone current-cost query must not pay for a whole block: a search
    pruned by the cost floor or Lemma 2.2 asks nothing else.  The overlay

@@ -46,7 +46,10 @@
       Lexicographic enumeration changes the prefix at most
       C(n-1, b-1) times, so a C(n-1, b) exhaustive scan drops from
       O(C(n-1,b)·(n+m)) to
-      O(n·(n+m) + C(n-1,b)·n + C(n-1,b-1)·(b-1)·n).
+      O(n·(n+m) + C(n-1,b)·n + C(n-1,b-1)·(b-1)·n).  Behind
+      {!cost_within} a candidate first meets an O(1) lower bound (SUM)
+      or witness test (MAX) cached with the prefix, and only one the
+      bound cannot put above the limit pays the O(n) combine.
 
     Every engine reads the MAX version's [kappa] off one labelling of
     the components of [G∖i], built the first time a context needs it.
@@ -144,6 +147,37 @@ val cost : t -> int array -> int
     @raise Invalid_argument on a self-target, a duplicate target or an
     out-of-range vertex; a rejected call is not counted as an
     evaluation.
+    @raise Bbng_obs.Budgeted.Expired once the token has expired. *)
+
+val cost_within : t -> int array -> limit:int -> int
+(** [cost_within ctx targets ~limit] is [cost ctx targets], except that
+    a candidate which a bound proves to cost strictly more than [limit]
+    may come back as [max_int] instead, without its O(n) combine.  A
+    result other than [max_int] is always the exact cost.  Only the
+    [Rows] engine bounds (at b ≥ 2); every other context answers
+    {!cost}.  An exhaustive scan passes the current cost as [limit]: a
+    candidate dearer than it can be neither the first minimum nor an
+    improvement.
+
+    - SUM: f(P ∪ \{t\}) ≥ f(P) + f(\{t\}) − f(∅), with P the candidate's
+      first b−1 targets and t its last.  The gain f(∅) − f(S) is a
+      facility-location objective, hence submodular.  f(\{t\}) is priced
+      once per target and f(P) once per prefix.
+    - MAX: the cost is above [limit] exactly when some witness v, with
+      pre(v) + 1 > [limit] for the prefix row pre, has last(v) + 1 >
+      [limit] in the last target's row.  Exact for every [limit ≤ n²]:
+      such a candidate is always decided.  The witnesses are drawn once
+      per prefix and [limit]; the test stops at the first that decides.
+
+    Checkpoints the token on entry as {!cost} does.  Work charged: the
+    row builds as in {!cost}; [2·n] per singleton or prefix price;
+    [n] per witness set drawn; 1 for the SUM bound, or 1 per witness
+    tried; and [(b+1)·n] for a candidate that still needs its combine.
+    [deveval.incremental_evals] counts every combine that prices — a
+    candidate's, a singleton's or a prefix's — so a bound-decided
+    candidate is not an evaluation; its row reads count in
+    [deveval.row_hits] as a priced candidate's do.
+    @raise Invalid_argument as {!cost} does.
     @raise Bbng_obs.Budgeted.Expired once the token has expired. *)
 
 val current_cost : t -> int

@@ -66,9 +66,10 @@ val pp_verdict : Format.formatter -> verdict -> unit
 
     A certificate is the audit trail of one certification: per player,
     which tier decided (exact scan / Lemma 2.2 / cost floor / swap
-    scan), how many candidates were evaluated, and the best deviation
-    found.  It is serialized through {!Bbng_obs.Certificate} to a
-    single-line JSON artifact, and {!verify_certificate} re-checks it
+    scan), how many candidates were decided (priced, or bound-decided
+    in an exact scan), and the cheapest deviation priced.  It is
+    serialized through {!Bbng_obs.Certificate} to a single-line JSON
+    artifact, and {!verify_certificate} re-checks it
     {e independently} — game rebuilt from the recorded budgets and
     arcs, every recorded deviation re-priced through the {e other}
     pricing engine (evidence records which of the two exact engines

@@ -38,7 +38,7 @@ let budgets p = p.budgets
 let strategy p i = p.strategies.(i)
 
 let realize p = Digraph.of_out_neighbors p.strategies
-let underlying p = Undirected.of_digraph (realize p)
+let underlying p = Undirected.of_out_neighbors p.strategies
 
 let with_strategy p ~player ~targets =
   let np = n p in

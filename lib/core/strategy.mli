@@ -27,7 +27,9 @@ val realize : t -> Bbng_graph.Digraph.t
 (** The realization [G]: arc [i -> j] iff [j] is in [S_i].  O(n + m). *)
 
 val underlying : t -> Bbng_graph.Undirected.t
-(** [Undirected.of_digraph (realize p)], the metric object. *)
+(** [Undirected.of_digraph (realize p)], the metric object, built
+    straight from the strategies ({!Bbng_graph.Undirected.of_out_neighbors})
+    without realizing the digraph. *)
 
 val with_strategy : t -> player:int -> targets:int array -> t
 (** Functional single-player deviation; same validation as {!make}. *)

@@ -12,11 +12,11 @@ let check_vertex n u =
    orientations allowed) and give the same calls on each of its two
    runs: the first counts row lengths, the second fills the rows.  Each
    row is then insertion-sorted in place and compacted leftwards over
-   its duplicates.  [of_digraph], [remove_vertices] and [complement]
-   visit sources in increasing order, which fills each row as at most
-   three increasing runs, so the sort is close to linear there.  No
-   per-vertex allocation: the only arrays are [offs], [targets] and the
-   fill cursors. *)
+   its duplicates.  [of_digraph], [of_out_neighbors], [remove_vertices]
+   and [complement] visit sources in increasing order, which fills each
+   row as at most three increasing runs, so the sort is close to linear
+   there.  No per-vertex allocation: the only arrays are [offs],
+   [targets] and the fill cursors. *)
 let build n iter =
   let offs = Array.make (n + 1) 0 in
   iter (fun u v ->
@@ -64,6 +64,10 @@ let build n iter =
   { n; offs; targets }
 
 let of_digraph g = build (Digraph.n g) (fun add -> Digraph.iter_arcs add g)
+
+let of_out_neighbors out =
+  build (Array.length out) (fun add ->
+      Array.iteri (fun u row -> Array.iter (fun v -> add u v) row) out)
 
 let of_edges ~n edges =
   if n < 0 then invalid_arg "Undirected.of_edges: negative n";

@@ -26,10 +26,19 @@ type t = private {
       (** Length [2 * edge_count]; every row is sorted and
           duplicate-free.  Must not be mutated by callers. *)
 }
-(** Read-only flat view; build with {!of_digraph} or {!of_edges}. *)
+(** Read-only flat view; build with {!of_digraph}, {!of_out_neighbors}
+    or {!of_edges}. *)
 
 val of_digraph : Digraph.t -> t
 (** Underlying graph of a realization. *)
+
+val of_out_neighbors : int array array -> t
+(** [of_out_neighbors out] is the underlying graph of the digraph in
+    which vertex [u] owns the arcs to [out.(u)], built straight from the
+    rows without realizing the {!Digraph.t}: it equals
+    [of_digraph (Digraph.of_out_neighbors out)] on every input that
+    accepts.  A repeated arc merges like a brace.
+    @raise Invalid_argument on out-of-range endpoints or self-loops. *)
 
 val of_edges : n:int -> (int * int) list -> t
 (** [of_edges ~n edges] builds a simple graph; edges are unordered pairs,

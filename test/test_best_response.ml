@@ -287,6 +287,141 @@ let prop_improve_matches_oracle =
             (List.init n Fun.id))
         Cost.all_versions)
 
+(* --- the bounded exhaustive audit against the unbounded oracle scan --- *)
+
+(* [f ()] and the nonzero counter moves it caused, but for the counters
+   a bound is allowed to move: the pricer's own and [br.bound_pruned] *)
+let with_counter_moves f =
+  let bounded_only name =
+    String.starts_with ~prefix:"deveval." name || name = "br.bound_pruned"
+  in
+  let before = Bbng_obs.Counter.snapshot () in
+  let r = f () in
+  let moves =
+    List.filter_map
+      (fun (name, v) ->
+        let d = v - Option.value ~default:0 (List.assoc_opt name before) in
+        if d = 0 || bounded_only name then None else Some (name, d))
+      (Bbng_obs.Counter.snapshot ())
+  in
+  (r, List.sort compare moves)
+
+let pp_audit (a : Best_response.audit) =
+  let move = function
+    | None -> "-"
+    | Some (m : Best_response.move) ->
+        Printf.sprintf "{%s}=%d"
+          (String.concat "," (List.map string_of_int (Array.to_list m.targets)))
+          m.cost
+  in
+  Printf.sprintf "tier %s scanned %d current %d best %s improving %s"
+    (Best_response.tier_name a.tier) a.scanned a.current (move a.best)
+    (move a.improving)
+
+(* The audit an unbounded [audit_exact] returns, and the counters it
+   moves, derived without its scan: the tier from [Cost.cost_floor] and
+   [satisfies_lemma_2_2], and the exhaustive scan replayed over the
+   generic evaluator in scan order, stopping at the first improvement,
+   with [best] its first minimum. *)
+let unbounded_audit game p player =
+  let n = Strategy.n p in
+  let b = Budget.get (Strategy.budgets p) player in
+  let current = Game.player_cost game p player in
+  let in_degree =
+    List.length
+      (List.filter
+         (fun i -> i <> player && Array.mem player (Strategy.strategy p i))
+         (List.init n Fun.id))
+  in
+  let pruned tier counter =
+    ( {
+        Best_response.tier;
+        engine = Deviation_eval.Rows;
+        scanned = 0;
+        candidates = Bbng_graph.Combinatorics.Exact 0;
+        current;
+        best = None;
+        improving = None;
+      },
+      [ (counter, 1) ] )
+  in
+  if current <= Cost.cost_floor (Game.version game) ~n ~budget:b ~in_degree then
+    pruned Best_response.Cost_floor "br.pruned_floor"
+  else if Best_response.satisfies_lemma_2_2 p player then
+    pruned Best_response.Lemma_2_2_tier "br.pruned_lemma22"
+  else
+    let rec upto_improvement = function
+      | [] -> []
+      | ((_, cost) as c) :: rest ->
+          if cost < current then [ c ] else c :: upto_improvement rest
+    in
+    let scanned =
+      upto_improvement
+        (oracle_candidates Best_response.First_improving game p player)
+    in
+    let best =
+      List.fold_left
+        (fun best ((_, cost) as c) ->
+          match best with Some (_, c0) when c0 <= cost -> best | _ -> Some c)
+        None scanned
+      |> Option.map (fun (targets, cost) -> { Best_response.targets; cost })
+    in
+    let improving =
+      match best with Some m when m.cost < current -> best | _ -> None
+    in
+    ( {
+        Best_response.tier = Best_response.Exhaustive;
+        engine = Deviation_eval.Rows;
+        scanned = List.length scanned;
+        candidates = Bbng_graph.Combinatorics.binomial (n - 1) b;
+        current;
+        best;
+        improving;
+      },
+      List.filter
+        (fun (_, d) -> d <> 0)
+        [
+          ("br.candidates", List.length scanned);
+          ("br.improving_moves", if improving = None then 0 else 1);
+        ] )
+
+let prop_bounded_audit_matches_unbounded =
+  (* every b = 2 and b = 3 player of a random (often disconnected)
+     profile is audited as it plays, where it may improve, and playing
+     its exact best response, where the scan runs in full unless a cheap
+     tier prunes it; the bounded audit equals the unbounded one field
+     for field and moves the same counters *)
+  qcheck ~count:80 "bounded audits == unbounded audits"
+    (sparse_or_dense_budget_gen ~n_min:3 ~n_max:7) (fun input ->
+      let p = random_profile_of input in
+      let n = Strategy.n p in
+      List.for_all
+        (fun version ->
+          let game = Game.make version (Strategy.budgets p) in
+          List.for_all
+            (fun player ->
+              let b = Budget.get (Strategy.budgets p) player in
+              b < 2 || b > 3
+              ||
+              let best = Best_response.exact game p player in
+              let at_best =
+                Strategy.with_strategy p ~player ~targets:best.Best_response.targets
+              in
+              List.for_all
+                (fun q ->
+                  let bounded, moved =
+                    with_counter_moves (fun () -> Best_response.audit_exact game q player)
+                  in
+                  let unbounded, moved' = unbounded_audit game q player in
+                  (bounded = unbounded && moved = List.sort compare moved')
+                  || QCheck.Test.fail_reportf
+                       "%s player %d:\n bounded   %s\n unbounded %s"
+                       (Cost.version_name version) player (pp_audit bounded)
+                       (pp_audit unbounded))
+                [ p; at_best ])
+            (List.init n Fun.id))
+        Cost.all_versions)
+
 let suite =
   [
     case "exact absorbs isolated vertices" test_exact_connects;
@@ -303,4 +438,5 @@ let suite =
     prop_exact_at_most_current;
     prop_greedy_never_beats_exact;
     prop_improve_matches_oracle;
+    prop_bounded_audit_matches_unbounded;
   ]

@@ -147,6 +147,39 @@ let prop_budgeted_certificates_always_verify =
       | Ok () -> true
       | Error e -> QCheck.Test.fail_report e)
 
+let prop_budgeted_bounded_certificates_verify =
+  (* profiles with b >= 2 players, certified under small work limits in
+     both versions: the certificate verifies, and no audit records as
+     its [best] a candidate the bound decides — priced at the audit's
+     current cost on a fresh context, every recorded [best] comes back
+     at its recorded cost, never as [max_int] *)
+  qcheck ~count:60 "budgeted b>=2 certificates verify, best never bound-decided"
+    (random_budget_gen ~n_min:4 ~n_max:8)
+    (fun ((_, _, seed) as input) ->
+      let p = random_profile_of input in
+      List.for_all
+        (fun version ->
+          let g = game version (Strategy.budgets p) in
+          let budget = Budgeted.create ~work_limit:(seed mod 400) () in
+          let cert = Equilibrium.certify_cert ~budget g p in
+          (match Equilibrium.verify_certificate cert with
+          | Ok () -> true
+          | Error e -> QCheck.Test.fail_report e)
+          && List.for_all
+               (fun (player, (a : Best_response.audit)) ->
+                 match a.best with
+                 | Some m when a.engine = Deviation_eval.Rows ->
+                     let ctx = Deviation_eval.make version p ~player in
+                     Deviation_eval.cost_within ctx m.targets ~limit:a.current
+                     = m.cost
+                     || QCheck.Test.fail_reportf
+                          "%s player %d (%s): best was bound-decided"
+                          (Cost.version_name version) player
+                          (Best_response.tier_name a.tier)
+                 | _ -> true)
+               cert.Equilibrium.cert_evidence)
+        Cost.all_versions)
+
 (* --- interrupted dynamics and resume --- *)
 
 (* record a run through the JSONL sink, as --report does *)
@@ -264,6 +297,7 @@ let suite =
     case "outcome helpers" test_outcome_helpers;
     case "tight budget degrades and verifies" test_tight_budget_degrades_and_verifies;
     prop_budgeted_certificates_always_verify;
+    prop_budgeted_bounded_certificates_verify;
     slow_case "interrupted run replays and resumes" test_interrupted_run_replays_and_resumes;
     case "k-center budgeted" test_k_center_budgeted;
     case "k-median budgeted" test_k_median_budgeted;

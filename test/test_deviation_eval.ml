@@ -308,6 +308,113 @@ let test_rows_scan_counters_and_work () =
   check_int "second scan: (b+1)·n work per candidate" (pairs * 3 * n)
     (Budgeted.work_done budget - work0)
 
+(* [cost_within]'s contract at every limit: an answer other than
+   [max_int] is the exact cost, and [max_int] comes only above the
+   limit.  At limit = cost the answer is the cost, so the SUM bound
+   never exceeds the cost; under MAX, for any limit <= n², [max_int]
+   comes exactly when the cost is above the limit.  One context prices
+   a whole lexicographic scan at the scan's fixed limit (the current
+   cost), with reversed and truncated [cost] calls interleaved to
+   invalidate its prefix; a second probes every candidate at its own
+   cost, one below it and a random limit. *)
+let prop_cost_within_bounds =
+  qcheck ~count:150 "cost_within: SUM bound <= cost, MAX witness test iff above"
+    (sparse_or_dense_budget_gen ~n_min:3 ~n_max:8) (fun ((n, _, seed) as input) ->
+      let p = random_profile_of input in
+      let st = rng (seed + 41) in
+      let player = Random.State.int st n in
+      let inf = n * n in
+      List.for_all
+        (fun version ->
+          List.for_all
+            (fun b ->
+              let exact = bfs_of version p player in
+              let scan_ctx = rows_of version p player in
+              let probe_ctx = rows_of version p player in
+              let current = Deviation_eval.current_cost exact in
+              let holds ctx targets c limit =
+                let r = Deviation_eval.cost_within ctx targets ~limit in
+                let sound = r = c || (r = max_int && c > limit) in
+                let tight = limit < c || r = c in
+                let complete =
+                  version = Cost.Sum || limit > inf || c <= limit || r = max_int
+                in
+                if sound && tight && complete then true
+                else
+                  QCheck.Test.fail_reportf
+                    "%s b=%d {%s}: cost %d, limit %d, cost_within %d"
+                    (Cost.version_name version) b
+                    (String.concat "," (List.map string_of_int (Array.to_list targets)))
+                    c limit r
+              in
+              let ok = ref true in
+              if b <= n - 1 then
+                iter_candidates ~n ~player ~b (fun targets ->
+                    let c = Deviation_eval.cost exact targets in
+                    (match Random.State.int st 4 with
+                    | 0 ->
+                        let rev = Array.of_list (List.rev (Array.to_list targets)) in
+                        ignore (Deviation_eval.cost scan_ctx rev)
+                    | 1 ->
+                        let keep = Random.State.int st b in
+                        ignore (Deviation_eval.cost scan_ctx (Array.sub targets 0 keep))
+                    | _ -> ());
+                    ok :=
+                      !ok
+                      && holds scan_ctx targets c current
+                      && holds probe_ctx targets c c
+                      && holds probe_ctx targets c (c - 1)
+                      && holds probe_ctx targets c (Random.State.int st (inf + 2)));
+              !ok)
+            [ 2; 3 ])
+        Cost.all_versions)
+
+let test_bound_decided_scan () =
+  (* a full b = 2 scan of a Table-1 witness player at its current cost:
+     the bounds decide candidates, each decided one is charged exactly 1
+     (SUM) or 1 per witness tried (MAX) on a warm context and is not an
+     evaluation, and the current strategy itself is never decided *)
+  let module Budgeted = Bbng_obs.Budgeted in
+  List.iter
+    (fun (version, p, player) ->
+      let name = Cost.version_name version in
+      let n = Strategy.n p in
+      let budget = Budgeted.create ~work_limit:max_int () in
+      let c = Deviation_eval.make ~budget version p ~player in
+      check_true (name ^ ": rows engine") (Deviation_eval.engine c = Deviation_eval.Rows);
+      let current = Deviation_eval.current_cost c in
+      let scan () =
+        let decided = ref 0 and priced = ref 0 in
+        iter_candidates ~n ~player ~b:2 (fun t ->
+            if Deviation_eval.cost_within c t ~limit:current = max_int then incr decided
+            else incr priced);
+        (!decided, !priced)
+      in
+      let decided, priced = scan () in
+      check_true (name ^ ": some candidates decided") (decided > 0);
+      check_int (name ^ ": every candidate decided or priced")
+        ((n - 1) * (n - 2) / 2) (decided + priced);
+      check_int (name ^ ": the current strategy is priced") current
+        (Deviation_eval.cost_within c (Strategy.strategy p player) ~limit:current);
+      let evals0 = Bbng_obs.Counter.find "deveval.incremental_evals" in
+      let work0 = Budgeted.work_done budget in
+      let decided', priced' = scan () in
+      check_int (name ^ ": same decisions warm") decided decided';
+      check_int (name ^ ": warm evaluations are the priced ones") priced'
+        (Bbng_obs.Counter.find "deveval.incremental_evals" - evals0);
+      let work = Budgeted.work_done budget - work0 in
+      let combines = priced' * 3 * n in
+      if version = Cost.Sum then
+        check_int (name ^ ": warm work: 1 per candidate, 3n per combine")
+          (decided' + priced' + combines) work
+      else
+        check_true (name ^ ": warm work: >= 1 per candidate, 3n per combine")
+          (work >= decided' + priced' + combines))
+    [
+      (Cost.Sum, Bbng_constructions.Binary_tree.profile ~depth:4, 0);
+      (Cost.Max, Bbng_constructions.Tripod.profile ~k:4, 0);
+    ]
+
 let prop_equivalent_to_generic =
   qcheck ~count:200 "incremental evaluator == generic deviation cost"
     (random_budget_gen ~n_min:2 ~n_max:9) (fun ((n, _, seed) as input) ->
@@ -517,6 +624,9 @@ let suite =
     case "rows eviction stays exact" test_rows_eviction_keeps_answers_exact;
     case "rows budget charges work" test_rows_budget_charges_work;
     case "rows scan counters and work" test_rows_scan_counters_and_work;
+    case "bound-decided scan: decisions, evaluations, work"
+      test_bound_decided_scan;
+    prop_cost_within_bounds;
     prop_rows_equals_bfs;
     prop_rows_prefix_scan_equals_bfs;
     prop_equivalent_to_generic;

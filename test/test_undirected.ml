@@ -162,6 +162,18 @@ let prop_builder_matches_naive =
       | _ :: rest -> check (not (Undirected.equal g (Undirected.of_edges ~n rest))));
       !ok)
 
+let prop_of_out_neighbors_matches_realize =
+  (* U(G) straight from the strategy rows equals U of the realized
+     digraph, braces and isolated players included *)
+  qcheck ~count:200 "of_out_neighbors == of_digraph (realize p)"
+    (sparse_or_dense_budget_gen ~n_min:1 ~n_max:12) (fun input ->
+      let module Strategy = Bbng_core.Strategy in
+      let p = random_profile_of input in
+      let rows = Array.init (Strategy.n p) (Strategy.strategy p) in
+      let expected = Undirected.of_digraph (Strategy.realize p) in
+      Undirected.equal (Undirected.of_out_neighbors rows) expected
+      && Undirected.equal (Strategy.underlying p) expected)
+
 let suite =
   [
     case "of_edges" test_of_edges;
@@ -178,4 +190,5 @@ let suite =
     prop_complement_involution;
     prop_neighbors_symmetric;
     prop_builder_matches_naive;
+    prop_of_out_neighbors_matches_realize;
   ]
