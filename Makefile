@@ -42,17 +42,29 @@ bench-baseline:
 	@echo "baselines refreshed: next 'make check' diffs against them"
 
 # regenerate the golden audit artifacts (equilibrium certificates +
-# dynamics flight recordings) and promote them to test/golden/, where
-# bin/check.sh independently re-verifies every one with
-# `bbng_cli verify` / `bbng_cli replay`
+# dynamics flight recordings) into artifacts/ and compare each with its
+# committed copy in test/golden/, where bin/check.sh independently
+# re-verifies every one with `bbng_cli verify` / `bbng_cli replay`.
+# The target lists the files that differ and overwrites nothing: a
+# regenerated file need not match byte for byte (the committed
+# certificates predate the evidence's engine/candidates fields, and
+# every recording carries its own ts_us and argv), so a blind copy
+# would rewrite the whole golden set.  Promote a file deliberately,
+# by hand (cp artifacts/FILE test/golden/), once its diff is understood.
 GOLDEN_ARTIFACTS = CERT_sun8_max.json CERT_sun8_swap.json \
   CERT_tripod2_max.json CERT_refuted_path3_max.json \
   DYN_rr_best_unit8_max.jsonl DYN_rr_first_swap_n12_sum.jsonl
 artifacts:
 	dune exec bench/main.exe -- artifacts
-	mkdir -p test/golden
-	cd artifacts && cp $(GOLDEN_ARTIFACTS) ../test/golden/
-	@echo "golden set refreshed: 'make check' now gates on it"
+	@differ=""; \
+	for f in $(GOLDEN_ARTIFACTS); do \
+	  cmp -s artifacts/$$f test/golden/$$f || differ="$$differ $$f"; \
+	done; \
+	if [ -n "$$differ" ]; then \
+	  echo "differ from test/golden/ (not promoted):$$differ"; \
+	else \
+	  echo "golden set reproduced byte for byte"; \
+	fi
 
 # record a short dynamics run with a fast heartbeat ticker, then render
 # the recording with the live viewer — a ten-second look at what

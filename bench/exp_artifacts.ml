@@ -3,10 +3,12 @@
    Emits a small, deterministic collection of equilibrium certificates
    and dynamics flight recordings into artifacts/, then re-checks every
    one in-process exactly the way `bbng_cli verify` / `bbng_cli replay`
-   would.  `make artifacts` promotes these files to test/golden/, where
-   bin/check.sh gates them on every run — so a change that silently
-   breaks certificate serialization, replay semantics, or the recorded
-   event schema fails the gate instead of a future audit. *)
+   would.  `make artifacts` lists the files that differ from their
+   committed copies in test/golden/, where bin/check.sh gates them on
+   every run — so a change that silently breaks certificate
+   serialization, replay semantics, or the recorded event schema fails
+   the gate instead of a future audit.  Promoting a file is a manual
+   copy. *)
 
 open Bbng_core
 open Exp_common
@@ -95,4 +97,4 @@ let run () =
   section "AUDIT ARTIFACTS — certificates and flight recordings (golden set)";
   certificates ();
   recordings ();
-  note "promote with `make artifacts`; bin/check.sh verifies test/golden/"
+  note "compare with `make artifacts`; bin/check.sh verifies test/golden/"

@@ -21,7 +21,8 @@ echo "== audit artifacts (golden set) =="
 # every checked-in certificate must independently re-verify, and every
 # checked-in flight recording must replay divergence-free — the
 # serialization formats and replay semantics are load-bearing
-# (regenerate with `make artifacts` after an intentional change)
+# (after an intentional change, `make artifacts` lists the regenerated
+# files that differ; promote them by copying into test/golden/)
 found_golden=0
 for f in test/golden/CERT_*.json; do
   [ -e "$f" ] || continue
@@ -34,7 +35,7 @@ for f in test/golden/DYN_*.jsonl; do
   dune exec bin/bbng_cli.exe -- replay "$f"
 done
 if [ "$found_golden" = 0 ]; then
-  echo "check: no golden artifacts found (run 'make artifacts')"
+  echo "check: no golden artifacts found (make artifacts, then copy from artifacts/)"
   exit 1
 fi
 # a budget-3 player scanned in full: player 0 of a 10-vertex path plus
@@ -54,15 +55,19 @@ for v in max sum; do
 done
 # the bound decides b = 2 candidates without pricing them, and they
 # still count as scanned: certifying the depth-4 Thm 3.4 tree (n=31,
-# SUM) must prune some candidates by the bound, show each internal
+# SUM) must hand over, bound-decide and read rows for exactly as many
+# candidates as pricing each through Deviation_eval.cost_within would
+# (so a scan that mis-tallies a tail fails here), show each internal
 # player's scan complete at C(30,2) = 435, and re-verify
 BT4=$(dune exec bin/bbng_cli.exe -- construct binary --depth 4 -c sum | sed -n 's/^profile: *//p')
 dune exec bin/bbng_cli.exe -- certify -c sum "$BT4" --stats --cert _build/BT4_sum.json \
   2> _build/BT4_sum.stats > /dev/null
-grep -Eq '^ *br\.bound_pruned +[1-9][0-9]*$' _build/BT4_sum.stats || {
-  echo "check: the bound decided no candidate of the depth-4 tree"
-  exit 1
-}
+for want in 'br\.candidates +6541' 'br\.bound_pruned +6510' 'deveval\.row_hits +12630'; do
+  grep -Eq "^ *$want\$" _build/BT4_sum.stats || {
+    echo "check: depth-4 tree counters differ from '$want'"
+    exit 1
+  }
+done
 grep -q '"tier":"exact","engine":"rows","scanned":435,' _build/BT4_sum.json || {
   echo "check: no depth-4 tree player scanned all 435 candidates"
   exit 1

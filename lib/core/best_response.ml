@@ -174,19 +174,29 @@ type audit = {
   improving : move option;
 }
 
-(* Candidate spaces in scan order, each candidate handed to [f] in one
-   reused buffer ([Deviation_eval.cost] only reads it): the
-   lexicographic [b]-subsets of the other players, or the single-arc
-   swaps — owned arcs in index order, each replaced by every target
-   neither owned nor the player, in increasing order. *)
-let iter_exhaustive ctx f =
-  let buf = Array.make ctx.budget 0 in
-  Combinatorics.iter_combinations ~n:(Game.n ctx.game - 1) ~k:ctx.budget
-    (fun c ->
-      unshift_into buf ctx.player c;
-      f buf)
+(* Candidate spaces in scan order, each decided candidate reported to
+   [tally] and each priced one handed to [priced] in one reused buffer
+   (it escapes by copy only): the lexicographic [b]-subsets of the
+   other players, or the single-arc swaps — owned arcs in index order,
+   each replaced by every target neither owned nor the player, in
+   increasing order.  At b >= 2 the subsets are the tails of the
+   lexicographic (b-1)-prefixes, each decided in one
+   [Deviation_eval.scan_tail] pass behind the bound at the current
+   cost; every other candidate is counted and priced alone by [eval]. *)
+let iter_exhaustive ctx ~tally ~priced =
+  let n = Game.n ctx.game and b = ctx.budget in
+  let buf = Array.make b 0 in
+  if b >= 2 then
+    Combinatorics.iter_combinations ~n:(n - 2) ~k:(b - 1) (fun prefix ->
+        unshift_into buf ctx.player prefix;
+        Deviation_eval.scan_tail ctx.eval_ctx buf ~limit:ctx.current_cost ~tally
+          ~priced)
+  else
+    Combinatorics.iter_combinations ~n:(n - 1) ~k:b (fun c ->
+        unshift_into buf ctx.player c;
+        priced buf (eval ctx buf))
 
-let iter_swaps ctx f =
+let iter_swaps ctx ~tally:_ ~priced =
   let owned = Strategy.strategy ctx.profile ctx.player in
   let buf = Array.make ctx.budget 0 in
   Array.iteri
@@ -197,7 +207,7 @@ let iter_swaps ctx f =
           Array.blit owned 0 buf 0 ctx.budget;
           buf.(drop) <- v;
           Array.sort Int.compare buf;
-          f buf
+          priced buf (eval ctx buf)
         end
       done)
     owned
@@ -218,49 +228,51 @@ let iter_swaps ctx f =
    scan; it stays on the audit even when the scan degrades, so a
    verifier can compare it against its own re-count.
 
-   An [Exhaustive] scan prices through [Deviation_eval.cost_within] at
-   the current cost, so a candidate whose bound lies strictly above it
-   is decided unpriced (handed back as [max_int]): it counts as scanned
-   and in [br.bound_pruned] but can be neither [best] nor an
-   improvement.  That changes no complete scan's outcome, because the
-   current strategy is itself a candidate, so the first minimum costs
-   at most the current cost.  A degraded scan's [best] is the cheapest
-   candidate priced, [None] when every candidate was bound-decided.
-   Swap scans are never bounded: the current strategy is not a swap,
-   so the cheapest swap may cost more than it. *)
+   An [Exhaustive] scan at b >= 2 decides its candidates tail by tail
+   behind the bound at the current cost ([Deviation_eval.scan_tail]),
+   so a candidate whose bound lies strictly above it is decided
+   unpriced: it counts as scanned and in [br.bound_pruned] but can be
+   neither [best] nor an improvement.  That changes no complete scan's
+   outcome, because the current strategy is itself a candidate, so the
+   first minimum costs at most the current cost.  A degraded scan's
+   [best] is the cheapest candidate priced, [None] when every candidate
+   was bound-decided.  Swap scans are never bounded: the current
+   strategy is not a swap, so the cheapest swap may cost more than it.
+
+   [br.candidates] counts every candidate handed to the pricer, the
+   one an expired token stops included.  Decided candidates reach the
+   counters in bulk, at least once per tail (every n - 2 candidates or
+   fewer), so a live reader sees a scan's counters move by tails. *)
 let scan ctx ~tier ~candidates ~stop_below iter_targets =
   let best = Array.make ctx.budget 0 in
   let best_cost = ref max_int in
   let scanned = ref 0 in
-  let price =
-    match tier with
-    | Exhaustive ->
-        fun targets ->
-          Deviation_eval.cost_within ctx.eval_ctx targets ~limit:ctx.current_cost
-    | _ -> Deviation_eval.cost ctx.eval_ctx
+  let tally ~handed ~decided =
+    Bbng_obs.Counter.add c_candidates handed;
+    if decided > 0 then begin
+      Bbng_obs.Counter.add c_bound_pruned decided;
+      scanned := !scanned + decided
+    end
+  in
+  let priced targets cost =
+    incr scanned;
+    if cost < !best_cost then begin
+      best_cost := cost;
+      Array.blit targets 0 best 0 ctx.budget
+    end;
+    if cost < ctx.current_cost then begin
+      Bbng_obs.Counter.bump c_improving;
+      if cost < stop_below then raise Exit
+    end
   in
   let tier =
     try
-      iter_targets ctx (fun targets ->
-          Bbng_obs.Counter.bump c_candidates;
-          let cost = price targets in
-          incr scanned;
-          if cost = max_int then Bbng_obs.Counter.bump c_bound_pruned
-          else begin
-            if cost < !best_cost then begin
-              best_cost := cost;
-              Array.blit targets 0 best 0 ctx.budget
-            end;
-            if cost < ctx.current_cost then begin
-              Bbng_obs.Counter.bump c_improving;
-              if cost < stop_below then raise Exit
-            end
-          end);
+      iter_targets ctx ~tally ~priced;
       tier
     with
     | Exit -> tier
     | Bbng_obs.Budgeted.Expired ->
-        (* the raising candidate was never priced, so it is not counted
+        (* the raising candidate was never priced, so it is not scanned
            and cannot be [best]; an interrupted first-improvement scan
            has found no improvement, or it would have stopped *)
         Bbng_obs.Counter.bump c_degraded;

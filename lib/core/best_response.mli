@@ -33,9 +33,10 @@
     first b-1 targets and the rows engine prices each in one O(n) pass
     over a cached prefix row; a whole scan is
     O(n·(n+m) + C(n-1,b)·n + C(n-1,b-1)·(b-1)·n).  The exhaustive
-    audits (not {!exact}) first bound each candidate against the
-    current cost and skip the O(n) pass for one the bound decides, so
-    most candidates cost O(1) ({!Deviation_eval.cost_within}).  At
+    audits (not {!exact}) hand each prefix's candidates to one
+    {!Deviation_eval.scan_tail} pass, which bounds each against the
+    current cost and skips the O(n) pass for one the bound decides, so
+    most candidates cost O(1).  At
     b = 1 with n - 1 ≥ 63 candidates, 63 consecutive ones share one
     bit-parallel BFS of depth L, so a whole scan is
     O(⌈(n-1)/63⌉·L·(n+m)); a scan that stops early pays for every block
@@ -157,9 +158,14 @@ type audit = {
   scanned : int;
       (** candidate strategies decided: priced, or (exhaustive tier)
           bound-decided — proved dearer than the current strategy
-          without a price, see {!Deviation_eval.cost_within}.  Each is
+          without a price, see {!Deviation_eval.scan_tail}.  Each is
           counted in [br.candidates], a bound-decided one also in
-          [br.bound_pruned], and a bound-decided one is never [best]. *)
+          [br.bound_pruned], and a bound-decided one is never [best].
+          [br.candidates] also counts the candidate an expired token
+          stopped.  At b ≥ 2 decided candidates reach these counters
+          in bulk, at least once per prefix's tail (every n−2
+          candidates or fewer), so a live reader such as a heartbeat
+          sees them move tail by tail rather than per candidate. *)
   candidates : Bbng_graph.Combinatorics.count;
       (** size of the space the tier set out to scan ([Exact 0] for the
           no-scan tiers); [Saturated] when [C(n-1,b)] overflows, which
@@ -183,7 +189,7 @@ val audit_exact :
     found, like the plain certifier.
 
     The scan decides a candidate whose bound lies strictly above the
-    current cost without pricing it ({!Deviation_eval.cost_within}).
+    current cost without pricing it ({!Deviation_eval.scan_tail}).
     No complete scan's fields change: such a candidate is neither the
     first minimum nor an improvement.
 

@@ -575,16 +575,15 @@ let refresh_bound t rs base pre targets ~limit =
     rs.bnd_limit <- limit
   end
 
-(* Whether a bound proves the candidate (prefix row [pre], last target's
-   row [last]) dearer than [limit].  Charged 1 for the SUM bound and 1
-   per witness tried for MAX, which stops at the first that decides. *)
-let above t rs base pre last targets ~limit =
-  refresh_bound t rs base pre targets ~limit;
+(* Whether a bound proves the candidate (last target [last_t], its row
+   [last]) dearer than [limit], once [refresh_bound] has settled the
+   prefix's part.  Charged 1 for the SUM bound and 1 per witness tried
+   for MAX, which stops at the first that decides. *)
+let above t rs base last last_t ~limit =
   match t.version with
   | Cost.Sum ->
-      let t_last = targets.(Array.length targets - 1) in
       Bbng_obs.Budgeted.spend t.budget 1;
-      rs.pre_cost + single_cost t rs base t_last last - empty_cost t rs base
+      rs.pre_cost + single_cost t rs base last_t last - empty_cost t rs base
       > limit
   | Cost.Max ->
       let wit = rs.wit and len = rs.wit_len in
@@ -626,11 +625,63 @@ let rows_cost_within t rs targets ~limit =
   let base = base_row t rs in
   let pre = prefix_row t rs base targets (b - 1) in
   let last = cached_row t rs targets.(b - 1) in
-  if above t rs base pre last targets ~limit then begin
+  refresh_bound t rs base pre targets ~limit;
+  if above t rs base last targets.(b - 1) ~limit then begin
     if rs.hits > 0 then Bbng_obs.Counter.add c_row_hits rs.hits;
     max_int
   end
   else priced t rs pre last targets
+
+(* Reports a tail's [handed] and [decided] candidates not yet reported,
+   and the row hits of the decided ones, and zeroes all three. *)
+let flush_tail ~tally handed decided hits =
+  let h = !handed and d = !decided and x = !hits in
+  handed := 0;
+  decided := 0;
+  hits := 0;
+  if x > 0 then Bbng_obs.Counter.add c_row_hits x;
+  if h > 0 then tally ~handed:h ~decided:d
+
+(* [rows_cost_within] over a tail (see [scan_tail]).  The first
+   candidate settles the base row, the prefix row and the bound as its
+   own [rows_cost_within] would; each later one counts its prefix read
+   as k hits, as a matched prefix does, and reads only its last row.
+   A candidate in flight when an exception strikes is handed but
+   neither decided nor priced, and its hits are dropped, as
+   [rows_cost_within] drops them. *)
+let rows_scan_tail t rs targets ~limit ~tally ~priced:report =
+  let k = Array.length targets - 1 and player = t.g.player in
+  let handed = ref 0 and decided = ref 0 and hits = ref 0 in
+  let base = ref [||] and pre = ref [||] in
+  try
+    for v = targets.(k - 1) + 1 to t.g.n - 1 do
+      if v <> player then begin
+        targets.(k) <- v;
+        incr handed;
+        Bbng_obs.Budgeted.checkpoint t.budget;
+        let first = Array.length !pre = 0 in
+        if first then begin
+          rs.hits <- 0;
+          base := base_row t rs;
+          pre := prefix_row t rs !base targets k
+        end
+        else rs.hits <- k;
+        let last = cached_row t rs v in
+        if first then refresh_bound t rs !base !pre targets ~limit;
+        if above t rs !base last v ~limit then begin
+          incr decided;
+          hits := !hits + rs.hits
+        end
+        else begin
+          flush_tail ~tally handed decided hits;
+          report targets (priced t rs !pre last targets)
+        end
+      end
+    done;
+    flush_tail ~tally handed decided hits
+  with e ->
+    flush_tail ~tally handed decided hits;
+    raise e
 
 (* --- batch engine, part 2: pricing a block of candidates --- *)
 
@@ -844,6 +895,20 @@ let cost_within t targets ~limit =
       validate_targets t targets;
       rows_cost_within t rs targets ~limit
   | _ -> cost t targets
+
+(* The tail's own candidates are in range, distinct and player-free by
+   construction, so only the prefix is validated, once per tail. *)
+let scan_tail t targets ~limit ~tally ~priced =
+  let k = Array.length targets - 1 in
+  match t.pricer with
+  | Rows_cache rs when k >= 1 ->
+      for i = 0 to k - 1 do
+        let v = targets.(i) in
+        if v < 0 || v >= t.g.n || v = t.g.player || (i > 0 && v <= targets.(i - 1))
+        then invalid_arg "Deviation_eval.scan_tail: bad prefix"
+      done;
+      rows_scan_tail t rs targets ~limit ~tally ~priced
+  | _ -> invalid_arg "Deviation_eval.scan_tail: needs the rows engine at b >= 2"
 
 (* A lone current-cost query must not pay for a whole block: a search
    pruned by the cost floor or Lemma 2.2 asks nothing else.  The overlay

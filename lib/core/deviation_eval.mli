@@ -49,7 +49,9 @@
       O(n·(n+m) + C(n-1,b)·n + C(n-1,b-1)·(b-1)·n).  Behind
       {!cost_within} a candidate first meets an O(1) lower bound (SUM)
       or witness test (MAX) cached with the prefix, and only one the
-      bound cannot put above the limit pays the O(n) combine.
+      bound cannot put above the limit pays the O(n) combine;
+      {!scan_tail} asks that bound for every candidate of a prefix in
+      one pass.
 
     Every engine reads the MAX version's [kappa] off one labelling of
     the components of [G∖i], built the first time a context needs it.
@@ -155,9 +157,9 @@ val cost_within : t -> int array -> limit:int -> int
     may come back as [max_int] instead, without its O(n) combine.  A
     result other than [max_int] is always the exact cost.  Only the
     [Rows] engine bounds (at b ≥ 2); every other context answers
-    {!cost}.  An exhaustive scan passes the current cost as [limit]: a
-    candidate dearer than it can be neither the first minimum nor an
-    improvement.
+    {!cost}.  An exhaustive scan asks it of whole tails through
+    {!scan_tail}, with the current cost as [limit]: a candidate dearer
+    than it can be neither the first minimum nor an improvement.
 
     - SUM: f(P ∪ \{t\}) ≥ f(P) + f(\{t\}) − f(∅), with P the candidate's
       first b−1 targets and t its last.  The gain f(∅) − f(S) is a
@@ -178,6 +180,39 @@ val cost_within : t -> int array -> limit:int -> int
     candidate is not an evaluation; its row reads count in
     [deveval.row_hits] as a priced candidate's do.
     @raise Invalid_argument as {!cost} does.
+    @raise Bbng_obs.Budgeted.Expired once the token has expired. *)
+
+val scan_tail :
+  t ->
+  int array ->
+  limit:int ->
+  tally:(handed:int -> decided:int -> unit) ->
+  priced:(int array -> int -> unit) ->
+  unit
+(** [scan_tail ctx targets ~limit ~tally ~priced] is {!cost_within} at
+    [limit] over a whole {e tail}.  [targets] has length b ≥ 2 and its
+    first b−1 entries are a strictly increasing prefix P; the tail is
+    every candidate P ++ [v] with v past P's last target (the player
+    skipped), in increasing order, each written into [targets.(b-1)].
+    The lexicographic b-subsets are the tails of the lexicographic
+    (b−1)-prefixes.  The prefix row and the bound are settled once per
+    tail, so each later candidate costs a cached-row read and one
+    compare (SUM) or one witness walk (MAX).
+
+    A survivor — a candidate the bound does not decide — is priced and
+    handed to [priced targets cost] ([targets] is valid during the call
+    only; [priced] may raise to stop the scan, but must not price on
+    [ctx]).  Decided candidates come back in bulk as [tally ~handed
+    ~decided]: [decided] were decided unpriced, and [handed] also
+    counts the survivor about to be priced, or the candidate an
+    exception stopped.  [tally] runs before each survivor, at the
+    tail's end and before any exception is re-raised.  Checkpoints,
+    work charges and [deveval.*] moves add up to those of
+    {!cost_within} called on each candidate in turn, but the counters
+    move at least once per tail (every n−2 candidates or fewer) rather
+    than per candidate.
+    @raise Invalid_argument unless [ctx] prices with [Rows] and the
+    prefix is non-empty, in range, player-free and strictly increasing.
     @raise Bbng_obs.Budgeted.Expired once the token has expired. *)
 
 val current_cost : t -> int

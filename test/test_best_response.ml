@@ -290,21 +290,23 @@ let prop_improve_matches_oracle =
 (* --- the bounded exhaustive audit against the unbounded oracle scan --- *)
 
 (* [f ()] and the nonzero counter moves it caused, but for the counters
-   a bound is allowed to move: the pricer's own and [br.bound_pruned] *)
-let with_counter_moves f =
-  let bounded_only name =
-    String.starts_with ~prefix:"deveval." name || name = "br.bound_pruned"
-  in
+   [except] names *)
+let counter_moves ?(except = fun _ -> false) f =
   let before = Bbng_obs.Counter.snapshot () in
   let r = f () in
   let moves =
     List.filter_map
       (fun (name, v) ->
         let d = v - Option.value ~default:0 (List.assoc_opt name before) in
-        if d = 0 || bounded_only name then None else Some (name, d))
+        if d = 0 || except name then None else Some (name, d))
       (Bbng_obs.Counter.snapshot ())
   in
   (r, List.sort compare moves)
+
+(* the counters a bound is allowed to move: the pricer's own and
+   [br.bound_pruned] *)
+let bounded_only name =
+  String.starts_with ~prefix:"deveval." name || name = "br.bound_pruned"
 
 let pp_audit (a : Best_response.audit) =
   let move = function
@@ -318,15 +320,12 @@ let pp_audit (a : Best_response.audit) =
     (Best_response.tier_name a.tier) a.scanned a.current (move a.best)
     (move a.improving)
 
-(* The audit an unbounded [audit_exact] returns, and the counters it
-   moves, derived without its scan: the tier from [Cost.cost_floor] and
-   [satisfies_lemma_2_2], and the exhaustive scan replayed over the
-   generic evaluator in scan order, stopping at the first improvement,
-   with [best] its first minimum. *)
-let unbounded_audit game p player =
+(* The cheap tier that prunes a player's exhaustive audit, if one does
+   (the cost floor, then Lemma 2.2), as the audit it returns and the
+   counter it bumps. *)
+let cheap_tier game p player ~current =
   let n = Strategy.n p in
   let b = Budget.get (Strategy.budgets p) player in
-  let current = Game.player_cost game p player in
   let in_degree =
     List.length
       (List.filter
@@ -334,56 +333,69 @@ let unbounded_audit game p player =
          (List.init n Fun.id))
   in
   let pruned tier counter =
-    ( {
-        Best_response.tier;
-        engine = Deviation_eval.Rows;
-        scanned = 0;
-        candidates = Bbng_graph.Combinatorics.Exact 0;
-        current;
-        best = None;
-        improving = None;
-      },
-      [ (counter, 1) ] )
+    Some
+      ( {
+          Best_response.tier;
+          engine = Deviation_eval.Rows;
+          scanned = 0;
+          candidates = Bbng_graph.Combinatorics.Exact 0;
+          current;
+          best = None;
+          improving = None;
+        },
+        [ (counter, 1) ] )
   in
   if current <= Cost.cost_floor (Game.version game) ~n ~budget:b ~in_degree then
     pruned Best_response.Cost_floor "br.pruned_floor"
   else if Best_response.satisfies_lemma_2_2 p player then
     pruned Best_response.Lemma_2_2_tier "br.pruned_lemma22"
-  else
-    let rec upto_improvement = function
-      | [] -> []
-      | ((_, cost) as c) :: rest ->
-          if cost < current then [ c ] else c :: upto_improvement rest
-    in
-    let scanned =
-      upto_improvement
-        (oracle_candidates Best_response.First_improving game p player)
-    in
-    let best =
-      List.fold_left
-        (fun best ((_, cost) as c) ->
-          match best with Some (_, c0) when c0 <= cost -> best | _ -> Some c)
-        None scanned
-      |> Option.map (fun (targets, cost) -> { Best_response.targets; cost })
-    in
-    let improving =
-      match best with Some m when m.cost < current -> best | _ -> None
-    in
-    ( {
-        Best_response.tier = Best_response.Exhaustive;
-        engine = Deviation_eval.Rows;
-        scanned = List.length scanned;
-        candidates = Bbng_graph.Combinatorics.binomial (n - 1) b;
-        current;
-        best;
-        improving;
-      },
-      List.filter
-        (fun (_, d) -> d <> 0)
-        [
-          ("br.candidates", List.length scanned);
-          ("br.improving_moves", if improving = None then 0 else 1);
-        ] )
+  else None
+
+(* The audit an unbounded [audit_exact] returns, and the counters it
+   moves, derived without its scan: the tier from [cheap_tier], and the
+   exhaustive scan replayed over the generic evaluator in scan order,
+   stopping at the first improvement, with [best] its first minimum. *)
+let unbounded_audit game p player =
+  let n = Strategy.n p in
+  let b = Budget.get (Strategy.budgets p) player in
+  let current = Game.player_cost game p player in
+  match cheap_tier game p player ~current with
+  | Some pruned -> pruned
+  | None ->
+      let rec upto_improvement = function
+        | [] -> []
+        | ((_, cost) as c) :: rest ->
+            if cost < current then [ c ] else c :: upto_improvement rest
+      in
+      let scanned =
+        upto_improvement
+          (oracle_candidates Best_response.First_improving game p player)
+      in
+      let best =
+        List.fold_left
+          (fun best ((_, cost) as c) ->
+            match best with Some (_, c0) when c0 <= cost -> best | _ -> Some c)
+          None scanned
+        |> Option.map (fun (targets, cost) -> { Best_response.targets; cost })
+      in
+      let improving =
+        match best with Some m when m.cost < current -> best | _ -> None
+      in
+      ( {
+          Best_response.tier = Best_response.Exhaustive;
+          engine = Deviation_eval.Rows;
+          scanned = List.length scanned;
+          candidates = Bbng_graph.Combinatorics.binomial (n - 1) b;
+          current;
+          best;
+          improving;
+        },
+        List.filter
+          (fun (_, d) -> d <> 0)
+          [
+            ("br.candidates", List.length scanned);
+            ("br.improving_moves", if improving = None then 0 else 1);
+          ] )
 
 let prop_bounded_audit_matches_unbounded =
   (* every b = 2 and b = 3 player of a random (often disconnected)
@@ -410,7 +422,8 @@ let prop_bounded_audit_matches_unbounded =
               List.for_all
                 (fun q ->
                   let bounded, moved =
-                    with_counter_moves (fun () -> Best_response.audit_exact game q player)
+                    counter_moves ~except:bounded_only (fun () ->
+                        Best_response.audit_exact game q player)
                   in
                   let unbounded, moved' = unbounded_audit game q player in
                   (bounded = unbounded && moved = List.sort compare moved')
@@ -419,6 +432,119 @@ let prop_bounded_audit_matches_unbounded =
                        (Cost.version_name version) player (pp_audit bounded)
                        (pp_audit unbounded))
                 [ p; at_best ])
+            (List.init n Fun.id))
+        Cost.all_versions)
+
+(* --- degraded exhaustive audits against the per-candidate loop --- *)
+
+(* [audit_exact]'s exhaustive tier as a per-candidate loop, the oracle
+   for its tail-by-tail scan: on a context warmed up unlimited and then
+   armed with [budget], each candidate is counted in [br.candidates]
+   and priced through [Deviation_eval.cost_within] at the current
+   cost; a bound-decided one
+   is scanned and counted in [br.bound_pruned], a priced one may become
+   [best] or stop the scan as an improvement, and an expired token
+   degrades it.  Returns the audit and the [br.*] moves the replay
+   stands in for; the [deveval.*] ones it makes itself. *)
+let replayed_audit ~budget game p player =
+  let n = Strategy.n p in
+  let b = Budget.get (Strategy.budgets p) player in
+  let ctx = Deviation_eval.make (Game.version game) p ~player in
+  let current = Deviation_eval.current_cost ctx in
+  Deviation_eval.set_budget ctx budget;
+  match cheap_tier game p player ~current with
+  | Some pruned -> pruned
+  | None ->
+      let candidates = ref 0 and bound_pruned = ref 0 and improving_moves = ref 0 in
+      let scanned = ref 0 and best = ref None in
+      let tier =
+        try
+          Bbng_graph.Combinatorics.iter_combinations ~n:(n - 1) ~k:b (fun c ->
+              let targets = Array.map (fun i -> if i < player then i else i + 1) c in
+              incr candidates;
+              let cost = Deviation_eval.cost_within ctx targets ~limit:current in
+              incr scanned;
+              if cost = max_int then incr bound_pruned
+              else begin
+                (match !best with
+                | Some (m : Best_response.move) when m.cost <= cost -> ()
+                | _ -> best := Some { Best_response.targets; cost });
+                if cost < current then begin
+                  incr improving_moves;
+                  raise Exit
+                end
+              end);
+          Best_response.Exhaustive
+        with
+        | Exit -> Best_response.Exhaustive
+        | Bbng_obs.Budgeted.Expired -> Best_response.Degraded_scan
+      in
+      let improving =
+        match !best with Some m when m.cost < current -> !best | _ -> None
+      in
+      ( {
+          Best_response.tier;
+          engine = Deviation_eval.Rows;
+          scanned = !scanned;
+          candidates = Bbng_graph.Combinatorics.binomial (n - 1) b;
+          current;
+          best = !best;
+          improving;
+        },
+        List.filter
+          (fun (_, d) -> d <> 0)
+          [
+            ("br.candidates", !candidates);
+            ("br.bound_pruned", !bound_pruned);
+            ("br.improving_moves", !improving_moves);
+            ("br.degraded_scans", if tier = Best_response.Degraded_scan then 1 else 0);
+          ] )
+
+let prop_degraded_audit_matches_replay =
+  (* every b = 2 and b = 3 player is audited under work limits drawn
+     below what its whole scan charges, so the token mostly trips
+     mid-tail; the audit, its work charge and every counter it moves
+     ([deveval.*] included) equal the per-candidate replay's *)
+  qcheck ~count:80 "degraded b>=2 audits == per-candidate replay"
+    (sparse_or_dense_budget_gen ~n_min:3 ~n_max:9) (fun ((_, _, seed) as input) ->
+      let module Budgeted = Bbng_obs.Budgeted in
+      let p = random_profile_of input in
+      let n = Strategy.n p in
+      let st = rng (seed + 7) in
+      List.for_all
+        (fun version ->
+          let game = Game.make version (Strategy.budgets p) in
+          List.for_all
+            (fun player ->
+              let b = Budget.get (Strategy.budgets p) player in
+              b < 2 || b > 3
+              ||
+              let whole = Budgeted.create ~work_limit:max_int () in
+              ignore (Best_response.audit_exact ~budget:whole game p player);
+              List.for_all
+                (fun work_limit ->
+                  let t = Budgeted.create ~work_limit () in
+                  let t' = Budgeted.create ~work_limit () in
+                  let audited, moved =
+                    counter_moves (fun () -> Best_response.audit_exact ~budget:t game p player)
+                  in
+                  let (replayed, br_moves), moved' =
+                    counter_moves (fun () -> replayed_audit ~budget:t' game p player)
+                  in
+                  let moved' = List.sort compare (br_moves @ moved') in
+                  let pp_moves m =
+                    String.concat " " (List.map (fun (c, d) -> Printf.sprintf "%s+%d" c d) m)
+                  in
+                  (audited = replayed && moved = moved'
+                  && Budgeted.work_done t = Budgeted.work_done t')
+                  || QCheck.Test.fail_reportf
+                       "%s player %d, work limit %d:\n audit  %s, work %d\n   %s\n\
+                        \ replay %s, work %d\n   %s"
+                       (Cost.version_name version) player work_limit (pp_audit audited)
+                       (Budgeted.work_done t) (pp_moves moved) (pp_audit replayed)
+                       (Budgeted.work_done t') (pp_moves moved'))
+                (List.init 3 (fun _ ->
+                     Random.State.int st (max 1 (Budgeted.work_done whole)))))
             (List.init n Fun.id))
         Cost.all_versions)
 
@@ -439,4 +565,5 @@ let suite =
     prop_greedy_never_beats_exact;
     prop_improve_matches_oracle;
     prop_bounded_audit_matches_unbounded;
+    prop_degraded_audit_matches_replay;
   ]

@@ -308,6 +308,50 @@ let test_rows_scan_counters_and_work () =
   check_int "second scan: (b+1)·n work per candidate" (pairs * 3 * n)
     (Budgeted.work_done budget - work0)
 
+(* [f ()] and how far it moved the rows engine's counters *)
+let with_rows_moves f =
+  let names =
+    [ "deveval.row_hits"; "deveval.rows_built"; "deveval.rows_evicted";
+      "deveval.incremental_evals" ]
+  in
+  let before = List.map Bbng_obs.Counter.find names in
+  let r = f () in
+  (r, List.map2 (fun name b -> (name, Bbng_obs.Counter.find name - b)) names before)
+
+(* A full b-subset scan on a fresh rows context, one entry per
+   candidate in scan order: [None] decided, [Some cost] priced — by
+   [cost_within] candidate by candidate, or by [scan_tail] prefix by
+   prefix.  A tail's tallies must each cover its decided candidates
+   plus at most the one survivor priced next. *)
+let within_scan ?row_cache_cap version p player ~b ~limit =
+  let ctx = rows_of ?row_cache_cap version p player in
+  with_rows_moves (fun () ->
+      let acc = ref [] in
+      iter_candidates ~n:(Strategy.n p) ~player ~b (fun targets ->
+          let r = Deviation_eval.cost_within ctx targets ~limit in
+          acc := (if r = max_int then None else Some r) :: !acc);
+      List.rev !acc)
+
+let tail_scan ?row_cache_cap version p player ~b ~limit =
+  let ctx = rows_of ?row_cache_cap version p player in
+  let n = Strategy.n p in
+  with_rows_moves (fun () ->
+      let acc = ref [] and survivor_next = ref false in
+      let buf = Array.make b 0 in
+      Bbng_graph.Combinatorics.iter_combinations ~n:(n - 2) ~k:(b - 1) (fun c ->
+          Array.iteri (fun i x -> buf.(i) <- (if x < player then x else x + 1)) c;
+          Deviation_eval.scan_tail ctx buf ~limit
+            ~tally:(fun ~handed ~decided ->
+              if !survivor_next || handed - decided > 1 || handed < decided then
+                QCheck.Test.fail_reportf "tally ~handed:%d ~decided:%d" handed decided;
+              survivor_next := handed > decided;
+              acc := List.init decided (fun _ -> None) @ !acc)
+            ~priced:(fun _ cost ->
+              if not !survivor_next then QCheck.Test.fail_report "survivor not tallied";
+              survivor_next := false;
+              acc := Some cost :: !acc));
+      List.rev !acc)
+
 (* [cost_within]'s contract at every limit: an answer other than
    [max_int] is the exact cost, and [max_int] comes only above the
    limit.  At limit = cost the answer is the cost, so the SUM bound
@@ -316,7 +360,11 @@ let test_rows_scan_counters_and_work () =
    a whole lexicographic scan at the scan's fixed limit (the current
    cost), with reversed and truncated [cost] calls interleaved to
    invalidate its prefix; a second probes every candidate at its own
-   cost, one below it and a random limit. *)
+   cost, one below it and a random limit.  [scan_tail] over the same
+   scan, at the current cost and at a random limit, with the default
+   cache and with a one-row cache that evicts on every miss, must
+   decide exactly the candidates [cost_within] decides and price every
+   survivor at [cost], moving the pricer's counters alike. *)
 let prop_cost_within_bounds =
   qcheck ~count:150 "cost_within: SUM bound <= cost, MAX witness test iff above"
     (sparse_or_dense_budget_gen ~n_min:3 ~n_max:8) (fun ((n, _, seed) as input) ->
@@ -347,10 +395,11 @@ let prop_cost_within_bounds =
                     (String.concat "," (List.map string_of_int (Array.to_list targets)))
                     c limit r
               in
-              let ok = ref true in
+              let ok = ref true and costs = ref [] in
               if b <= n - 1 then
                 iter_candidates ~n ~player ~b (fun targets ->
                     let c = Deviation_eval.cost exact targets in
+                    costs := c :: !costs;
                     (match Random.State.int st 4 with
                     | 0 ->
                         let rev = Array.of_list (List.rev (Array.to_list targets)) in
@@ -365,7 +414,21 @@ let prop_cost_within_bounds =
                       && holds probe_ctx targets c c
                       && holds probe_ctx targets c (c - 1)
                       && holds probe_ctx targets c (Random.State.int st (inf + 2)));
-              !ok)
+              let costs = List.rev !costs in
+              let tails_agree row_cache_cap limit =
+                let decisions, moves = within_scan ?row_cache_cap version p player ~b ~limit in
+                let decisions', moves' = tail_scan ?row_cache_cap version p player ~b ~limit in
+                (decisions = decisions' && moves = moves'
+                && List.for_all2 (fun d c -> d = None || d = Some c) decisions' costs)
+                || QCheck.Test.fail_reportf "%s b=%d limit %d cap %s: tail != cost_within"
+                     (Cost.version_name version) b limit
+                     (match row_cache_cap with Some c -> string_of_int c | None -> "default")
+              in
+              !ok
+              && (b > n - 1
+                 || List.for_all
+                      (fun limit -> tails_agree None limit && tails_agree (Some 1) limit)
+                      [ current; Random.State.int st (inf + 2) ]))
             [ 2; 3 ])
         Cost.all_versions)
 
