@@ -45,25 +45,27 @@ bench-baseline:
 # dynamics flight recordings) into artifacts/ and compare each with its
 # committed copy in test/golden/, where bin/check.sh independently
 # re-verifies every one with `bbng_cli verify` / `bbng_cli replay`.
-# The target lists the files that differ and overwrites nothing: a
-# regenerated file need not match byte for byte (the committed
-# certificates predate the evidence's engine/candidates fields, and
-# every recording carries its own ts_us and argv), so a blind copy
-# would rewrite the whole golden set.  Promote a file deliberately,
-# by hand (cp artifacts/FILE test/golden/), once its diff is understood.
-GOLDEN_ARTIFACTS = CERT_sun8_max.json CERT_sun8_swap.json \
-  CERT_tripod2_max.json CERT_refuted_path3_max.json \
-  DYN_rr_best_unit8_max.jsonl DYN_rr_first_swap_n12_sum.jsonl
+# The bench run compares each recording event by event, leaving out
+# what differs from run to run (ts_us, argv, progress heartbeats), and
+# says where it first departs from its golden copy; the target then
+# lists the certificates that differ byte for byte.  It overwrites
+# nothing: the committed certificates predate the evidence's
+# engine/candidates fields and the committed recordings the
+# dynamics.diagnosis events, so a blind copy would rewrite the whole
+# golden set.  Promote a file deliberately, by hand
+# (cp artifacts/FILE test/golden/), once its diff is understood.
+GOLDEN_CERTS = CERT_sun8_max.json CERT_sun8_swap.json \
+  CERT_tripod2_max.json CERT_refuted_path3_max.json
 artifacts:
 	dune exec bench/main.exe -- artifacts
 	@differ=""; \
-	for f in $(GOLDEN_ARTIFACTS); do \
+	for f in $(GOLDEN_CERTS); do \
 	  cmp -s artifacts/$$f test/golden/$$f || differ="$$differ $$f"; \
 	done; \
 	if [ -n "$$differ" ]; then \
-	  echo "differ from test/golden/ (not promoted):$$differ"; \
+	  echo "certificates differing from test/golden/ (not promoted):$$differ"; \
 	else \
-	  echo "golden set reproduced byte for byte"; \
+	  echo "golden certificates reproduced byte for byte"; \
 	fi
 
 # record a short dynamics run with a fast heartbeat ticker, then render

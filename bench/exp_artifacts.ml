@@ -3,12 +3,13 @@
    Emits a small, deterministic collection of equilibrium certificates
    and dynamics flight recordings into artifacts/, then re-checks every
    one in-process exactly the way `bbng_cli verify` / `bbng_cli replay`
-   would.  `make artifacts` lists the files that differ from their
-   committed copies in test/golden/, where bin/check.sh gates them on
-   every run — so a change that silently breaks certificate
-   serialization, replay semantics, or the recorded event schema fails
-   the gate instead of a future audit.  Promoting a file is a manual
-   copy. *)
+   would.  Each recording is then compared, event by event, with its
+   committed copy in test/golden/ (when run from the repository root),
+   and `make artifacts` lists the certificates that differ from theirs
+   byte for byte; bin/check.sh gates the committed copies on every run
+   — so a change that silently breaks certificate serialization, replay
+   semantics, or the recorded event schema fails the gate instead of a
+   future audit.  Promoting a file is a manual copy. *)
 
 open Bbng_core
 open Exp_common
@@ -69,6 +70,51 @@ let replay_file path =
                    d.Bbng_dynamics.Replay.at_step d.Bbng_dynamics.Replay.reason))
         runs
 
+(* A recording's events without what differs from run to run: every
+   [ts_us] stamp and [argv], and the [progress.heartbeat] events, whose
+   rates, GC words and process-wide counters are telemetry of the run
+   that wrote them.  The second component counts unreadable lines. *)
+let recording_events path =
+  let module Json = Bbng_obs.Json in
+  let events, unreadable =
+    In_channel.with_open_text path (fun ic ->
+        Json.read_lines ic (function
+          | Json.Obj fields as e ->
+              let stable (k, _) = k <> "ts_us" && k <> "argv" in
+              Some
+                (if Json.event_name e = "progress.heartbeat" then None
+                 else Some (Json.Obj (List.filter stable fields)))
+          | _ -> None))
+  in
+  (List.filter_map Fun.id events, unreadable)
+
+(* [None] when the recording [fresh] has the events of [golden], the
+   run-specific fields aside, else where the two first part. *)
+let recording_diff ~golden ~fresh =
+  let name = Bbng_obs.Json.event_name in
+  match (recording_events golden, recording_events fresh) with
+  | (_, g), (_, f) when g + f > 0 -> Some "an unreadable line"
+  | (g, _), (f, _) ->
+      let rec first i = function
+        | [], [] -> None
+        | a :: g, b :: f when a = b -> first (i + 1) (g, f)
+        | a :: _, b :: _ when name a = name b ->
+            Some (Printf.sprintf "event %d (%s) differs" i (name a))
+        | a :: _, b :: _ ->
+            Some (Printf.sprintf "event %d is %s, was %s" i (name b) (name a))
+        | [], b :: _ -> Some (Printf.sprintf "event %d (%s) is new" i (name b))
+        | a :: _, [] -> Some (Printf.sprintf "event %d (%s) is missing" i (name a))
+      in
+      first 1 (g, f)
+
+let compare_recording name =
+  let file = Printf.sprintf "DYN_%s.jsonl" name in
+  let golden = Filename.concat (Filename.concat "test" "golden") file in
+  if Sys.file_exists golden then
+    match recording_diff ~golden ~fresh:(artifact_path file) with
+    | None -> note "%s: reproduces test/golden/ (ts_us, argv, heartbeats aside)" file
+    | Some where -> note "%s: differs from test/golden/: %s" file where
+
 let recordings () =
   subsection "golden flight recordings";
   let record name version budgets rule seed =
@@ -85,7 +131,8 @@ let recordings () =
     note "%s: %s after %d steps" name
       (Dynamics.outcome_name outcome)
       (Dynamics.steps outcome);
-    replay_file (artifact_path (Printf.sprintf "DYN_%s.jsonl" name))
+    replay_file (artifact_path (Printf.sprintf "DYN_%s.jsonl" name));
+    compare_recording name
   in
   record "rr_best_unit8_max" Cost.Max (Budget.unit_budgets 8) Dynamics.Exact_best
     1;

@@ -57,12 +57,19 @@ done
 # still count as scanned: certifying the depth-4 Thm 3.4 tree (n=31,
 # SUM) must hand over, bound-decide and read rows for exactly as many
 # candidates as pricing each through Deviation_eval.cost_within would
-# (so a scan that mis-tallies a tail fails here), show each internal
-# player's scan complete at C(30,2) = 435, and re-verify
+# (so a scan that mis-tallies a tail fails here) and price as many
+# evaluations; its SUM singletons come off one batch block per internal
+# player (15), and it builds only the rows that each player's one
+# survivor, its current strategy, reads: the base row and its two
+# targets' (45), so a fallback to building every target's row fails
+# here too; show each internal player's scan complete at C(30,2) = 435,
+# and re-verify
 BT4=$(dune exec bin/bbng_cli.exe -- construct binary --depth 4 -c sum | sed -n 's/^profile: *//p')
 dune exec bin/bbng_cli.exe -- certify -c sum "$BT4" --stats --cert _build/BT4_sum.json \
   2> _build/BT4_sum.stats > /dev/null
-for want in 'br\.candidates +6541' 'br\.bound_pruned +6510' 'deveval\.row_hits +12630'; do
+for want in 'br\.candidates +6541' 'br\.bound_pruned +6510' \
+  'deveval\.incremental_evals +527' 'deveval\.row_hits +30' \
+  'deveval\.rows_built +45' 'deveval\.blocks_built +15'; do
   grep -Eq "^ *$want\$" _build/BT4_sum.stats || {
     echo "check: depth-4 tree counters differ from '$want'"
     exit 1

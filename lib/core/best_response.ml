@@ -20,8 +20,11 @@ let h_candidates = Bbng_obs.Histogram.make "br.candidates_per_search"
    part of the graph is materialized once and each candidate strategy
    is priced by the engine the player's budget selects — at b <= 1 one
    BFS of G∖i per candidate, seeded by its target and the static
-   neighbours, or one bit-parallel BFS per block of 63 candidates; at
-   b >= 2 a min-combine of cached distance rows (see Deviation_eval). *)
+   neighbours, or one bit-parallel BFS per block of 63 candidates.  At
+   b >= 2 an exhaustive scan decides most candidates by a bound — under
+   SUM from singleton costs read off those same blocks, under MAX by a
+   witness test on cached distance rows — and prices the rest by a
+   min-combine of cached rows (see Deviation_eval). *)
 type context = {
   game : Game.t;
   profile : Strategy.t;

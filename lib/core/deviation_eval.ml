@@ -40,49 +40,14 @@ type components = {
   c_i : int;
 }
 
-(* Distance rows of the player-deleted static graph, built lazily one
-   BFS at a time.  [rows.(v)] caches dist_{G∖player}(v, ·); [base] is
-   the single multi-source row min over staticN(player).  FIFO eviction
-   under [cap] keeps the worst case at O(cap · n) ints.
-
-   [pre_row] caches the min of [base] and the rows of the first
-   [pre_len] targets of the last combine, namely [pre_key.(0 ..
-   pre_len-1)] ([pre_len = -1]: no valid prefix).  Lexicographic
-   enumeration keeps a candidate's first b-1 targets fixed for long
-   runs, so most candidates cost one two-row pass over [pre_row] and
-   their last target's row.  Rows are deterministic functions of the
-   context, so a prefix stays valid across evictions.
-
-   The rest serves the bounds of [cost_within].  [single.(t)] is f({t}),
-   the SUM cost of playing t alone (-1 until priced), and [empty] is
-   f(∅).  [bnd_len] is the prefix length that [pre_cost] (SUM: f(P)) and
-   the witness set [wit.(0 .. wit_len-1)] (MAX) were drawn for, under
-   [bnd_limit]; [-1] marks them stale, and every prefix rebuild does. *)
-type rows_state = {
-  cap : int;
-  rows : int array option array;
-  order : int Queue.t;          (* build order of live cached rows *)
-  mutable live : int;
-  mutable base : int array option;
-  pre_row : int array;
-  pre_key : int array;
-  mutable pre_len : int;
-  mutable hits : int;           (* row-cache hits of the current combine *)
-  single : int array;
-  mutable empty : int;
-  mutable bnd_len : int;
-  mutable bnd_limit : int;
-  mutable pre_cost : int;
-  wit : int array;
-  mutable wit_len : int;
-}
-
 (* Bit-parallel pricing of single-target candidates (see the interface
-   and the section below).  [shape] describes G∖i once per context:
-   [base.(v)] = dist_{G∖i}(staticN(i), v) (the sentinel n² where no
-   static neighbour reaches, and at the player).  [desc] lists the
-   non-player vertices by [base] descending, unreached ones first, and
-   [above.(l+1)] counts those with [base > l] for -1 <= l <= [max_base]. *)
+   and the section below): a b <= 1 context's candidates, and the SUM
+   singletons f({t}) of a rows context's bound.  [shape] describes G∖i
+   once per context: [base.(v)] = dist_{G∖i}(staticN(i), v) (the
+   sentinel n² where no static neighbour reaches, and at the player).
+   [desc] lists the non-player vertices by [base] descending, unreached
+   ones first, and [above.(l+1)] counts those with [base > l] for
+   -1 <= l <= [max_base]. *)
 type shape = {
   base : int array;
   reach : int;                   (* non-player vertices of finite base *)
@@ -103,6 +68,45 @@ type batch = {
   built : bool array;
   gl : int array;
   u : int array;
+}
+
+(* Distance rows of the player-deleted static graph, built lazily one
+   BFS at a time.  [rows.(v)] caches dist_{G∖player}(v, ·); [base] is
+   the single multi-source row min over staticN(player).  FIFO eviction
+   under [cap] keeps the worst case at O(cap · n) ints.
+
+   [pre_key.(0 .. pre_len-1)] is the current prefix, the first b-1
+   targets of the last candidate ([pre_len = -1]: none yet), and
+   [pre_row], once [pre_ok], the min of [base] and their rows.
+   Lexicographic enumeration keeps a candidate's first b-1 targets
+   fixed for long runs, so most candidates cost one two-row pass over
+   [pre_row] and their last target's row.  Rows are deterministic
+   functions of the context, so a prefix stays valid across evictions.
+
+   The rest serves the bounds of [cost_within].  [single.(t)] is f({t}),
+   the SUM cost of playing t alone (-1 until priced), read off [batch];
+   [empty] is f(∅).  While [bnd_ok], [pre_cost] (SUM: f(P) - f(∅)) and
+   the witness set [wit.(0 .. wit_len-1)] (MAX) hold for the current prefix
+   under [bnd_limit]; a new prefix clears it. *)
+type rows_state = {
+  cap : int;
+  rows : int array option array;
+  order : int Queue.t;          (* build order of live cached rows *)
+  mutable live : int;
+  mutable base : int array option;
+  pre_row : int array;
+  pre_key : int array;
+  mutable pre_len : int;
+  mutable pre_ok : bool;
+  mutable hits : int;           (* row-cache hits of the current combine *)
+  batch : batch Lazy.t;         (* forced by the first singleton price *)
+  single : int array;
+  mutable empty : int;
+  mutable bnd_ok : bool;
+  mutable bnd_limit : int;
+  mutable pre_cost : int;
+  wit : int array;
+  mutable wit_len : int;
 }
 
 type pricer =
@@ -294,9 +298,23 @@ let make_shape g =
   done;
   { base; reach; base_sum = !base_sum; max_base = mb; desc; above }
 
+let rec bit_length x = if x = 0 then 0 else 1 + bit_length (x lsr 1)
+
+let make_batch g =
+  let width = Bbng_graph.Bit_bfs.width and n = g.n in
+  {
+    shape = make_shape g;
+    kernel = Bbng_graph.Bit_bfs.create ~offs:g.offs ~targets:g.adj;
+    costs = Array.make n 0;
+    built = Array.make (((n - 1) + width - 1) / width) false;
+    (* G <= n - 1, and U sums G over at most n + 1 levels *)
+    gl = Array.make (bit_length n) 0;
+    u = Array.make (bit_length (n * (n + 1))) 0;
+  }
+
 (* default cap: whole-row cache up to ~8M ints (64 MB), never below 16
    rows — at paper scales this never evicts *)
-let make_rows_state ~n row_cache_cap =
+let make_rows_state ~n ~batch row_cache_cap =
   let cap =
     match row_cache_cap with
     | Some c -> max 1 c
@@ -311,28 +329,16 @@ let make_rows_state ~n row_cache_cap =
     pre_row = Array.make n 0;
     pre_key = Array.make n 0;
     pre_len = -1;
+    pre_ok = false;
     hits = 0;
+    batch;
     single = Array.make n (-1);
     empty = -1;
-    bnd_len = -1;
+    bnd_ok = false;
     bnd_limit = 0;
     pre_cost = 0;
     wit = Array.make n 0;
     wit_len = 0;
-  }
-
-let rec bit_length x = if x = 0 then 0 else 1 + bit_length (x lsr 1)
-
-let make_batch g =
-  let width = Bbng_graph.Bit_bfs.width and n = g.n in
-  {
-    shape = make_shape g;
-    kernel = Bbng_graph.Bit_bfs.create ~offs:g.offs ~targets:g.adj;
-    costs = Array.make n 0;
-    built = Array.make (((n - 1) + width - 1) / width) false;
-    (* G <= n - 1, and U sums G over at most n + 1 levels *)
-    gl = Array.make (bit_length n) 0;
-    u = Array.make (bit_length (n * (n + 1))) 0;
   }
 
 let build ?(budget = Bbng_obs.Budgeted.unlimited) ?engine ?row_cache_cap ~batch
@@ -375,16 +381,17 @@ let build ?(budget = Bbng_obs.Budgeted.unlimited) ?engine ?row_cache_cap ~batch
      time; smaller scans keep the overlay (the crossover table in
      DESIGN §4 puts the break-even near one word).  The context's shape
      is the only selector; [?engine] forces one per-candidate engine
-     for cross-engine verification and ablations. *)
+     for cross-engine verification and ablations.  A rows context
+     prices its SUM bound's singletons with the batch too. *)
   let engine, pricer =
     match engine with
-    | Some Rows -> (Rows, Rows_cache (make_rows_state ~n row_cache_cap))
     | Some Bfs_overlay -> (Bfs_overlay, Overlay)
-    | None when Array.length own >= 2 ->
-        (Rows, Rows_cache (make_rows_state ~n row_cache_cap))
-    | None when batch || n - 1 >= Bbng_graph.Bit_bfs.width ->
-        (Bfs_overlay, Batch (lazy (make_batch g)))
-    | None -> (Bfs_overlay, Overlay)
+    | None when Array.length own < 2 ->
+        if batch || n - 1 >= Bbng_graph.Bit_bfs.width then
+          (Bfs_overlay, Batch (lazy (make_batch g)))
+        else (Bfs_overlay, Overlay)
+    | Some Rows | None ->
+        (Rows, Rows_cache (make_rows_state ~n ~batch:(lazy (make_batch g)) row_cache_cap))
   in
   {
     version;
@@ -488,111 +495,42 @@ let cached_row t rs target =
 let rec same_prefix (key : int array) (targets : int array) i k =
   i >= k || (key.(i) = targets.(i) && same_prefix key targets (i + 1) k)
 
+(* Makes [targets.(0 .. k-1)] the current prefix.  A new key leaves the
+   prefix row to be gathered on demand and clears the bound. *)
+let set_prefix rs targets k =
+  if not (rs.pre_len = k && same_prefix rs.pre_key targets 0 k) then begin
+    Array.blit targets 0 rs.pre_key 0 k;
+    rs.pre_len <- k;
+    rs.pre_ok <- false;
+    rs.bnd_ok <- false
+  end
+
 (* The min of [base] and the rows of [targets.(0 .. k-1)]: [base]
-   itself at k = 0, the cached [pre_row] when its key matches (its k
-   rows count as cache hits, as a fresh gather would), otherwise a
-   rebuild in O(k·n).  The key is dropped before the rebuild starts,
+   itself at k = 0, the cached [pre_row] when it holds that prefix (its
+   k rows count as cache hits, as a fresh gather would), otherwise a
+   gather in O(k·n).  [pre_ok] is set only once the gather completes,
    so a row build that raises (budget expiry, an injected fault) never
-   leaves a torn prefix behind a valid key. *)
+   leaves a torn prefix row marked valid. *)
 let prefix_row t rs base targets k =
   if k = 0 then base
-  else if rs.pre_len = k && same_prefix rs.pre_key targets 0 k then begin
-    rs.hits <- rs.hits + k;
-    rs.pre_row
-  end
   else begin
-    let n = t.g.n and pre = rs.pre_row in
-    rs.pre_len <- -1;
-    rs.bnd_len <- -1;
-    Array.blit base 0 pre 0 n;
-    for i = 0 to k - 1 do
-      let r = cached_row t rs targets.(i) in
-      for v = 0 to n - 1 do
-        let d = r.(v) in
-        if d < pre.(v) then pre.(v) <- d
+    set_prefix rs targets k;
+    let pre = rs.pre_row in
+    if rs.pre_ok then rs.hits <- rs.hits + k
+    else begin
+      let n = t.g.n in
+      Array.blit base 0 pre 0 n;
+      for i = 0 to k - 1 do
+        let r = cached_row t rs targets.(i) in
+        for v = 0 to n - 1 do
+          let d = r.(v) in
+          if d < pre.(v) then pre.(v) <- d
+        done
       done;
-      rs.pre_key.(i) <- targets.(i)
-    done;
-    rs.pre_len <- k;
+      rs.pre_ok <- true
+    end;
     pre
   end
-
-(* --- bounds: deciding a candidate above a limit without its combine --- *)
-
-(* A combine that prices a SUM bound's part (a singleton, a prefix)
-   rather than a candidate, counted and charged like a b = 1 candidate's;
-   SUM's combine never reads [targets]. *)
-let part_cost t pre last =
-  Bbng_obs.Counter.bump c_evals;
-  Bbng_obs.Budgeted.spend t.budget (2 * t.g.n);
-  combine t pre last [||]
-
-(* SUM.  f(S), the cost of playing S, sums over v the min of the base
-   row and the rows of S, each read as 1 + d or Cinf: a facility-location
-   cost, so the gain f(∅) - f(S) is submodular (Nemhauser–Wolsey–Fisher
-   1978).  Adding t to P gains at most what adding t to ∅ gains, so
-
-     f(P ∪ {t}) >= f(P) + f({t}) - f(∅).
-
-   f({t}) is one combine of the base row and t's row, priced once per
-   target; f(P) is priced once per prefix.  At |P| = 1 it is f({p}),
-   read off the prefix row min(base, row p) itself. *)
-let empty_cost t rs base =
-  if rs.empty < 0 then rs.empty <- part_cost t base base;
-  rs.empty
-
-let single_cost t rs base target row =
-  if rs.single.(target) < 0 then rs.single.(target) <- part_cost t base row;
-  rs.single.(target)
-
-(* MAX.  The cost is above [limit] exactly when some v has
-   min(pre(v), last(v)) + 1 > limit, for every [limit <= Cinf]: a
-   disconnected candidate (cost >= 2·Cinf) leaves an unreached v at the
-   sentinel in both rows.  Only the witnesses W = {v : pre(v) + 1 > limit}
-   (the player excluded: every row holds the sentinel there) can be such
-   a v, so W is drawn once per prefix and limit.  Above Cinf, W is
-   empty and nothing is decided. *)
-let refresh_bound t rs base pre targets ~limit =
-  let k = Array.length targets - 1 in
-  if rs.bnd_len <> k || rs.bnd_limit <> limit then begin
-    rs.bnd_len <- -1;
-    (match t.version with
-    | Cost.Sum ->
-        rs.pre_cost <-
-          (if k = 1 then single_cost t rs base targets.(0) pre
-           else part_cost t pre pre)
-    | Cost.Max ->
-        let n = t.g.n and len = ref 0 in
-        for v = 0 to n - 1 do
-          if pre.(v) + 1 > limit && v <> t.g.player then begin
-            rs.wit.(!len) <- v;
-            incr len
-          end
-        done;
-        rs.wit_len <- !len;
-        Bbng_obs.Budgeted.spend t.budget n);
-    rs.bnd_len <- k;
-    rs.bnd_limit <- limit
-  end
-
-(* Whether a bound proves the candidate (last target [last_t], its row
-   [last]) dearer than [limit], once [refresh_bound] has settled the
-   prefix's part.  Charged 1 for the SUM bound and 1 per witness tried
-   for MAX, which stops at the first that decides. *)
-let above t rs base last last_t ~limit =
-  match t.version with
-  | Cost.Sum ->
-      Bbng_obs.Budgeted.spend t.budget 1;
-      rs.pre_cost + single_cost t rs base last_t last - empty_cost t rs base
-      > limit
-  | Cost.Max ->
-      let wit = rs.wit and len = rs.wit_len in
-      let i = ref 0 in
-      while !i < len && last.(wit.(!i)) + 1 <= limit do
-        incr i
-      done;
-      Bbng_obs.Budgeted.spend t.budget (!i + 1);
-      !i < len
 
 (* The (b+1)-way min-combine is the per-candidate hot path — a full
    exhaustive scan runs it C(n-1, b) times — so it is one [combine] of
@@ -615,73 +553,6 @@ let rows_cost t rs targets =
   let pre = if b = 0 then base else prefix_row t rs base targets (b - 1) in
   let last = if b = 0 then base else cached_row t rs targets.(b - 1) in
   priced t rs pre last targets
-
-(* [rows_cost] behind the bounds (b >= 2): a candidate [above] decides
-   costs no combine and is no evaluation, but its row reads count as
-   hits as a priced candidate's do, and it comes back as [max_int]. *)
-let rows_cost_within t rs targets ~limit =
-  let b = Array.length targets in
-  rs.hits <- 0;
-  let base = base_row t rs in
-  let pre = prefix_row t rs base targets (b - 1) in
-  let last = cached_row t rs targets.(b - 1) in
-  refresh_bound t rs base pre targets ~limit;
-  if above t rs base last targets.(b - 1) ~limit then begin
-    if rs.hits > 0 then Bbng_obs.Counter.add c_row_hits rs.hits;
-    max_int
-  end
-  else priced t rs pre last targets
-
-(* Reports a tail's [handed] and [decided] candidates not yet reported,
-   and the row hits of the decided ones, and zeroes all three. *)
-let flush_tail ~tally handed decided hits =
-  let h = !handed and d = !decided and x = !hits in
-  handed := 0;
-  decided := 0;
-  hits := 0;
-  if x > 0 then Bbng_obs.Counter.add c_row_hits x;
-  if h > 0 then tally ~handed:h ~decided:d
-
-(* [rows_cost_within] over a tail (see [scan_tail]).  The first
-   candidate settles the base row, the prefix row and the bound as its
-   own [rows_cost_within] would; each later one counts its prefix read
-   as k hits, as a matched prefix does, and reads only its last row.
-   A candidate in flight when an exception strikes is handed but
-   neither decided nor priced, and its hits are dropped, as
-   [rows_cost_within] drops them. *)
-let rows_scan_tail t rs targets ~limit ~tally ~priced:report =
-  let k = Array.length targets - 1 and player = t.g.player in
-  let handed = ref 0 and decided = ref 0 and hits = ref 0 in
-  let base = ref [||] and pre = ref [||] in
-  try
-    for v = targets.(k - 1) + 1 to t.g.n - 1 do
-      if v <> player then begin
-        targets.(k) <- v;
-        incr handed;
-        Bbng_obs.Budgeted.checkpoint t.budget;
-        let first = Array.length !pre = 0 in
-        if first then begin
-          rs.hits <- 0;
-          base := base_row t rs;
-          pre := prefix_row t rs !base targets k
-        end
-        else rs.hits <- k;
-        let last = cached_row t rs v in
-        if first then refresh_bound t rs !base !pre targets ~limit;
-        if above t rs !base last v ~limit then begin
-          incr decided;
-          hits := !hits + rs.hits
-        end
-        else begin
-          flush_tail ~tally handed decided hits;
-          report targets (priced t rs !pre last targets)
-        end
-      end
-    done;
-    flush_tail ~tally handed decided hits
-  with e ->
-    flush_tail ~tally handed decided hits;
-    raise e
 
 (* --- batch engine, part 2: pricing a block of candidates --- *)
 
@@ -738,7 +609,7 @@ let vget c bit =
    static neighbour (any L >= max_base), and base_sum + L·|comp(s)| -
    U(s) when its component is isolated (any L beyond s's eccentricity:
    the BFS runs until its frontier is empty).  Returns the level count. *)
-let sum_levels sh bs ~isolated_sources =
+let sum_levels (sh : shape) bs ~isolated_sources =
   let k = bs.kernel and base = sh.base in
   let gl = bs.gl and u = bs.u in
   Array.fill gl 0 (Array.length gl) 0;
@@ -775,7 +646,7 @@ let sum_levels sh bs ~isolated_sources =
    reached: then max_v min(base(v), d_s(v)) = L and the cost is L + 1.
    The scan of the base-descending prefix stops as soon as every
    pending source is seen to miss some vertex. *)
-let max_levels sh bs ~first ~len ~vertex seeded =
+let max_levels (sh : shape) bs ~first ~len ~vertex seeded =
   let k = bs.kernel in
   let pending = ref seeded and level = ref 0 in
   while !pending <> 0 do
@@ -875,6 +746,155 @@ let batch_cost t bs target =
   if not bs.built.(j) then build_block t bs j;
   Bbng_obs.Budgeted.spend t.budget 1;
   bs.costs.(target)
+
+(* --- bounds: deciding a candidate above a limit without its combine --- *)
+
+(* SUM.  f(S), the cost of playing S, sums over v the min of the base
+   row and the rows of S, each read as 1 + d or Cinf: a facility-location
+   cost, so the gain f(∅) - f(S) is submodular (Nemhauser–Wolsey–Fisher
+   1978).  Adding t to P gains at most what adding t to ∅ gains, so
+
+     f(P ∪ {t}) >= f(P) + f({t}) - f(∅).
+
+   f({t}) is a single-target candidate's cost, read off the batch once
+   per target (the batch block holding t is built the first time one of
+   its targets is asked for), so the bound needs no row of t.  f(∅) is
+   one combine of the base row with itself, and f(P) one of the prefix
+   row, priced once per prefix; at |P| = 1 it is f({p}), off the batch.
+   Each price counts as an evaluation. *)
+let part_cost t pre =
+  Bbng_obs.Counter.bump c_evals;
+  Bbng_obs.Budgeted.spend t.budget (2 * t.g.n);
+  combine t pre pre [||]
+
+let empty_cost t rs base =
+  if rs.empty < 0 then rs.empty <- part_cost t base;
+  rs.empty
+
+let[@inline] single_cost t rs target =
+  if rs.single.(target) < 0 then begin
+    Bbng_obs.Counter.bump c_evals;
+    rs.single.(target) <- batch_cost t (Lazy.force rs.batch) target
+  end;
+  rs.single.(target)
+
+(* MAX.  The cost is above [limit] exactly when some v has
+   min(pre(v), last(v)) + 1 > limit, for every [limit <= Cinf]: a
+   disconnected candidate (cost >= 2·Cinf) leaves an unreached v at the
+   sentinel in both rows.  Only the witnesses W = {v : pre(v) + 1 > limit}
+   (the player excluded: every row holds the sentinel there) can be such
+   a v, so W is drawn once per prefix and limit.  Above Cinf, W is
+   empty and nothing is decided. *)
+let refresh_bound t rs base targets ~limit =
+  let k = Array.length targets - 1 in
+  set_prefix rs targets k;
+  if not (rs.bnd_ok && rs.bnd_limit = limit) then begin
+    rs.bnd_ok <- false;
+    (match t.version with
+    | Cost.Sum ->
+        let part =
+          if k = 1 then single_cost t rs targets.(0)
+          else part_cost t (prefix_row t rs base targets k)
+        in
+        rs.pre_cost <- part - empty_cost t rs base
+    | Cost.Max ->
+        let pre = prefix_row t rs base targets k in
+        let n = t.g.n and len = ref 0 in
+        for v = 0 to n - 1 do
+          if pre.(v) + 1 > limit && v <> t.g.player then begin
+            rs.wit.(!len) <- v;
+            incr len
+          end
+        done;
+        rs.wit_len <- !len;
+        Bbng_obs.Budgeted.spend t.budget n);
+    rs.bnd_ok <- true;
+    rs.bnd_limit <- limit
+  end
+
+(* A candidate's cost, or [max_int] when a bound proves it dearer than
+   [limit], once [refresh_bound] has settled its prefix's part.  The
+   SUM bound is charged 1 and reads no row; the MAX witness test reads
+   the last target's row and is charged 1 per witness tried, stopping
+   at the first that decides.  Only a survivor reads the prefix row and
+   pays the combine.  A decided candidate leaves its row hits in
+   [rs.hits] for the caller to count. *)
+let[@inline] bounded t rs base targets ~limit =
+  let k = Array.length targets - 1 in
+  match t.version with
+  | Cost.Sum ->
+      Bbng_obs.Budgeted.spend t.budget 1;
+      if rs.pre_cost + single_cost t rs targets.(k) > limit then max_int
+      else
+        let pre = prefix_row t rs base targets k in
+        priced t rs pre (cached_row t rs targets.(k)) targets
+  | Cost.Max ->
+      let last = cached_row t rs targets.(k) in
+      let wit = rs.wit and len = rs.wit_len in
+      let i = ref 0 in
+      while !i < len && last.(wit.(!i)) + 1 <= limit do
+        incr i
+      done;
+      Bbng_obs.Budgeted.spend t.budget (!i + 1);
+      if !i < len then max_int
+      else priced t rs (prefix_row t rs base targets k) last targets
+
+(* [rows_cost] behind the bounds (b >= 2): a decided candidate costs no
+   combine and is no evaluation, and comes back as [max_int]. *)
+let rows_cost_within t rs targets ~limit =
+  rs.hits <- 0;
+  let base = base_row t rs in
+  refresh_bound t rs base targets ~limit;
+  let cost = bounded t rs base targets ~limit in
+  if cost = max_int && rs.hits > 0 then Bbng_obs.Counter.add c_row_hits rs.hits;
+  cost
+
+(* Reports a tail's [handed] and [decided] candidates not yet reported,
+   and the row hits of the decided ones, and zeroes all three. *)
+let flush_tail ~tally handed decided hits =
+  let h = !handed and d = !decided and x = !hits in
+  handed := 0;
+  decided := 0;
+  hits := 0;
+  if x > 0 then Bbng_obs.Counter.add c_row_hits x;
+  if h > 0 then tally ~handed:h ~decided:d
+
+(* [rows_cost_within] over a tail (see [scan_tail]).  The first
+   candidate settles the base row and the bound as its own
+   [rows_cost_within] would; the later ones share them, so each is one
+   [bounded] call.  A candidate in flight when an exception strikes is
+   handed but neither decided nor priced, and its hits are dropped, as
+   [rows_cost_within] drops them. *)
+let rows_scan_tail t rs targets ~limit ~tally ~priced:report =
+  let k = Array.length targets - 1 and player = t.g.player in
+  let handed = ref 0 and decided = ref 0 and hits = ref 0 in
+  let base = ref [||] in
+  try
+    for v = targets.(k - 1) + 1 to t.g.n - 1 do
+      if v <> player then begin
+        targets.(k) <- v;
+        incr handed;
+        Bbng_obs.Budgeted.checkpoint t.budget;
+        rs.hits <- 0;
+        if Array.length !base = 0 then begin
+          base := base_row t rs;
+          refresh_bound t rs !base targets ~limit
+        end;
+        let cost = bounded t rs !base targets ~limit in
+        if cost = max_int then begin
+          incr decided;
+          hits := !hits + rs.hits
+        end
+        else begin
+          flush_tail ~tally handed decided hits;
+          report targets cost
+        end
+      end
+    done;
+    flush_tail ~tally handed decided hits
+  with e ->
+    flush_tail ~tally handed decided hits;
+    raise e
 
 let cost t targets =
   Bbng_obs.Budgeted.checkpoint t.budget;

@@ -51,7 +51,9 @@
       or witness test (MAX) cached with the prefix, and only one the
       bound cannot put above the limit pays the O(n) combine;
       {!scan_tail} asks that bound for every candidate of a prefix in
-      one pass.
+      one pass.  The SUM bound reads each singleton's cost off the
+      bit-parallel batch, so a b = 2 SUM scan builds rows only for its
+      survivors (and the base row).
 
     Every engine reads the MAX version's [kappa] off one labelling of
     the components of [G∖i], built the first time a context needs it.
@@ -100,7 +102,8 @@ val make :
     cache under ~64 MB and never evicts at paper scales).  Cache
     traffic is observable as the [deveval.rows_built] /
     [deveval.row_hits] / [deveval.rows_evicted] counters, batch blocks
-    as [deveval.blocks_built].
+    as [deveval.blocks_built] (a [Rows] context's too: its SUM bound
+    prices singletons with the batch, see {!cost_within}).
 
     A context is single-domain state: parallel certification gives each
     domain its own context, rows are never shared across domains. *)
@@ -163,8 +166,13 @@ val cost_within : t -> int array -> limit:int -> int
 
     - SUM: f(P ∪ \{t\}) ≥ f(P) + f(\{t\}) − f(∅), with P the candidate's
       first b−1 targets and t its last.  The gain f(∅) − f(S) is a
-      facility-location objective, hence submodular.  f(\{t\}) is priced
-      once per target and f(P) once per prefix.
+      facility-location objective, hence submodular.  f(\{t\}) is read
+      once per target off the context's bit-parallel batch (the
+      [Bfs_overlay] engine's blocks of 63 single-target candidates,
+      each built the first time one of its targets is asked for), so
+      the bound needs no row of t.  f(P) is priced once per prefix: off
+      the batch at b = 2, so a b = 2 scan builds only the base row and
+      its survivors' rows; by one combine of the prefix row at b ≥ 3.
     - MAX: the cost is above [limit] exactly when some witness v, with
       pre(v) + 1 > [limit] for the prefix row pre, has last(v) + 1 >
       [limit] in the last target's row.  Exact for every [limit ≤ n²]:
@@ -172,13 +180,20 @@ val cost_within : t -> int array -> limit:int -> int
       per prefix and [limit]; the test stops at the first that decides.
 
     Checkpoints the token on entry as {!cost} does.  Work charged: the
-    row builds as in {!cost}; [2·n] per singleton or prefix price;
-    [n] per witness set drawn; 1 for the SUM bound, or 1 per witness
-    tried; and [(b+1)·n] for a candidate that still needs its combine.
-    [deveval.incremental_evals] counts every combine that prices — a
-    candidate's, a singleton's or a prefix's — so a bound-decided
-    candidate is not an evaluation; its row reads count in
-    [deveval.row_hits] as a priced candidate's do.
+    row builds as in {!cost}; for the batch, [n] per level of a
+    block's BFS plus [n] to set it up, and 1 per singleton read;
+    [2·n] for f(∅) and per prefix combine (b ≥ 3); [n] per witness set
+    drawn; 1 for the SUM bound, or 1 per witness tried; and [(b+1)·n]
+    for a candidate that still needs its combine.
+    [deveval.incremental_evals] counts every price — a candidate's,
+    f(∅)'s, each singleton's (once per target) and each prefix's — so
+    a bound-decided candidate is not an evaluation.
+    [deveval.row_hits] counts cached rows read: a prefix row's gather
+    counts those of its k rows it finds cached, a survivor counts all
+    k when the prefix row is already gathered, and a candidate counts
+    its last target's row when it reads it — a survivor for its
+    combine, a MAX candidate for its witness test.  A SUM candidate
+    the bound decides reads no row.
     @raise Invalid_argument as {!cost} does.
     @raise Bbng_obs.Budgeted.Expired once the token has expired. *)
 
@@ -195,9 +210,9 @@ val scan_tail :
     every candidate P ++ [v] with v past P's last target (the player
     skipped), in increasing order, each written into [targets.(b-1)].
     The lexicographic b-subsets are the tails of the lexicographic
-    (b−1)-prefixes.  The prefix row and the bound are settled once per
-    tail, so each later candidate costs a cached-row read and one
-    compare (SUM) or one witness walk (MAX).
+    (b−1)-prefixes.  The bound is settled once per tail, so each later
+    candidate costs one compare against its batch-priced singleton
+    (SUM) or a cached-row read and one witness walk (MAX).
 
     A survivor — a candidate the bound does not decide — is priced and
     handed to [priced targets cost] ([targets] is valid during the call

@@ -351,26 +351,35 @@ let cheap_tier game p player ~current =
     pruned Best_response.Lemma_2_2_tier "br.pruned_lemma22"
   else None
 
+(* The candidates an exhaustive [audit_exact] scan decides, each priced
+   by the generic evaluator, in scan order up to the first improvement. *)
+let scanned_candidates game p player ~current =
+  let n = Strategy.n p in
+  let acc = ref [] in
+  (try
+     Bbng_graph.Combinatorics.iter_combinations ~n:(n - 1)
+       ~k:(Budget.get (Strategy.budgets p) player) (fun c ->
+         let targets = Array.map (fun i -> if i < player then i else i + 1) c in
+         let cost = Game.deviation_cost game p ~player ~targets in
+         acc := (targets, cost) :: !acc;
+         if cost < current then raise Exit)
+   with Exit -> ());
+  List.rev !acc
+
 (* The audit an unbounded [audit_exact] returns, and the counters it
    moves, derived without its scan: the tier from [cheap_tier], and the
    exhaustive scan replayed over the generic evaluator in scan order,
-   stopping at the first improvement, with [best] its first minimum. *)
-let unbounded_audit game p player =
+   stopping at the first improvement, with [best] its first minimum.
+   [decided] counts the scanned candidates a bound decides, for
+   [br.bound_pruned] (none by default). *)
+let unbounded_audit ?(decided = fun _ -> 0) game p player =
   let n = Strategy.n p in
   let b = Budget.get (Strategy.budgets p) player in
   let current = Game.player_cost game p player in
   match cheap_tier game p player ~current with
   | Some pruned -> pruned
   | None ->
-      let rec upto_improvement = function
-        | [] -> []
-        | ((_, cost) as c) :: rest ->
-            if cost < current then [ c ] else c :: upto_improvement rest
-      in
-      let scanned =
-        upto_improvement
-          (oracle_candidates Best_response.First_improving game p player)
-      in
+      let scanned = scanned_candidates game p player ~current in
       let best =
         List.fold_left
           (fun best ((_, cost) as c) ->
@@ -393,6 +402,7 @@ let unbounded_audit game p player =
         List.filter
           (fun (_, d) -> d <> 0)
           [
+            ("br.bound_pruned", decided scanned);
             ("br.candidates", List.length scanned);
             ("br.improving_moves", if improving = None then 0 else 1);
           ] )
@@ -433,6 +443,91 @@ let prop_bounded_audit_matches_unbounded =
                        (pp_audit unbounded))
                 [ p; at_best ])
             (List.init n Fun.id))
+        Cost.all_versions)
+
+let pp_moves m =
+  String.concat " " (List.map (fun (c, d) -> Printf.sprintf "%s+%d" c d) m)
+
+(* --- b = 2 scans across batch blocks --- *)
+
+(* n = 65..80 with the player at 62, 63 or 64, so a SUM scan reads its
+   singletons off two batch blocks of 63 candidates and the shift past
+   the player crosses the edge between them.  The player has budget 2,
+   the others random budgets; sparse totals leave G∖i disconnected. *)
+let multi_block_gen =
+  QCheck.make
+    ~print:(fun (n, player, total, seed) ->
+      Printf.sprintf "n=%d player=%d total=%d seed=%d" n player total seed)
+    QCheck.Gen.(
+      int_range 65 80 >>= fun n ->
+      int_range 62 64 >>= fun player ->
+      oneof [ int_range (n / 2) (n - 4); int_range n (3 * n) ] >>= fun total ->
+      int_range 0 10_000 >>= fun seed -> return (n, player, total, seed))
+
+let multi_block_profile (n, player, total, seed) =
+  let st = rng seed in
+  let b = Budget.to_array (Budget.random_partition st ~n ~total) in
+  b.(player) <- 2;
+  Strategy.random st (Budget.of_array b)
+
+(* The scanned candidates the bound at [current] decides unpriced.  SUM:
+   f({p}) + f({t}) - f(∅) > current, each f the cost of playing that
+   set, priced generically.  MAX: the cost is above [current], when
+   [current] is at most Cinf = n². *)
+let oracle_bound_decided version p player ~current scanned =
+  let n = Strategy.n p in
+  let f targets =
+    Cost.vertex_cost version
+      (Undirected.of_digraph
+         (Digraph.replace_out_neighbors (Strategy.realize p) player targets))
+      player
+  in
+  let decided =
+    match version with
+    | Cost.Sum ->
+        let empty = f [||] in
+        let single = Array.init n (fun t -> if t = player then 0 else f [| t |]) in
+        fun targets _ -> single.(targets.(0)) + single.(targets.(1)) - empty > current
+    | Cost.Max -> fun _ cost -> current <= n * n && cost > current
+  in
+  List.length (List.filter (fun (targets, cost) -> decided targets cost) scanned)
+
+let prop_multi_block_audit_matches_unbounded =
+  (* the player is audited as it plays and at its exact best response,
+     where the scan runs in full unless a cheap tier prunes it; the
+     audit equals the unbounded one field for field and moves the
+     [br.*] counters alike, [br.bound_pruned] included, so a singleton
+     read off the wrong block fails here even where it only loosens
+     the bound *)
+  qcheck ~count:6 "multi-block b=2 audits == unbounded audits" multi_block_gen
+    (fun ((_, player, _, _) as input) ->
+      let p = multi_block_profile input in
+      List.for_all
+        (fun version ->
+          let game = Game.make version (Strategy.budgets p) in
+          let best = Best_response.exact game p player in
+          let at_best =
+            Strategy.with_strategy p ~player ~targets:best.Best_response.targets
+          in
+          List.for_all
+            (fun q ->
+              let audit, moved =
+                counter_moves
+                  ~except:(String.starts_with ~prefix:"deveval.")
+                  (fun () -> Best_response.audit_exact game q player)
+              in
+              let current = Game.player_cost game q player in
+              let oracle, moved' =
+                unbounded_audit
+                  ~decided:(oracle_bound_decided version q player ~current)
+                  game q player
+              in
+              let moved' = List.sort compare moved' in
+              (audit = oracle && moved = moved')
+              || QCheck.Test.fail_reportf "%s:\n audit  %s\n   %s\n oracle %s\n   %s"
+                   (Cost.version_name version) (pp_audit audit) (pp_moves moved)
+                   (pp_audit oracle) (pp_moves moved'))
+            [ p; at_best ])
         Cost.all_versions)
 
 (* --- degraded exhaustive audits against the per-candidate loop --- *)
@@ -500,11 +595,27 @@ let replayed_audit ~budget game p player =
             ("br.degraded_scans", if tier = Best_response.Degraded_scan then 1 else 0);
           ] )
 
+(* The work charged by an exhaustive scan's first candidate, on a
+   context warmed up unlimited: under SUM it builds the first batch
+   block, for its prefix's singleton. *)
+let first_candidate_work game p player =
+  let module Budgeted = Bbng_obs.Budgeted in
+  let b = Budget.get (Strategy.budgets p) player in
+  let ctx = Deviation_eval.make (Game.version game) p ~player in
+  let current = Deviation_eval.current_cost ctx in
+  let token = Budgeted.create ~work_limit:max_int () in
+  Deviation_eval.set_budget ctx token;
+  let first = Array.init b (fun i -> if i < player then i else i + 1) in
+  ignore (Deviation_eval.cost_within ctx first ~limit:current);
+  Budgeted.work_done token
+
 let prop_degraded_audit_matches_replay =
   (* every b = 2 and b = 3 player is audited under work limits drawn
      below what its whole scan charges, so the token mostly trips
-     mid-tail; the audit, its work charge and every counter it moves
-     ([deveval.*] included) equal the per-candidate replay's *)
+     mid-tail, and under one drawn below what its first candidate
+     charges, so it trips on the first tail's block charge; the audit,
+     its work charge and every counter it moves ([deveval.*] included)
+     equal the per-candidate replay's *)
   qcheck ~count:80 "degraded b>=2 audits == per-candidate replay"
     (sparse_or_dense_budget_gen ~n_min:3 ~n_max:9) (fun ((_, _, seed) as input) ->
       let module Budgeted = Bbng_obs.Budgeted in
@@ -532,9 +643,6 @@ let prop_degraded_audit_matches_replay =
                     counter_moves (fun () -> replayed_audit ~budget:t' game p player)
                   in
                   let moved' = List.sort compare (br_moves @ moved') in
-                  let pp_moves m =
-                    String.concat " " (List.map (fun (c, d) -> Printf.sprintf "%s+%d" c d) m)
-                  in
                   (audited = replayed && moved = moved'
                   && Budgeted.work_done t = Budgeted.work_done t')
                   || QCheck.Test.fail_reportf
@@ -544,7 +652,11 @@ let prop_degraded_audit_matches_replay =
                        (Budgeted.work_done t) (pp_moves moved) (pp_audit replayed)
                        (Budgeted.work_done t') (pp_moves moved'))
                 (List.init 3 (fun _ ->
-                     Random.State.int st (max 1 (Budgeted.work_done whole)))))
+                     Random.State.int st (max 1 (Budgeted.work_done whole)))
+                @ [
+                    Random.State.int st
+                      (max 1 (first_candidate_work game p player));
+                  ]))
             (List.init n Fun.id))
         Cost.all_versions)
 
@@ -565,5 +677,6 @@ let suite =
     prop_greedy_never_beats_exact;
     prop_improve_matches_oracle;
     prop_bounded_audit_matches_unbounded;
+    prop_multi_block_audit_matches_unbounded;
     prop_degraded_audit_matches_replay;
   ]
