@@ -192,31 +192,36 @@ let prop_greedy_never_beats_exact =
    generic evaluator: lexicographic [b]-subsets of the other players for
    the exact searches; for the swap searches, owned arcs in index order,
    each replaced by every target neither owned nor the player, in
-   increasing order. *)
-let oracle_candidates search game p player =
+   increasing order.  The list ends at the first candidate whose cost
+   satisfies [until] (none by default). *)
+let oracle_candidates ?(until = fun _ -> false) search game p player =
   let n = Strategy.n p in
   let b = Budget.get (Strategy.budgets p) player in
   let acc = ref [] in
   let add targets =
-    acc := (targets, Game.deviation_cost game p ~player ~targets) :: !acc
+    let cost = Game.deviation_cost game p ~player ~targets in
+    acc := (targets, cost) :: !acc;
+    if until cost then raise Exit
   in
-  (match search with
-  | Best_response.Exact_best | Best_response.First_improving ->
-      Bbng_graph.Combinatorics.iter_combinations ~n:(n - 1) ~k:b (fun c ->
-          add (Array.map (fun i -> if i < player then i else i + 1) c))
-  | Best_response.Best_swap | Best_response.First_swap ->
-      let owned = Strategy.strategy p player in
-      Array.iteri
-        (fun drop _ ->
-          for v = 0 to n - 1 do
-            if v <> player && not (Array.mem v owned) then begin
-              let targets = Array.copy owned in
-              targets.(drop) <- v;
-              Array.sort compare targets;
-              add targets
-            end
-          done)
-        owned);
+  (try
+     match search with
+     | Best_response.Exact_best | Best_response.First_improving ->
+         Bbng_graph.Combinatorics.iter_combinations ~n:(n - 1) ~k:b (fun c ->
+             add (Array.map (fun i -> if i < player then i else i + 1) c))
+     | Best_response.Best_swap | Best_response.First_swap ->
+         let owned = Strategy.strategy p player in
+         Array.iteri
+           (fun drop _ ->
+             for v = 0 to n - 1 do
+               if v <> player && not (Array.mem v owned) then begin
+                 let targets = Array.copy owned in
+                 targets.(drop) <- v;
+                 Array.sort compare targets;
+                 add targets
+               end
+             done)
+           owned
+   with Exit -> ());
   List.rev !acc
 
 (* [First_*]: the first strict improvement; [*_best]: the first minimum,
@@ -351,21 +356,6 @@ let cheap_tier game p player ~current =
     pruned Best_response.Lemma_2_2_tier "br.pruned_lemma22"
   else None
 
-(* The candidates an exhaustive [audit_exact] scan decides, each priced
-   by the generic evaluator, in scan order up to the first improvement. *)
-let scanned_candidates game p player ~current =
-  let n = Strategy.n p in
-  let acc = ref [] in
-  (try
-     Bbng_graph.Combinatorics.iter_combinations ~n:(n - 1)
-       ~k:(Budget.get (Strategy.budgets p) player) (fun c ->
-         let targets = Array.map (fun i -> if i < player then i else i + 1) c in
-         let cost = Game.deviation_cost game p ~player ~targets in
-         acc := (targets, cost) :: !acc;
-         if cost < current then raise Exit)
-   with Exit -> ());
-  List.rev !acc
-
 (* The audit an unbounded [audit_exact] returns, and the counters it
    moves, derived without its scan: the tier from [cheap_tier], and the
    exhaustive scan replayed over the generic evaluator in scan order,
@@ -379,7 +369,10 @@ let unbounded_audit ?(decided = fun _ -> 0) game p player =
   match cheap_tier game p player ~current with
   | Some pruned -> pruned
   | None ->
-      let scanned = scanned_candidates game p player ~current in
+      let scanned =
+        oracle_candidates ~until:(fun cost -> cost < current)
+          Best_response.Exact_best game p player
+      in
       let best =
         List.fold_left
           (fun best ((_, cost) as c) ->
