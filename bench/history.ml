@@ -65,13 +65,7 @@ let entry_json ~report benches =
     @ Bbng_obs.Stats.provenance_fields ())
 
 let append ?(file = file) ~report benches =
-  let line = Json.to_string (entry_json ~report benches) in
-  let oc = open_out_gen [ Open_append; Open_creat ] 0o644 file in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output_string oc line;
-      output_char oc '\n')
+  Bbng_obs.Atomic_io.append_line file (Json.to_string (entry_json ~report benches))
 
 (* --- reading --- *)
 

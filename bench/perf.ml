@@ -48,6 +48,7 @@ let census_shard_results =
    recorded smoke runs) — running each thunk a few times before
    Bechamel samples restores the fit. *)
 let deviation_ctx = Deviation_eval.make Cost.Sum sun30 ~player:5
+let sun30_rows = Array.init (Strategy.n sun30) (Strategy.strategy sun30)
 
 (* Preallocated scratch for the raw BFS kernel bench: with dist/queue
    reused across runs the workload is the zero-allocation sweep alone,
@@ -82,7 +83,10 @@ let workloads =
     ("swap-br-sun30", fun () -> ignore (Best_response.swap_best sun_game sun30 5));
     ( "certify-tripod-k8",
       fun () -> ignore (Equilibrium.is_nash tripod_game tripod8) );
-    ("realize-sun30", fun () -> ignore (Strategy.underlying sun30));
+    (* what [Strategy.underlying] does on a memo miss; the memo would
+       turn a call on the one profile into a lookup *)
+    ( "realize-sun30",
+      fun () -> ignore (Bbng_graph.Undirected.of_out_neighbors sun30_rows) );
     (* deviation-evaluation ablation: generic rebuild vs incremental *)
     ( "deviation-generic-sun30",
       fun () ->

@@ -53,6 +53,23 @@ for v in max sum; do
   }
   dune exec bin/bbng_cli.exe -- verify "_build/B3_$v.json"
 done
+# [pin STATS NAME COUNT ...]: each counter NAME must read exactly COUNT
+# in the --stats summary STATS, and a COUNT of 0 means it is absent
+pin() {
+  stats=$1
+  shift
+  while [ $# -gt 0 ]; do
+    if [ "$2" = 0 ]; then
+      ! grep -Eq "^ *$1 " "$stats"
+    else
+      grep -Eq "^ *$1 +$2\$" "$stats"
+    fi || {
+      echo "check: $stats: counter $1 differs from $2"
+      exit 1
+    }
+    shift 2
+  done
+}
 # the bound decides b = 2 candidates without pricing them, and they
 # still count as scanned: certifying the depth-4 Thm 3.4 tree (n=31,
 # SUM) must hand over, bound-decide and read rows for exactly as many
@@ -67,14 +84,9 @@ done
 BT4=$(dune exec bin/bbng_cli.exe -- construct binary --depth 4 -c sum | sed -n 's/^profile: *//p')
 dune exec bin/bbng_cli.exe -- certify -c sum "$BT4" --stats --cert _build/BT4_sum.json \
   2> _build/BT4_sum.stats > /dev/null
-for want in 'br\.candidates +6541' 'br\.bound_pruned +6510' \
-  'deveval\.incremental_evals +527' 'deveval\.row_hits +30' \
-  'deveval\.rows_built +45' 'deveval\.blocks_built +15'; do
-  grep -Eq "^ *$want\$" _build/BT4_sum.stats || {
-    echo "check: depth-4 tree counters differ from '$want'"
-    exit 1
-  }
-done
+pin _build/BT4_sum.stats br.candidates 6541 br.bound_pruned 6510 \
+  deveval.incremental_evals 527 deveval.row_hits 30 deveval.rows_built 45 \
+  deveval.blocks_built 15
 grep -q '"tier":"exact","engine":"rows","scanned":435,' _build/BT4_sum.json || {
   echo "check: no depth-4 tree player scanned all 435 candidates"
   exit 1
@@ -83,14 +95,33 @@ dune exec bin/bbng_cli.exe -- verify _build/BT4_sum.json
 # budget-1 players scanned in full by the bit-parallel batch: the k=22
 # tripod (n=67, MAX) gives each leg player 66 candidates, two words'
 # worth; its evidence keeps the "bfs" engine name, and `verify`
-# re-prices it through the rows engine
+# re-prices it through the rows engine.  Its counters are pinned: the
+# three budget-2 players' witness tests read rows, the leg players'
+# blocks run over the profile's shared U(G)
 T22=$(dune exec bin/bbng_cli.exe -- construct tripod -k 22 -c max | sed -n 's/^profile: *//p')
-dune exec bin/bbng_cli.exe -- certify -c max "$T22" --cert _build/T22_max.json > /dev/null
+dune exec bin/bbng_cli.exe -- certify -c max "$T22" --stats --cert _build/T22_max.json \
+  2> _build/T22_max.stats > /dev/null
+pin _build/T22_max.stats br.candidates 10399 br.bound_pruned 6372 \
+  deveval.incremental_evals 4094 deveval.row_hits 6501 deveval.rows_built 201 \
+  deveval.blocks_built 120
 grep -q '"player":11,"tier":"exact","engine":"bfs","scanned":66,' _build/T22_max.json || {
   echo "check: tripod leg player not scanned in full by the b=1 batch"
   exit 1
 }
 dune exec bin/bbng_cli.exe -- verify _build/T22_max.json
+# an all-unit-budget equilibrium past one word: the triangle 0→1→2→0
+# with 21 leaves on each corner (n=66, MAX), where every leaf's 65
+# candidates take two batch blocks and the corners are floor-pruned
+SUN66=$(awk 'BEGIN { s = "1;2;0"; for (l = 3; l < 66; l++) s = s ";" (l % 3); print s }')
+dune exec bin/bbng_cli.exe -- certify -c max "$SUN66" --stats \
+  2> _build/SUN66_max.stats > _build/SUN66_max.out
+grep -q '^verdict: *equilibrium' _build/SUN66_max.out || {
+  echo "check: the balanced unit sun (n=66) is not certified an equilibrium under MAX"
+  exit 1
+}
+pin _build/SUN66_max.stats br.candidates 4095 br.bound_pruned 0 \
+  deveval.incremental_evals 4161 deveval.row_hits 0 deveval.rows_built 0 \
+  deveval.blocks_built 126
 # the golden refuted profile: player 1 refutes and player 2 is never
 # audited, which the certificate certifiers count as an early exit
 for mode in exact swap; do

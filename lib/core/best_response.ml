@@ -17,14 +17,15 @@ let c_bound_pruned = Bbng_obs.Counter.make "br.bound_pruned"
 let h_candidates = Bbng_obs.Histogram.make "br.candidates_per_search"
 
 (* All evaluators share one incremental evaluation context: the static
-   part of the graph is materialized once and each candidate strategy
-   is priced by the engine the player's budget selects — at b <= 1 one
-   BFS of G∖i per candidate, seeded by its target and the static
-   neighbours, or one bit-parallel BFS per block of 63 candidates.  At
-   b >= 2 an exhaustive scan decides most candidates by a bound — under
-   SUM from singleton costs read off those same blocks, under MAX by a
-   witness test on cached distance rows — and prices the rest by a
-   min-combine of cached rows (see Deviation_eval). *)
+   part of the graph is read off the profile's one U(G) and each
+   candidate strategy is priced by the engine the player's budget
+   selects — at b <= 1 one BFS of G∖i per candidate, seeded by its
+   target and the static neighbours, or one bit-parallel BFS per block
+   of 63 candidates.  At b >= 2 an exhaustive scan decides most
+   candidates by a bound — under SUM from singleton costs read off
+   those same blocks, under MAX by a witness test on cached distance
+   rows — and prices the rest by a min-combine of cached rows (see
+   Deviation_eval). *)
 type context = {
   game : Game.t;
   profile : Strategy.t;
@@ -49,14 +50,7 @@ let make_context ?(scan_budget = Bbng_obs.Budgeted.unlimited) game profile
   let n = Game.n game in
   let budget = Budget.get (Game.budgets game) player in
   let eval_ctx = Deviation_eval.make (Game.version game) profile ~player in
-  let in_degree =
-    let count = ref 0 in
-    for i = 0 to n - 1 do
-      if i <> player && Array.exists (fun v -> v = player) (Strategy.strategy profile i)
-      then incr count
-    done;
-    !count
-  in
+  let in_degree = Deviation_eval.in_degree eval_ctx in
   let floor =
     Cost.cost_floor (Game.version game) ~n ~budget ~in_degree
   in
@@ -84,44 +78,24 @@ let unshift_into buf player c =
     buf.(i) <- (if x < player then x else x + 1)
   done
 
-(* Lemma 2.2 needs only the player's eccentricity clipped at 2 and its
-   brace membership, both readable straight off the profile in
-   O(n + m) — realizing the digraph and its undirected projection here
-   would put two graph constructions on the certifier's per-player hot
-   path.  [mark]: 1 = adjacent to the player, 2 = within distance 2. *)
+(* Lemma 2.2 needs only the player's eccentricity in U(G) clipped at 2,
+   read off the profile's shared U(G), and its brace membership, read
+   off the strategies. *)
 let satisfies_lemma_2_2 profile player =
-  let n = Strategy.n profile in
-  let own = Strategy.strategy profile player in
-  let targets_player i =
-    Array.exists (fun w -> w = player) (Strategy.strategy profile i)
-  in
-  let mark = Array.make n 0 in
-  mark.(player) <- 2;
-  Array.iter (fun v -> mark.(v) <- 1) own;
-  for i = 0 to n - 1 do
-    if i <> player && targets_player i then mark.(i) <- 1
-  done;
-  let neighbors = ref 0 in
-  for v = 0 to n - 1 do
-    if mark.(v) = 1 then incr neighbors
-  done;
-  if !neighbors = n - 1 then true (* c_MAX(u) = 1 *)
-  else if Array.exists targets_player own then false (* braced, c_MAX > 1 *)
+  let u = Strategy.underlying profile and n = Strategy.n profile in
+  let targets_player t = Array.exists (fun w -> w = player) (Strategy.strategy profile t) in
+  if Undirected.degree u player = n - 1 then true (* c_MAX(u) = 1 *)
+  else if Array.exists targets_player (Strategy.strategy profile player) then false
   else begin
-    (* distance-2 reach: an undirected edge into the level-1 set comes
-       from an arc in either direction; level-1 marks never change in
-       this pass, so one sweep settles every vertex *)
-    for i = 0 to n - 1 do
-      if mark.(i) = 1 then
-        Array.iter
-          (fun w -> if mark.(w) = 0 then mark.(w) <- 2)
-          (Strategy.strategy profile i)
-      else if
-        mark.(i) = 0
-        && Array.exists (fun w -> mark.(w) = 1) (Strategy.strategy profile i)
-      then mark.(i) <- 2
-    done;
-    not (Array.exists (fun m -> m = 0) mark)
+    (* unbraced: c_MAX(u) <= 2 *)
+    let near = Array.make n false in
+    near.(player) <- true;
+    Undirected.iter_neighbors
+      (fun v ->
+        near.(v) <- true;
+        Undirected.iter_neighbors (fun w -> near.(w) <- true) u v)
+      u player;
+    Array.for_all Fun.id near
   end
 
 let exact ?budget game profile player =

@@ -14,17 +14,21 @@ let engine_of_name = function
   | "rows" -> Some Rows
   | _ -> None
 
-(* G∖i: every arc except the player's owned ones, as undirected
-   adjacency in flat CSR shape — row u is adj.[offs.(u) .. offs.(u+1)).
-   The BFS and min-combine hot loops below are straight int-array scans
-   over these two vectors — no per-vertex array chase, no closure.  The
-   player appears in its in-neighbours' rows, so every walk skips it.
-   [queue] is the one BFS queue every pricer shares. *)
+module Undirected = Bbng_graph.Undirected
+
+(* G∖i, every arc except the player's owned ones, read off the
+   profile's U(G) ([Strategy.underlying], shared by all its contexts)
+   with the player masked: no walk ever expands the player, so its row,
+   the only one that holds its own arcs, is never read, and an edge
+   into it is skipped.  [static] is staticN(i), the players whose
+   strategy contains the player — a brace partner included — and all a
+   context keeps of its own besides [queue], the one BFS queue every
+   pricer shares. *)
 type graph = {
   n : int;
   player : int;
-  offs : int array;              (* n + 1 *)
-  adj : int array;
+  ug : Undirected.t;
+  static : int array;
   queue : int array;
 }
 
@@ -147,8 +151,8 @@ let seed g row tail v =
 
 let seed_static g row tail =
   let tail = ref tail in
-  for k = g.offs.(g.player) to g.offs.(g.player + 1) - 1 do
-    tail := seed g row !tail g.adj.(k)
+  for k = 0 to Array.length g.static - 1 do
+    tail := seed g row !tail g.static.(k)
   done;
   !tail
 
@@ -157,7 +161,8 @@ let seed_static g row tail =
    then lists the reached vertices in BFS order. *)
 let bfs g row head tail =
   let inf = g.n * g.n and player = g.player in
-  let offs = g.offs and adj = g.adj and queue = g.queue in
+  let offs = g.ug.offs and adj = g.ug.targets in
+  let queue = g.queue in
   let head = ref head and tail = ref tail in
   while !head < !tail do
     let u = queue.(!head) in
@@ -174,32 +179,16 @@ let bfs g row head tail =
   done;
   !tail
 
-(* One BFS per component, all into one row: a BFS from a vertex no
-   earlier one reached appends exactly its component to the queue. *)
+(* The components of U(G) with the player skipped are those of G∖i. *)
 let label_components g =
-  let n = g.n in
-  let row = Array.make n (n * n) and comp = Array.make n (-1) in
-  let size = Array.make n 0 and isolated = Array.make n 1 in
-  let ncomp = ref 0 and tail = ref 0 in
-  for s = 0 to n - 1 do
-    if s <> g.player && comp.(s) < 0 then begin
-      let first = !tail in
-      tail := bfs g row first (seed g row first s);
-      for k = first to !tail - 1 do
-        comp.(g.queue.(k)) <- !ncomp
-      done;
-      size.(!ncomp) <- !tail - first;
-      incr ncomp
-    end
-  done;
-  for k = g.offs.(g.player) to g.offs.(g.player + 1) - 1 do
-    isolated.(comp.(g.adj.(k))) <- 0
-  done;
-  let c_i = ref 0 in
-  for c = 0 to !ncomp - 1 do
-    c_i := !c_i + isolated.(c)
-  done;
-  { comp; size; isolated; c_i = !c_i }
+  let module C = Bbng_graph.Components in
+  let skip = Array.make g.n false in
+  skip.(g.player) <- true;
+  let l = C.components_skip g.ug skip in
+  let isolated = Array.make l.C.count 1 in
+  Array.iter (fun v -> isolated.(l.C.label.(v)) <- 0) g.static;
+  let c_i = Array.fold_left ( + ) 0 isolated in
+  { comp = l.C.label; size = C.sizes l; isolated; c_i }
 
 (* κ - 1 for a candidate: the components of I its targets miss.  By the
    one-arc lemma a candidate reaches exactly the components of its
@@ -304,7 +293,7 @@ let make_batch g =
   let width = Bbng_graph.Bit_bfs.width and n = g.n in
   {
     shape = make_shape g;
-    kernel = Bbng_graph.Bit_bfs.create ~offs:g.offs ~targets:g.adj;
+    kernel = Bbng_graph.Bit_bfs.create ~offs:g.ug.offs ~targets:g.ug.targets;
     costs = Array.make n 0;
     built = Array.make (((n - 1) + width - 1) / width) false;
     (* G <= n - 1, and U sums G over at most n + 1 levels *)
@@ -346,33 +335,19 @@ let build ?(budget = Bbng_obs.Budgeted.unlimited) ?engine ?row_cache_cap ~batch
   Bbng_obs.Counter.bump c_contexts;
   let n = Strategy.n profile in
   if player < 0 || player >= n then invalid_arg "Deviation_eval.make: bad player";
-  let deg = Array.make n 0 in
-  let bump u v =
-    deg.(u) <- deg.(u) + 1;
-    deg.(v) <- deg.(v) + 1
-  in
-  for i = 0 to n - 1 do
-    if i <> player then Array.iter (fun j -> bump i j) (Strategy.strategy profile i)
+  let ug = Strategy.underlying profile in
+  let rec owns s k = k >= 0 && (s.(k) = player || owns s (k - 1)) in
+  let lo = ug.offs.(player) and hi = ug.offs.(player + 1) in
+  let static = Array.make (hi - lo) 0 and len = ref 0 in
+  for k = lo to hi - 1 do
+    let s = Strategy.strategy profile ug.targets.(k) in
+    if owns s (Array.length s - 1) then begin
+      static.(!len) <- ug.targets.(k);
+      incr len
+    end
   done;
-  let offs = Array.make (n + 1) 0 in
-  for i = 0 to n - 1 do
-    offs.(i + 1) <- offs.(i) + deg.(i)
-  done;
-  let adj = Array.make (max offs.(n) 1) 0 in
-  let fill = Array.sub offs 0 n in
-  let add u v =
-    adj.(fill.(u)) <- v;
-    fill.(u) <- fill.(u) + 1
-  in
-  for i = 0 to n - 1 do
-    if i <> player then
-      Array.iter
-        (fun j ->
-          add i j;
-          add j i)
-        (Strategy.strategy profile i)
-  done;
-  let g = { n; player; offs; adj; queue = Array.make (max n 1) 0 } in
+  let static = if !len = hi - lo then static else Array.sub static 0 !len in
+  let g = { n; player; ug; static; queue = Array.make (max n 1) 0 } in
   let own = Array.copy (Strategy.strategy profile player) in
   (* Rows beat per-candidate BFSs once a scan re-visits targets, which
      C(n-1, b) enumeration does heavily for b >= 2.  At b <= 1 every
@@ -413,6 +388,7 @@ let make_batched ?budget version profile ~player =
   build ?budget ~batch:true version profile ~player
 
 let player t = t.g.player
+let in_degree t = Array.length t.g.static
 let version t = t.version
 let engine t = t.engine
 let budget t = t.budget

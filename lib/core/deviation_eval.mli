@@ -2,11 +2,15 @@
 
     Exact best-response search evaluates thousands of candidate
     strategies of a single player against a {e fixed} rest-of-profile.
-    The generic route ({!Game.deviation_cost}) rebuilds the whole
-    digraph and its undirected view per candidate; this module builds
-    the static part — every arc {e not} owned by the deviating player,
-    as undirected adjacency — once, and prices candidates with one of
-    two exact engines.
+    The generic route ({!Game.deviation_cost}) rebuilds the undirected
+    graph per candidate; this module reads the static part [G∖i] —
+    every arc {e not} owned by the deviating player — off the profile's
+    [U(G)] ({!Strategy.underlying}, built once per profile and shared
+    by all its contexts) with the player masked, and prices candidates
+    with one of two exact engines.  No walk ever expands the player, so
+    its own arcs, which [U(G)] holds in its row and as edges into it,
+    are never followed; a context keeps only staticN(i), the players
+    whose strategy contains the player, and one BFS queue.
 
     Both rest on the one-arc shortest-path lemma: a shortest path from
     the player never revisits the player, so it uses {e at most one} of
@@ -92,8 +96,10 @@ val make :
   Strategy.t ->
   player:int ->
   t
-(** Captures the fixed part.  O(n + m).  [?budget] (default unlimited)
-    is the cancellation token every subsequent {!cost} call honours.
+(** Captures the fixed part: O(n + deg(i)·b) once the profile's
+    [U(G)] is built, which the first context of a profile does in
+    O(n + m).  [?budget] (default unlimited) is the cancellation token
+    every subsequent {!cost} call honours.
     [?engine] overrides the budget rule and forces the per-candidate
     form of the engine (certificate verification re-prices through a
     forced engine; tests and the bench ablation compare them);
@@ -118,6 +124,10 @@ val make_batched :
     @raise Invalid_argument on a budget above 1. *)
 
 val player : t -> int
+
+val in_degree : t -> int
+(** |staticN(i)|: how many players' strategies contain the player. *)
+
 val version : t -> Cost.version
 
 val engine : t -> engine

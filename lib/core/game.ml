@@ -1,4 +1,3 @@
-module Digraph = Bbng_graph.Digraph
 module Undirected = Bbng_graph.Undirected
 
 let c_generic = Bbng_obs.Counter.make "deveval.generic_evals"
@@ -29,9 +28,11 @@ let deviation_cost g p ~player ~targets =
   check_profile g p;
   if Array.length targets <> Budget.get g.budgets player then
     invalid_arg "Game.deviation_cost: deviation violates the player's budget";
-  let realization = Strategy.realize p in
-  let deviated = Digraph.replace_out_neighbors realization player targets in
-  Cost.vertex_cost g.version (Undirected.of_digraph deviated) player
+  (* the deviated U(G) in one build, bypassing [Strategy.underlying]'s
+     memo: a probe must not evict the profile's own graph *)
+  let deviated = Strategy.with_strategy p ~player ~targets in
+  let out = Array.init (n g) (Strategy.strategy deviated) in
+  Cost.vertex_cost g.version (Undirected.of_out_neighbors out) player
 
 let social_cost g p =
   check_profile g p;

@@ -19,8 +19,11 @@ val costs : t -> Strategy.t -> int array
 
 val deviation_cost : t -> Strategy.t -> player:int -> targets:int array -> int
 (** Cost to [player] if it unilaterally plays [targets] (the others
-    unchanged).  Does not allocate a new profile: the deviation graph is
-    built directly.  O(n + m). *)
+    unchanged).  Does not allocate a new profile: the deviated [U(G)] is
+    built directly, in one {!Bbng_graph.Undirected.of_out_neighbors}
+    call, without touching {!Strategy.underlying}'s memo.  O(n + m).
+    @raise Invalid_argument on a target set that is not a legal
+    strategy for [player]. *)
 
 val social_cost : t -> Strategy.t -> int
 (** Diameter of the realization ([n^2] when disconnected). *)

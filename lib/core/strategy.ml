@@ -38,7 +38,20 @@ let budgets p = p.budgets
 let strategy p i = p.strategies.(i)
 
 let realize p = Digraph.of_out_neighbors p.strategies
-let underlying p = Undirected.of_out_neighbors p.strategies
+(* One slot per domain: the last profile asked for and its U(G).  A
+   profile is immutable, so its physical identity is a sound key; the
+   slot is domain-local, so no domain ever reads a graph another one is
+   still building. *)
+let memo = Domain.DLS.new_key (fun () -> ref None)
+
+let underlying p =
+  let slot = Domain.DLS.get memo in
+  match !slot with
+  | Some (q, u) when q == p -> u
+  | _ ->
+      let u = Undirected.of_out_neighbors p.strategies in
+      slot := Some (p, u);
+      u
 
 let with_strategy p ~player ~targets =
   let np = n p in

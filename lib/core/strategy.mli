@@ -29,7 +29,12 @@ val realize : t -> Bbng_graph.Digraph.t
 val underlying : t -> Bbng_graph.Undirected.t
 (** [Undirected.of_digraph (realize p)], the metric object, built
     straight from the strategies ({!Bbng_graph.Undirected.of_out_neighbors})
-    without realizing the digraph. *)
+    without realizing the digraph.  Memoized in one slot per domain,
+    keyed by the physical identity of [p]: repeated calls on the same
+    profile value return the same graph, so every deviation context of
+    a profile, its player costs and its diameter share one U(G).  A
+    profile built by {!with_strategy} (or any other constructor) is a
+    new key and gets a fresh graph; asking for it evicts the old one. *)
 
 val with_strategy : t -> player:int -> targets:int array -> t
 (** Functional single-player deviation; same validation as {!make}. *)

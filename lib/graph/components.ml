@@ -5,36 +5,32 @@ type labelling = { label : int array; count : int }
    vertices increasingly. *)
 let components_skip g skip =
   let n = Undirected.n g in
-  let label = Array.make n (-1) in
-  let stack = Array.make (max n 1) 0 in
+  let label = Array.make n (-1) and stack = Array.make (max n 1) 0 in
   let count = ref 0 in
   for start = 0 to n - 1 do
     if label.(start) = -1 && not skip.(start) then begin
       let id = !count in
       incr count;
-      let top = ref 0 in
+      let top = ref 1 in
       stack.(0) <- start;
-      top := 1;
       label.(start) <- id;
       while !top > 0 do
         decr top;
         let u = stack.(!top) in
-        Undirected.iter_neighbors
-          (fun v ->
-            if label.(v) = -1 && not skip.(v) then begin
-              label.(v) <- id;
-              stack.(!top) <- v;
-              incr top
-            end)
-          g u
+        for k = g.Undirected.offs.(u) to g.Undirected.offs.(u + 1) - 1 do
+          let v = g.Undirected.targets.(k) in
+          if label.(v) = -1 && not skip.(v) then begin
+            label.(v) <- id;
+            stack.(!top) <- v;
+            incr top
+          end
+        done
       done
     end
   done;
   { label; count = !count }
 
-let no_skip g = Array.make (Undirected.n g) false
-
-let components g = components_skip g (no_skip g)
+let components g = components_skip g (Array.make (Undirected.n g) false)
 
 let count g = (components g).count
 
@@ -57,6 +53,6 @@ let sizes l =
   s
 
 let is_connected_except g vs =
-  let skip = no_skip g in
+  let skip = Array.make (Undirected.n g) false in
   List.iter (fun v -> skip.(v) <- true) vs;
   (components_skip g skip).count <= 1

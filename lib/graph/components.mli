@@ -14,6 +14,10 @@ type labelling = {
 
 val components : Undirected.t -> labelling
 
+val components_skip : Undirected.t -> bool array -> labelling
+(** [components] of the graph with every [v] where [skip.(v)] holds
+    deleted: those are labelled [-1] and never walked through. *)
+
 val count : Undirected.t -> int
 (** [count g = (components g).count] without materializing labels. *)
 

@@ -54,6 +54,31 @@ let test_lemma_2_2 () =
   check_true "braced but adjacent to all" (Best_response.satisfies_lemma_2_2 braced 0);
   check_false "braced at distance 2" (Best_response.satisfies_lemma_2_2 braced 1)
 
+let prop_lemma_2_2_is_its_definition =
+  (* c_MAX(u) = 1, or c_MAX(u) <= 2 and u in no brace, with u's
+     eccentricity taken from a BFS of a freshly realized U(G) *)
+  qcheck ~count:200 "lemma 2.2 predicate == its definition"
+    (sparse_or_dense_budget_gen ~n_min:1 ~n_max:9) (fun ((n, _, seed) as input) ->
+      let p = random_profile_of input in
+      let player = seed mod n in
+      let d =
+        Bbng_graph.Bfs.distances
+          (Bbng_graph.Undirected.of_digraph (Strategy.realize p))
+          player
+      in
+      let ecc =
+        Array.fold_left
+          (fun e x -> if x = Bbng_graph.Bfs.unreachable then max_int else max e x)
+          0 d
+      in
+      let braced =
+        Array.exists
+          (fun t -> Array.mem player (Strategy.strategy p t))
+          (Strategy.strategy p player)
+      in
+      Best_response.satisfies_lemma_2_2 p player
+      = (ecc <= 1 || (ecc = 2 && not braced)))
+
 let test_exact_improvement_none_at_equilibrium () =
   let p = Bbng_constructions.Unit_budget.concentrated_sun ~n:6 in
   List.iter
@@ -492,7 +517,7 @@ let prop_multi_block_audit_matches_unbounded =
      [br.*] counters alike, [br.bound_pruned] included, so a singleton
      read off the wrong block fails here even where it only loosens
      the bound *)
-  qcheck ~count:6 "multi-block b=2 audits == unbounded audits" multi_block_gen
+  qcheck ~count:12 "multi-block b=2 audits == unbounded audits" multi_block_gen
     (fun ((_, player, _, _) as input) ->
       let p = multi_block_profile input in
       List.for_all
@@ -659,6 +684,7 @@ let suite =
     case "exact is the minimum" test_exact_is_minimum;
     case "exact with zero budget" test_exact_zero_budget;
     case "lemma 2.2 shortcut" test_lemma_2_2;
+    prop_lemma_2_2_is_its_definition;
     case "no improvement at equilibrium" test_exact_improvement_none_at_equilibrium;
     case "improvement found off equilibrium" test_exact_improvement_found;
     case "swap = exact for unit budgets" test_swap_equals_exact_for_unit_budget;

@@ -111,16 +111,24 @@ let test_wrong_kind_rejected () =
   | Ok _ -> Alcotest.fail "foreign artifact accepted as a certificate"
 
 let test_parallel_equals_sequential () =
+  (* the sequential certificate leaves this domain's U(G) memo holding
+     the profile's graph; the workers of a parallel certification of
+     the same profile value build their own, and leave that one be *)
   List.iter
     (fun (version, p) ->
       let seq = cert_of version p in
-      let par =
-        Equilibrium.certify_parallel_cert ~domains:4
-          (game version (Strategy.budgets p))
-          p
-      in
-      check_true "parallel certificate = sequential certificate"
-        (same_cert seq par))
+      let u = Strategy.underlying p in
+      List.iter
+        (fun domains ->
+          let par =
+            Equilibrium.certify_parallel_cert ~domains
+              (game version (Strategy.budgets p))
+              p
+          in
+          check_true "parallel certificate = sequential certificate"
+            (same_cert seq par);
+          check_true "this domain's graph kept" (Strategy.underlying p == u))
+        [ 2; 4 ])
     [ (Cost.Max, sun8); (Cost.Max, tripod2); (Cost.Max, path3);
       (Cost.Sum, path3) ]
 

@@ -478,7 +478,37 @@ let test_bound_decided_scan () =
       (Cost.Max, Bbng_constructions.Tripod.profile ~k:4, 0);
     ]
 
+(* [p] reshaped around [player] into the cases a context reading G∖i
+   off U(G) with the player masked must get right, the player's own
+   strategy kept: a brace at the player (its first target also targets
+   it), a player no one targets (no static neighbour), and a player cut
+   off with its static neighbours from the other half of the vertices,
+   whose components of G∖i are then isolated. *)
+let shaped p player =
+  let n = Strategy.n p in
+  let reshape f =
+    let s = Array.init n (fun i -> if i = player then Strategy.strategy p i else f i) in
+    Strategy.make (Budget.of_array (Array.map Array.length s)) s
+  in
+  let keep i pred = Array.of_list (List.filter pred (Array.to_list (Strategy.strategy p i))) in
+  let own = Strategy.strategy p player in
+  let brace i =
+    let s = Strategy.strategy p i in
+    if Array.length own = 0 || i <> own.(0) || Array.mem player s then s
+    else if Array.length s = 0 then [| player |]
+    else Array.mapi (fun k v -> if k = 0 then player else v) s
+  in
+  let side v = 2 * v < n in
+  [
+    ("brace", reshape brace);
+    ("no static neighbour", reshape (fun i -> keep i (fun v -> v <> player)));
+    ("isolated components", reshape (fun i -> keep i (fun v -> side v = side i)));
+  ]
+
 let prop_equivalent_to_generic =
+  (* random profiles and their [shaped] variants: the production
+     context, the forced overlay and the forced rows engine each price
+     like the generic route *)
   qcheck ~count:200 "incremental evaluator == generic deviation cost"
     (random_budget_gen ~n_min:2 ~n_max:9) (fun ((n, _, seed) as input) ->
       let p = random_profile_of input in
@@ -487,11 +517,23 @@ let prop_equivalent_to_generic =
       let alt = Strategy.random st (Strategy.budgets p) in
       let targets = Strategy.strategy alt player in
       List.for_all
-        (fun version ->
-          let game = Game.make version (Strategy.budgets p) in
-          Game.deviation_cost game p ~player ~targets
-          = Deviation_eval.cost (ctx version p player) targets)
-        Cost.all_versions)
+        (fun (shape, p) ->
+          List.for_all
+            (fun version ->
+              let game = Game.make version (Strategy.budgets p) in
+              let expected = Game.deviation_cost game p ~player ~targets in
+              List.for_all
+                (fun (engine, c) ->
+                  Deviation_eval.cost c targets = expected
+                  || QCheck.Test.fail_reportf "%s %s %s player=%d" shape engine
+                       (Cost.version_name version) player)
+                [
+                  ("default", ctx version p player);
+                  ("overlay", bfs_of version p player);
+                  ("rows", rows_of version p player);
+                ])
+            Cost.all_versions)
+        (("random", p) :: shaped p player))
 
 let prop_current_cost_equivalent =
   qcheck ~count:100 "current_cost == Game.player_cost"
@@ -524,56 +566,64 @@ let shuffle st a =
     a.(j) <- x
   done
 
+(* Every single-target candidate of [player] (b = 1; at b = 0 its lone
+   empty candidate), priced in random order so blocks are built out of
+   order, agrees across the production context, a context forced onto
+   the batch, the per-candidate overlay and the forced rows engine, and
+   the first [generic] of them with the generic route too (it rebuilds
+   the whole graph per call). *)
+let engines_agree ~generic ~st shape p player =
+  let n = Strategy.n p and b = Array.length (Strategy.strategy p player) in
+  let candidates =
+    if b = 0 then [| [||] |]
+    else
+      Array.of_list
+        (List.filter_map
+           (fun v -> if v = player then None else Some [| v |])
+           (List.init n Fun.id))
+  in
+  shuffle st candidates;
+  List.for_all
+    (fun version ->
+      let game = Game.make version (Strategy.budgets p) in
+      let current = Game.player_cost game p player in
+      let fresh = Deviation_eval.make version p ~player in
+      let default = Deviation_eval.make version p ~player in
+      let batched = Deviation_eval.make_batched version p ~player in
+      let overlay = bfs_of version p player in
+      let rows = rows_of version p player in
+      let agree i targets =
+        let expected = Deviation_eval.cost overlay targets in
+        let ok =
+          Deviation_eval.cost default targets = expected
+          && Deviation_eval.cost batched targets = expected
+          && Deviation_eval.cost rows targets = expected
+          && (i >= generic || Game.deviation_cost game p ~player ~targets = expected)
+        in
+        if not ok then
+          QCheck.Test.fail_reportf "%s %s b=%d player=%d targets={%s}" shape
+            (Cost.version_name version) b player
+            (String.concat "," (List.map string_of_int (Array.to_list targets)));
+        ok
+      in
+      (* the current cost before any block exists, and after *)
+      Deviation_eval.current_cost fresh = current
+      && Array.for_all Fun.id (Array.mapi agree candidates)
+      && Deviation_eval.current_cost default = current)
+    Cost.all_versions
+
+(* [engines_agree] on random profiles and their [shaped] variants *)
 let batch_agrees ~n_min ~n_max ~count ~generic name =
-  (* every single-target candidate, priced in random order so blocks
-     are built out of order, agrees across the production context, a
-     context forced onto the batch and the per-candidate overlay, and
-     the first [generic] of them the generic route too (it rebuilds the
-     whole graph per call); b = 0 prices its lone empty candidate *)
   qcheck ~count name (sparse_or_dense_budget_gen ~n_min ~n_max)
     (fun ((n, _, _) as input) ->
       List.for_all
         (fun b ->
-          if b > n - 1 then true
-          else
-            let p, player, st = unit_player_profile input ~b in
-            let candidates =
-              if b = 0 then [| [||] |]
-              else
-                Array.of_list
-                  (List.filter_map
-                     (fun v -> if v = player then None else Some [| v |])
-                     (List.init n Fun.id))
-            in
-            shuffle st candidates;
-            List.for_all
-              (fun version ->
-                let game = Game.make version (Strategy.budgets p) in
-                let current = Game.player_cost game p player in
-                let fresh = Deviation_eval.make version p ~player in
-                let default = Deviation_eval.make version p ~player in
-                let batched = Deviation_eval.make_batched version p ~player in
-                let overlay = bfs_of version p player in
-                let agree i targets =
-                  let expected = Deviation_eval.cost overlay targets in
-                  let ok =
-                    Deviation_eval.cost default targets = expected
-                    && Deviation_eval.cost batched targets = expected
-                    && (i >= generic
-                       || Game.deviation_cost game p ~player ~targets = expected)
-                  in
-                  if not ok then
-                    QCheck.Test.fail_reportf "%s b=%d player=%d targets={%s}"
-                      (Cost.version_name version) b player
-                      (String.concat ","
-                         (List.map string_of_int (Array.to_list targets)));
-                  ok
-                in
-                (* the current cost before any block exists, and after *)
-                Deviation_eval.current_cost fresh = current
-                && Array.for_all Fun.id (Array.mapi agree candidates)
-                && Deviation_eval.current_cost default = current)
-              Cost.all_versions)
+          b > n - 1
+          ||
+          let p, player, st = unit_player_profile input ~b in
+          List.for_all
+            (fun (shape, p) -> engines_agree ~generic ~st shape p player)
+            (("random", p) :: shaped p player))
         [ 0; 1 ])
 
 let test_batch_selection () =

@@ -37,6 +37,27 @@ let test_underlying () =
   let u = Strategy.underlying (triangle ()) in
   check_int "edges" 3 (Bbng_graph.Undirected.edge_count u)
 
+let test_underlying_memo () =
+  (* one U(G) per profile value: a repeated call returns the very same
+     graph, a deviation's new profile gets a fresh one built from its
+     own strategies, and going back to the first profile rebuilds its
+     graph rather than handing out the deviation's *)
+  let module U = Bbng_graph.Undirected in
+  let p = Bbng_constructions.Binary_tree.profile ~depth:2 in
+  let u = Strategy.underlying p in
+  check_true "same value, same graph" (Strategy.underlying p == u);
+  check_true "the graph of the profile" (U.equal u (U.of_digraph (Strategy.realize p)));
+  let p' = Strategy.with_strategy p ~player:0 ~targets:[| 3; 4 |] in
+  let u' = Strategy.underlying p' in
+  check_true "a deviation gets a fresh graph" (u' != u);
+  check_true "the deviation's graph" (U.equal u' (U.of_digraph (Strategy.realize p')));
+  check_false "which differs" (U.equal u' u);
+  check_true "back on the first profile"
+    (U.equal (Strategy.underlying p) (U.of_digraph (Strategy.realize p)));
+  (* an equal but distinct value is a distinct key with an equal graph *)
+  let q = Strategy.of_string (Strategy.to_string p) in
+  check_true "equal value, equal graph" (U.equal (Strategy.underlying q) u)
+
 let test_with_strategy () =
   let p = triangle () in
   let p' = Strategy.with_strategy p ~player:0 ~targets:[| 2 |] in
@@ -156,6 +177,7 @@ let suite =
     case "validation" test_validation;
     case "realize" test_realize;
     case "underlying" test_underlying;
+    case "underlying memo" test_underlying_memo;
     case "with_strategy" test_with_strategy;
     case "with_strategy validates" test_with_strategy_validates;
     case "of_digraph roundtrip" test_of_digraph_roundtrip;
