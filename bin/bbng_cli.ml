@@ -414,6 +414,47 @@ let pp_evidence_summary ppf (cert : Equilibrium.certificate) =
     (String.concat ", " tiers) !scanned
     (if !scanned = 1 then "" else "s")
 
+(* The certify-and-print path shared by [verify] and [certify]: the
+   certifier the flags choose, the verdict and evidence lines, and the
+   [--cert] write; [verify] also prints the realized graph and its
+   costs. *)
+let certify_and_print ?(describe = false) ~budget version profile cert_out
+    swap par =
+  let game = Game.make version (Strategy.budgets profile) in
+  let cert =
+    if swap then Equilibrium.certify_swap_cert ~budget game profile
+    else if par then Equilibrium.certify_parallel_cert ~budget game profile
+    else Equilibrium.certify_cert ~budget game profile
+  in
+  Format.printf "profile:   %s@." (Strategy.to_string profile);
+  if describe then begin
+    Format.printf "graph:     %a@." Bbng_graph.Digraph.pp
+      (Strategy.realize profile);
+    Format.printf "diameter:  %d@." (Game.social_cost game profile);
+    Format.printf "welfare:   %d@." (Game.social_welfare game profile)
+  end;
+  Format.printf "verdict:   %a@." Equilibrium.pp_verdict
+    (Equilibrium.certificate_verdict cert);
+  Format.printf "evidence:  %a@." pp_evidence_summary cert;
+  (match cert_out with
+  | None -> ()
+  | Some path ->
+      Equilibrium.write_certificate path cert;
+      Format.printf "wrote %s@." path);
+  `Ok ()
+
+let swap_flag =
+  Arg.(
+    value & flag
+    & info [ "swap" ]
+        ~doc:"Certify swap stability instead of exact Nash (polynomial).")
+
+let parallel_flag =
+  Arg.(
+    value & flag
+    & info [ "parallel" ]
+        ~doc:"Fan the per-player checks out over domains (same certificate).")
+
 let verify_cmd =
   let target =
     Arg.(
@@ -436,18 +477,6 @@ let verify_cmd =
              candidates scanned, best deviation) as a single-line JSON \
              certificate artifact to $(docv).  Re-check later with \
              $(b,bbng_cli verify OUT.json).")
-  in
-  let swap =
-    Arg.(
-      value & flag
-      & info [ "swap" ]
-          ~doc:"Certify swap stability instead of exact Nash (polynomial).")
-  in
-  let par =
-    Arg.(
-      value & flag
-      & info [ "parallel" ]
-          ~doc:"Fan the per-player checks out over domains (same certificate).")
   in
   let samples =
     Arg.(
@@ -482,34 +511,14 @@ let verify_cmd =
             Obs.Ledger.note_outcome "recheck-failed";
             exit_failed 1)
   in
-  let certify_profile version profile cert_out swap par budget =
-    let game = Game.make version (Strategy.budgets profile) in
-    let cert =
-      if swap then Equilibrium.certify_swap_cert ~budget game profile
-      else if par then Equilibrium.certify_parallel_cert ~budget game profile
-      else Equilibrium.certify_cert ~budget game profile
-    in
-    Format.printf "profile:   %s@." (Strategy.to_string profile);
-    Format.printf "graph:     %a@." Bbng_graph.Digraph.pp
-      (Strategy.realize profile);
-    Format.printf "diameter:  %d@." (Game.social_cost game profile);
-    Format.printf "welfare:   %d@." (Game.social_welfare game profile);
-    Format.printf "verdict:   %a@." Equilibrium.pp_verdict
-      (Equilibrium.certificate_verdict cert);
-    Format.printf "evidence:  %a@." pp_evidence_summary cert;
-    (match cert_out with
-    | None -> ()
-    | Some path ->
-        Equilibrium.write_certificate path cert;
-        Format.printf "wrote %s@." path);
-    `Ok ()
-  in
   let run () version target cert_out swap par samples budget =
     if Sys.file_exists target then verify_artifact target samples
     else
       match Strategy.of_string target with
       | exception Invalid_argument msg -> `Error (false, msg)
-      | profile -> certify_profile version profile cert_out swap par budget
+      | profile ->
+          certify_and_print ~describe:true ~budget version profile cert_out
+            swap par
   in
   let info =
     Cmd.info "verify"
@@ -520,8 +529,8 @@ let verify_cmd =
   Cmd.v info
     Term.(
       ret
-        (const run $ obs_term $ version_term $ target $ cert_out $ swap $ par
-        $ samples $ budget_term))
+        (const run $ obs_term $ version_term $ target $ cert_out $ swap_flag
+        $ parallel_flag $ samples $ budget_term))
 
 (* --- certify: the profile-certification half of verify, with an
    unambiguous positional (never interpreted as a file path) --- *)
@@ -545,39 +554,10 @@ let certify_cmd =
              deadline-degraded certificate carries a $(i,degraded) \
              provenance field and still passes $(b,bbng_cli verify).")
   in
-  let swap =
-    Arg.(
-      value & flag
-      & info [ "swap" ]
-          ~doc:"Certify swap stability instead of exact Nash (polynomial).")
-  in
-  let par =
-    Arg.(
-      value & flag
-      & info [ "parallel" ]
-          ~doc:"Fan the per-player checks out over domains (same certificate).")
-  in
   let run () version profile_str cert_out swap par budget =
     match Strategy.of_string profile_str with
     | exception Invalid_argument msg -> `Error (false, msg)
-    | profile ->
-        let game = Game.make version (Strategy.budgets profile) in
-        let cert =
-          if swap then Equilibrium.certify_swap_cert ~budget game profile
-          else if par then
-            Equilibrium.certify_parallel_cert ~budget game profile
-          else Equilibrium.certify_cert ~budget game profile
-        in
-        Format.printf "profile:   %s@." (Strategy.to_string profile);
-        Format.printf "verdict:   %a@." Equilibrium.pp_verdict
-          (Equilibrium.certificate_verdict cert);
-        Format.printf "evidence:  %a@." pp_evidence_summary cert;
-        (match cert_out with
-        | None -> ()
-        | Some path ->
-            Equilibrium.write_certificate path cert;
-            Format.printf "wrote %s@." path);
-        `Ok ()
+    | profile -> certify_and_print ~budget version profile cert_out swap par
   in
   let info =
     Cmd.info "certify"
@@ -589,8 +569,8 @@ let certify_cmd =
   Cmd.v info
     Term.(
       ret
-        (const run $ obs_term $ version_term $ profile_arg $ cert_out $ swap
-        $ par $ budget_term))
+        (const run $ obs_term $ version_term $ profile_arg $ cert_out
+        $ swap_flag $ parallel_flag $ budget_term))
 
 (* --- dynamics --- *)
 

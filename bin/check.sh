@@ -308,7 +308,16 @@ rm -rf "$cendir"
 mkdir -p "$cendir/fresh" "$cendir/killed"
 root=$(pwd)
 ( cd "$cendir/fresh" && "$root/$cli" census -b 1,1,1,1,1 --shard-size 64 \
-    --out CEN.jsonl --metrics-out CEN.prom --report CEN.report.jsonl > /dev/null )
+    --out CEN.jsonl --metrics-out CEN.prom --report CEN.report.jsonl \
+    > sharded.out )
+# the in-memory census (one range through the same shard scanner) must
+# print exactly what the sharded, checkpointed run prints
+( cd "$cendir/fresh" && "$root/$cli" census -b 1,1,1,1,1 > memory.out )
+cmp -s "$cendir/fresh/sharded.out" "$cendir/fresh/memory.out" || {
+  echo "check: in-memory census output differs from the sharded run's"
+  diff "$cendir/fresh/sharded.out" "$cendir/fresh/memory.out" || true
+  exit 1
+}
 # the recording has one span per shard (1024 profiles / 64) and none per
 # audited player: verdict certifications record no per-player span
 shard_spans=$(grep '"event":"span"' "$cendir/fresh/CEN.report.jsonl" \

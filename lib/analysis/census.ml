@@ -378,33 +378,52 @@ let histogram_of tbl =
 let bump tbl d by =
   Hashtbl.replace tbl d (by + Option.value ~default:0 (Hashtbl.find_opt tbl d))
 
-(* One [census.shard] span per shard: the verdict certifications inside
+exception Limit_hit
+
+(* The census's one scan of an index range: certify [shard]'s profiles
+   in order, stopping early after [limit] equilibria or when [budget]
+   expires.  The result covers the scanned prefix (its shard ends where
+   the scan stopped); the flag is [false] iff the budget expired.  One
+   [census.shard] span per range: the verdict certifications inside
    record none of their own, so a recording of a census of many tiny
    profiles costs one close per shard, not one per player. *)
-let scan_shard ?(budget = Obs.Budgeted.unlimited) ?progress game shard =
+let scan ?(limit = max_int) ~budget ?progress game shard =
   let n = Game.n game in
   let acc = ref Structure.Iso_acc.empty in
   let diams = Hashtbl.create 8 in
-  let found = ref 0 in
-  Obs.Span.with_ "census.shard" @@ fun () ->
-  Obs.Budgeted.guard budget (fun () ->
-      Equilibrium.iter_profiles_range (Game.budgets game) ~lo:shard.lo
-        ~hi:shard.hi (fun profile ->
-          Obs.Budgeted.checkpoint ~cost:n budget;
-          Obs.Counter.bump c_scanned;
-          (match progress with Some p -> Obs.Progress.step p | None -> ());
-          if Equilibrium.is_nash game profile then begin
-            incr found;
-            Obs.Counter.bump c_equilibria;
-            acc := Structure.Iso_acc.add !acc profile;
-            bump diams (Game.social_cost game profile) 1
-          end);
-      {
-        shard;
-        found = !found;
-        classes = Structure.Iso_acc.classes !acc;
-        diameters = histogram_of diams;
-      })
+  let found = ref 0 and scanned = ref 0 in
+  let completed =
+    Obs.Span.with_ "census.shard" @@ fun () ->
+    Obs.Budgeted.guard budget (fun () ->
+        try
+          Equilibrium.iter_profiles_range (Game.budgets game) ~lo:shard.lo
+            ~hi:shard.hi (fun profile ->
+              Obs.Budgeted.checkpoint ~cost:n budget;
+              incr scanned;
+              Obs.Counter.bump c_scanned;
+              (match progress with Some p -> Obs.Progress.step p | None -> ());
+              if Equilibrium.is_nash game profile then begin
+                incr found;
+                Obs.Counter.bump c_equilibria;
+                acc := Structure.Iso_acc.add !acc profile;
+                bump diams (Game.social_cost game profile) 1;
+                if !found >= limit then raise Limit_hit
+              end)
+        with Limit_hit -> ())
+    <> None
+  in
+  ( {
+      shard = { shard with hi = shard.lo + !scanned };
+      found = !found;
+      classes = Structure.Iso_acc.classes !acc;
+      diameters = histogram_of diams;
+    },
+    completed )
+
+let scan_shard ?(budget = Obs.Budgeted.unlimited) ?progress game shard =
+  match scan ~budget ?progress game shard with
+  | r, true -> Some r
+  | _, false -> None
 
 let merge game plan results =
   let acc, diams, found, scanned =
@@ -498,60 +517,24 @@ let finish ?checkpoint ~budget game plan results =
 
 (* --- the sequential, budget-threaded scan (small instances) --- *)
 
-exception Limit_hit
-
+(* The whole space as one shard, scanned and merged like any other;
+   an expired budget leaves the suffix past the scanned prefix. *)
 let run ?limit ?(budget = Obs.Budgeted.unlimited) game =
-  let budgets = Game.budgets game in
-  let total = Equilibrium.count_profiles budgets in
-  let n = Game.n game in
-  let scanned = ref 0 in
-  let found = ref 0 in
-  let acc = ref Structure.Iso_acc.empty in
-  let diams = Hashtbl.create 8 in
-  let expired = ref None in
-  (* the whole scan is one range: one [census.shard] span *)
-  Obs.Progress.with_task ~total ~budget "census" (fun progress ->
-      Obs.Span.with_ "census.shard" @@ fun () ->
-      try
-        Equilibrium.iter_profiles budgets (fun profile ->
-            Obs.Budgeted.checkpoint ~cost:n budget;
-            incr scanned;
-            Obs.Counter.bump c_scanned;
-            Obs.Progress.step progress;
-            if Equilibrium.is_nash game profile then begin
-              incr found;
-              Obs.Counter.bump c_equilibria;
-              acc := Structure.Iso_acc.add !acc profile;
-              bump diams (Game.social_cost game profile) 1;
-              match limit with
-              | Some l when !found >= l -> raise Limit_hit
-              | Some _ | None -> ()
-            end)
-      with
-      | Limit_hit -> ()
-      | Obs.Budgeted.Expired -> expired := Some (partial_why budget));
-  let diameter_histogram = histogram_of diams in
-  let iso_class_counts = Structure.Iso_acc.classes !acc in
-  let census =
-    {
-      game;
-      total_profiles = total;
-      scanned_profiles = !scanned;
-      equilibria = !found;
-      iso_classes = List.map fst iso_class_counts;
-      iso_class_counts;
-      diameter_histogram;
-      min_diameter =
-        (match diameter_histogram with [] -> None | (d, _) :: _ -> Some d);
-      max_diameter =
-        (match List.rev diameter_histogram with
-        | [] -> None
-        | (d, _) :: _ -> Some d);
-    }
+  let plan = make_plan game in
+  let r, completed =
+    Obs.Progress.with_task ~total:plan.total ~budget "census"
+      (fun progress ->
+        scan ?limit ~budget ~progress game { sid = 0; lo = 0; hi = plan.total })
   in
-  match !expired with
-  | None -> Complete census
-  | Some why -> Partial { census; unscanned = [ (!scanned, total) ]; why }
+  let census = merge game plan [ r ] in
+  if completed then Complete census
+  else
+    Partial
+      {
+        census;
+        unscanned = [ (r.shard.hi, plan.total) ];
+        why = partial_why budget;
+      }
 
 (* --- the sharded, checkpointed pipeline --- *)
 

@@ -30,8 +30,10 @@ type t = {
   game : Game.t;
   total_profiles : int;  (** [prod C(n-1, b_i)] *)
   scanned_profiles : int;
-      (** profiles actually certified; [< total_profiles] in a partial
-          census *)
+      (** profiles actually certified, always the index prefix
+          [[0, scanned_profiles)]; [< total_profiles] in a partial
+          census, and in a {!run} stopped by its [limit] (which is
+          [Complete] over that prefix) *)
   equilibria : int;  (** Nash profiles among the scanned *)
   iso_classes : Strategy.t list;
       (** one representative per realization-isomorphism class, in the
@@ -105,10 +107,16 @@ val unscanned_ranges : plan -> shard_result list -> (int * int) list
 (** {1 Running} *)
 
 val run : ?limit:int -> ?budget:Bbng_obs.Budgeted.t -> Game.t -> outcome
-(** Sequential in-memory scan (no checkpoint): enumerates every
-    profile, stopping after [limit] equilibria if given.  The budget
-    token is checkpointed once per profile; expiry returns [Partial]
-    with the unscanned suffix. *)
+(** Sequential in-memory scan (no checkpoint): the whole profile space
+    as one range through the shard scanner ({!scan_shard}'s per-profile
+    body, one [census.shard] span) and {!merge}.  With [limit], the scan
+    stops after [limit] equilibria and returns [Complete] over the
+    scanned prefix [[0, scanned_profiles)], so [scanned_profiles] may
+    be below [total_profiles].  The budget token is checkpointed once
+    per profile; expiry returns [Partial] with the unscanned suffix
+    [[(scanned_profiles, total_profiles)]].
+    @raise Invalid_argument on a saturated profile space, as
+    {!make_plan} does. *)
 
 val run_sharded :
   ?domains:int ->

@@ -800,26 +800,12 @@ let pp_verdict ppf = function
            Format.pp_print_int)
         unresolved
 
-let iter_profiles budgets f =
-  let n = Budget.n budgets in
-  let strategies = Array.make n [||] in
-  let unshift player c =
-    Array.map (fun i -> if i < player then i else i + 1) c
-  in
-  let rec assign player =
-    if player = n then f (Strategy.make budgets (Array.map Array.copy strategies))
-    else
-      Combinatorics.iter_combinations ~n:(n - 1) ~k:(Budget.get budgets player)
-        (fun c ->
-          strategies.(player) <- unshift player c;
-          assign (player + 1))
-  in
-  assign 0
-
-(* Resumable slice of the profile space: profile index [lo, hi) in the
-   mixed-radix order of [iter_profiles] (player 0 is the most
-   significant digit, each digit a combination rank).  A census shard
-   is exactly such a pair, so restarting one needs no state beyond it. *)
+(* The one walk of the profile space: profile index [lo, hi) in
+   mixed-radix order (player 0 is the most significant digit, each
+   digit a combination rank, so the order is lexicographic).  A census
+   shard is exactly such a pair, so restarting one needs no state
+   beyond it; every exhaustive consumer (the whole-space walk below,
+   the Nash filter, Poa's exact prices, the census) goes through it. *)
 let iter_profiles_range budgets ~lo ~hi f =
   let n = Budget.n budgets in
   let radices =
@@ -892,41 +878,40 @@ let count_profiles budgets =
   done;
   !acc
 
+let iter_profiles budgets f =
+  iter_profiles_range budgets ~lo:0 ~hi:(count_profiles budgets) f
+
 exception Limit_reached
 
+(* The Nash filter over the whole profile space, under one "enumerate"
+   heartbeat task; [f] stops the walk early by raising
+   [Limit_reached]. *)
+let iter_equilibria game f =
+  let budgets = Game.budgets game in
+  Bbng_obs.Progress.with_task ~total:(count_profiles budgets) "enumerate"
+    (fun progress ->
+      try
+        iter_profiles budgets (fun profile ->
+            Bbng_obs.Progress.step progress;
+            if is_nash game profile then f profile)
+      with Limit_reached -> ())
+
 let enumerate_equilibria ?limit game =
-  let found = ref [] in
-  let count = ref 0 in
-  (* heartbeat over the profile space; [count_profiles] saturates to
-     max_int, which Progress reads as "unknown total" *)
-  Bbng_obs.Progress.with_task
-    ~total:(count_profiles (Game.budgets game))
-    "enumerate" (fun progress ->
-      (try
-         iter_profiles (Game.budgets game) (fun profile ->
-             Bbng_obs.Progress.step progress;
-             if is_nash game profile then begin
-               found := profile :: !found;
-               incr count;
-               match limit with
-               | Some l when !count >= l -> raise Limit_reached
-               | Some _ | None -> ()
-             end)
-       with Limit_reached -> ());
-      List.rev !found)
+  let found = ref [] and count = ref 0 in
+  iter_equilibria game (fun profile ->
+      found := profile :: !found;
+      incr count;
+      match limit with
+      | Some l when !count >= l -> raise Limit_reached
+      | Some _ | None -> ());
+  List.rev !found
 
 let equilibrium_diameter_range game =
   let range = ref None in
-  Bbng_obs.Progress.with_task
-    ~total:(count_profiles (Game.budgets game))
-    "enumerate" (fun progress ->
-      iter_profiles (Game.budgets game) (fun profile ->
-          Bbng_obs.Progress.step progress;
-          if is_nash game profile then begin
-            let d = Game.social_cost game profile in
-            range :=
-              match !range with
-              | None -> Some (d, d)
-              | Some (lo, hi) -> Some (min lo d, max hi d)
-          end);
-      !range)
+  iter_equilibria game (fun profile ->
+      let d = Game.social_cost game profile in
+      range :=
+        match !range with
+        | None -> Some (d, d)
+        | Some (lo, hi) -> Some (min lo d, max hi d));
+  !range

@@ -176,13 +176,19 @@ val verify_certificate : ?samples:int -> certificate -> (unit, string) result
 (** {1 Exhaustive enumeration (small instances)} *)
 
 val iter_profiles : Budget.t -> (Strategy.t -> unit) -> unit
-(** Every strategy profile of the instance, lexicographically.  The
-    count is [prod_i C(n-1, b_i)]: practical for [n <= 6]-ish. *)
+(** Every strategy profile of the instance, lexicographically: the full
+    range [iter_profiles_range ~lo:0 ~hi:(count_profiles budgets)].
+    The count is [prod_i C(n-1, b_i)]: practical for [n <= 6]-ish.
+    @raise Invalid_argument on a saturated profile space (more than
+    [max_int] profiles), before any profile is produced. *)
 
 val iter_profiles_range :
   Budget.t -> lo:int -> hi:int -> (Strategy.t -> unit) -> unit
 (** Profiles at lexicographic indices [[lo, hi)] of {!iter_profiles}'s
-    order — the restartable slice a census shard scans.  Seeks to [lo]
+    order — the restartable slice a census shard scans, and the
+    library's only walk of the profile space: {!iter_profiles},
+    {!enumerate_equilibria}, {!equilibrium_diameter_range}, Poa's exact
+    OPT and prices and the census all go through it.  Seeks to [lo]
     by combination unranking (no replay of predecessors), then steps
     the per-player odometer.
     @raise Invalid_argument on a saturated profile space or a range

@@ -36,31 +36,6 @@ let fan_out k worker =
 (* Block-cyclic index distribution: domain d handles indices
    d, d + k, d + 2k, ...  This balances heterogeneous per-index work
    (low player indices are not systematically cheaper). *)
-
-let for_all ?domains ~n f =
-  let k = domain_count ?domains n in
-  if k <= 1 || n <= 1 then begin
-    let rec go i =
-      i >= n
-      ||
-      (Bbng_obs.Counter.bump c_tasks;
-       f i && go (i + 1))
-    in
-    go 0
-  end
-  else begin
-    let failed = Atomic.make false in
-    fan_out k (fun d ->
-        let i = ref d in
-        while (not (Atomic.get failed)) && !i < n do
-          Bbng_obs.Counter.bump c_tasks;
-          if not (f !i) then Atomic.set failed true;
-          i := !i + k
-        done;
-        Bbng_obs.Counter.add c_abandoned (abandoned_by ~n ~k !i));
-    not (Atomic.get failed)
-  end
-
 let map ?domains ~n f =
   let k = domain_count ?domains n in
   if k <= 1 || n <= 1 then

@@ -20,14 +20,6 @@ val recommended_domains : unit -> int
 (** [max 1 (Domain.recommended_domain_count () - 1)]: leave one core
     for the caller. *)
 
-val for_all : ?domains:int -> n:int -> (int -> bool) -> bool
-(** [for_all ~n f] is [f 0 && ... && f (n-1)], evaluated on up to
-    [domains] domains (default {!recommended_domains}) with early exit:
-    once any index returns [false], remaining work is abandoned at the
-    next index boundary.  [f] must be safe to run concurrently (pure,
-    or confined to its own mutable state).  Falls back to a sequential
-    scan when [domains <= 1] or [n <= 1]. *)
-
 val map : ?domains:int -> n:int -> (int -> 'a) -> 'a array
 (** [map ~n f] is [[| f 0; ...; f (n-1) |]] with the indices fanned out
     block-cyclically over domains.  No early exit: every index is
@@ -47,4 +39,7 @@ val find_map : ?domains:int -> n:int -> (int -> 'a option) -> 'a option
 (** First-ish [Some] produced by any index, or [None].  "First-ish":
     with several domains the winner is the first to {e finish}, not
     necessarily the smallest index — callers needing determinism should
-    use one domain.  Early exit as in {!for_all}. *)
+    use one domain.  Early exit: once any index returns [Some], the
+    remaining work is abandoned at the next index boundary.  [f] must be
+    safe to run concurrently; falls back to a sequential scan when
+    [domains <= 1] or [n <= 1]. *)

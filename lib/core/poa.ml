@@ -62,15 +62,29 @@ let canonical_low_diameter_realization budgets =
     Strategy.make budgets (Array.map Array.of_list targets)
   end
 
-let opt_diameter_exact ?(max_profiles = 2_000_000) budgets =
+(* The exhaustive walk behind the exact OPT and prices: the minimum of
+   [objective] over every profile, and its (min, max) over the
+   equilibria of [game] if given; [None] past [max_profiles]. *)
+let exact_extremes ~max_profiles ?game objective budgets =
   if Equilibrium.count_profiles budgets > max_profiles then None
   else begin
-    let best = ref max_int in
+    let opt = ref max_int in
+    let ne_min = ref max_int and ne_max = ref min_int in
     Equilibrium.iter_profiles budgets (fun p ->
-        let d = Cost.social_cost (Strategy.underlying p) in
-        if d < !best then best := d);
-    Some !best
+        let v = objective p in
+        if v < !opt then opt := v;
+        match game with
+        | Some game when Equilibrium.is_nash game p ->
+            if v < !ne_min then ne_min := v;
+            if v > !ne_max then ne_max := v
+        | Some _ | None -> ());
+    Some (!opt, if !ne_max = min_int then None else Some (!ne_min, !ne_max))
   end
+
+let diameter p = Cost.social_cost (Strategy.underlying p)
+
+let opt_diameter_exact ?(max_profiles = 2_000_000) budgets =
+  Option.map fst (exact_extremes ~max_profiles diameter budgets)
 
 let opt_diameter_bounds budgets =
   let n = Budget.n budgets in
@@ -96,53 +110,27 @@ let pp_ratio ppf r =
 
 type prices = { anarchy : ratio; stability : ratio }
 
+let prices ~opt (ne_min, ne_max) =
+  {
+    anarchy = { num = ne_max; den = opt };
+    stability = { num = ne_min; den = opt };
+  }
+
 let exact_prices ?(max_profiles = 200_000) game =
-  let budgets = Game.budgets game in
-  if Equilibrium.count_profiles budgets > max_profiles then None
-  else begin
-    let opt = ref max_int in
-    let ne_min = ref max_int and ne_max = ref min_int in
-    Equilibrium.iter_profiles budgets (fun p ->
-        let d = Cost.social_cost (Strategy.underlying p) in
-        if d < !opt then opt := d;
-        if Equilibrium.is_nash game p then begin
-          if d < !ne_min then ne_min := d;
-          if d > !ne_max then ne_max := d
-        end);
-    if !ne_max = min_int then None
-    else
-      (* A diameter-0 OPT only happens for n = 1, where the unique
-         profile is also the unique equilibrium; report 1/1. *)
-      if !opt = 0 then Some { anarchy = { num = 1; den = 1 }; stability = { num = 1; den = 1 } }
-      else
-        Some
-          {
-            anarchy = { num = !ne_max; den = !opt };
-            stability = { num = !ne_min; den = !opt };
-          }
-  end
+  match exact_extremes ~max_profiles ~game diameter (Game.budgets game) with
+  | None | Some (_, None) -> None
+  (* A diameter-0 OPT only happens for n = 1, where the unique profile
+     is also the unique equilibrium; report 1/1. *)
+  | Some (0, Some _) -> Some (prices ~opt:1 (1, 1))
+  | Some (opt, Some range) -> Some (prices ~opt range)
 
 let exact_welfare_prices ?(max_profiles = 200_000) game =
-  let budgets = Game.budgets game in
-  if Equilibrium.count_profiles budgets > max_profiles then None
-  else begin
-    let opt = ref max_int in
-    let ne_min = ref max_int and ne_max = ref min_int in
-    Equilibrium.iter_profiles budgets (fun p ->
-        let w = Game.social_welfare game p in
-        if w < !opt then opt := w;
-        if Equilibrium.is_nash game p then begin
-          if w < !ne_min then ne_min := w;
-          if w > !ne_max then ne_max := w
-        end);
-    if !ne_max = min_int || !opt <= 0 then None
-    else
-      Some
-        {
-          anarchy = { num = !ne_max; den = !opt };
-          stability = { num = !ne_min; den = !opt };
-        }
-  end
+  match
+    exact_extremes ~max_profiles ~game (Game.social_welfare game)
+      (Game.budgets game)
+  with
+  | Some (opt, Some range) when opt > 0 -> Some (prices ~opt range)
+  | None | Some _ -> None
 
 let anarchy_lower_bound ~equilibrium_diameter budgets =
   let _, hi = opt_diameter_bounds budgets in

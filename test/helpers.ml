@@ -94,3 +94,24 @@ let sparse_or_dense_budget_gen ~n_min ~n_max =
       oneof [ int_range 0 (max 0 (n - 2)); int_range 0 (n * (n - 1)) ]
       >>= fun total ->
       int_range 0 10_000 >>= fun seed -> return (n, total, seed))
+
+(* Oracle for the library's one walk of the profile space
+   ([Equilibrium.iter_profiles_range]): every profile of [budgets] by
+   plain recursion, player 0's combination outermost, each player's
+   combinations in lexicographic order over the other players. *)
+let oracle_iter_profiles budgets f =
+  let n = Budget.n budgets in
+  let strategies = Array.make n [||] in
+  let unshift player c =
+    Array.map (fun i -> if i < player then i else i + 1) c
+  in
+  let rec assign player =
+    if player = n then
+      f (Strategy.make budgets (Array.map Array.copy strategies))
+    else
+      Bbng_graph.Combinatorics.iter_combinations ~n:(n - 1)
+        ~k:(Budget.get budgets player) (fun c ->
+          strategies.(player) <- unshift player c;
+          assign (player + 1))
+  in
+  assign 0

@@ -94,7 +94,10 @@ let test_empty_census () =
 let test_limit () =
   let game = Game.make Cost.Sum (Budget.unit_budgets 5) in
   let c = run_c ~limit:3 game in
-  check_int "limited" 3 c.Census.equilibria
+  check_int "limited" 3 c.Census.equilibria;
+  (* a limit stop is Complete over the scanned prefix, not Partial *)
+  check_true "scanned a strict prefix"
+    (c.Census.scanned_profiles < c.Census.total_profiles)
 
 let test_summary_prints () =
   let game = Game.make Cost.Sum (Budget.unit_budgets 3) in
@@ -119,15 +122,29 @@ let censuses_agree name a b =
     (a.Census.diameter_histogram = b.Census.diameter_histogram)
 
 let test_sharded_matches_run () =
-  let game = Game.make Cost.Sum (Budget.unit_budgets 4) in
-  let seq = run_c game in
+  (* unit n=4 plus random n=5 budget vectors of 576 to 1,536 profiles *)
+  let random =
+    List.map
+      (fun (total, seed) -> Budget.random_partition (rng seed) ~n:5 ~total)
+      [ (6, 5); (7, 6); (8, 2); (12, 4) ]
+  in
   List.iter
-    (fun shard_size ->
-      let sh =
-        complete_exn (Census.run_sharded ~domains:2 ~shard_size game)
-      in
-      censuses_agree (Printf.sprintf "shard_size=%d" shard_size) seq sh)
-    [ 1; 7; 81; 1000 ]
+    (fun b ->
+      List.iter
+        (fun version ->
+          let game = Game.make version b in
+          let seq = run_c game in
+          List.iter
+            (fun shard_size ->
+              let sh =
+                complete_exn (Census.run_sharded ~domains:2 ~shard_size game)
+              in
+              censuses_agree
+                (Format.asprintf "%a shard_size=%d" Game.pp game shard_size)
+                seq sh)
+            [ 1; 7; 81; 1000 ])
+        Cost.all_versions)
+    (Budget.unit_budgets 4 :: random)
 
 (* the census's progress counters live in the one Counter registry, so
    the tools that explain a run (--stats, heartbeats, ledger rows) see

@@ -73,6 +73,16 @@ let test_canonical_n1 () =
   let p = Poa.canonical_low_diameter_realization (Budget.of_list [ 0 ]) in
   check_int "n" 1 (Strategy.n p)
 
+(* n = 1: the lone profile has diameter 0 and welfare 0, so the
+   diameter prices read 1/1 and the welfare prices are undefined *)
+let test_exact_prices_n1 () =
+  let game = Game.make Cost.Sum (Budget.of_list [ 0 ]) in
+  let one = { Poa.num = 1; den = 1 } in
+  check_true "OPT 0" (Poa.opt_diameter_exact (Budget.of_list [ 0 ]) = Some 0);
+  check_true "prices 1/1"
+    (Poa.exact_prices game = Some { Poa.anarchy = one; stability = one });
+  check_true "welfare prices undefined" (Poa.exact_welfare_prices game = None)
+
 (* --- growth: remaining models --- *)
 
 let test_fit_exp_sqrt_log () =
@@ -170,6 +180,7 @@ let suite =
     case "weighted Cinf" test_weighted_cost_unreachable;
     case "pp_ratio integer" test_pp_ratio_integer;
     case "canonical realization n=1" test_canonical_n1;
+    case "exact prices n=1" test_exact_prices_n1;
     case "fit 2^sqrt(log n)" test_fit_exp_sqrt_log;
     case "fit sqrt(n)" test_fit_sqrt;
     case "figure 3 on reversed ownership" test_figure3_reversed_tree;

@@ -151,11 +151,14 @@ let test_iter_profiles_range_replays () =
   let b = Budget.of_list [ 2; 1; 1; 0 ] in
   let total = Equilibrium.count_profiles b in
   let all = ref [] in
-  Equilibrium.iter_profiles b (fun p -> all := Strategy.to_string p :: !all);
+  oracle_iter_profiles b (fun p -> all := Strategy.to_string p :: !all);
   let all = List.rev !all in
   check_int "space size" total (List.length all);
-  check_true "full range = iter_profiles"
+  check_true "full range = recursive oracle"
     (profiles_in_range b ~lo:0 ~hi:total = all);
+  let walked = ref [] in
+  Equilibrium.iter_profiles b (fun p -> walked := Strategy.to_string p :: !walked);
+  check_true "iter_profiles = recursive oracle" (List.rev !walked = all);
   (* every split point partitions the enumeration *)
   List.iter
     (fun mid ->
@@ -177,7 +180,16 @@ let test_iter_profiles_range_guards () =
     | () -> false);
   (* empty slice: no calls, no error *)
   Equilibrium.iter_profiles_range b ~lo:4 ~hi:4 (fun _ ->
-      Alcotest.fail "empty range produced a profile")
+      Alcotest.fail "empty range produced a profile");
+  (* a saturated space cannot be walked: the full range raises before
+     producing anything *)
+  check_true "saturated space rejected"
+    (match
+       Equilibrium.iter_profiles (Budget.uniform ~n:40 ~budget:18) (fun _ ->
+           Alcotest.fail "saturated walk produced a profile")
+     with
+    | exception Invalid_argument _ -> true
+    | () -> false)
 
 let prop_range_partition_agrees =
   qcheck ~count:50 "ranged enumeration partitions iter_profiles"
@@ -187,11 +199,105 @@ let prop_range_partition_agrees =
       space > 100_000
       ||
       let all = ref [] in
-      Equilibrium.iter_profiles b (fun p ->
-          all := Strategy.to_string p :: !all);
+      oracle_iter_profiles b (fun p -> all := Strategy.to_string p :: !all);
       let mid = space * (seed mod 100) / 100 in
       profiles_in_range b ~lo:0 ~hi:mid @ profiles_in_range b ~lo:mid ~hi:space
       = List.rev !all)
+
+(* --- every exhaustive consumer agrees with one oracle pass --- *)
+
+(* (min, max) of a non-empty list, [None] for an empty one *)
+let extremes = function
+  | [] -> None
+  | v :: vs -> Some (List.fold_left min v vs, List.fold_left max v vs)
+
+let oracle_prices ~opt = function
+  | None -> None
+  | Some (lo, hi) ->
+      Some
+        {
+          Poa.anarchy = { Poa.num = hi; den = opt };
+          stability = { Poa.num = lo; den = opt };
+        }
+
+(* [eqs] are the oracle's equilibria of the scanned prefix, as
+   (profile, diameter) pairs in walk order *)
+let census_is ~total ~scanned eqs = function
+  | Bbng_analysis.Census.Partial _ -> false
+  | Bbng_analysis.Census.Complete c ->
+      let open Bbng_analysis.Census in
+      let ds = List.map snd eqs in
+      let keys = List.map (fun (p, _) -> Strategy.to_string p) eqs in
+      c.total_profiles = total
+      && c.scanned_profiles = scanned
+      && c.equilibria = List.length eqs
+      && c.diameter_histogram
+         = List.map
+             (fun d -> (d, List.length (List.filter (( = ) d) ds)))
+             (List.sort_uniq compare ds)
+      && (match extremes ds with
+         | None -> c.min_diameter = None && c.max_diameter = None
+         | Some (lo, hi) -> c.min_diameter = Some lo && c.max_diameter = Some hi)
+      && List.fold_left (fun a (_, k) -> a + k) 0 c.iso_class_counts
+         = List.length eqs
+      && List.for_all
+           (fun rep -> List.mem (Strategy.to_string rep) keys)
+           c.iso_classes
+
+(* One recursive oracle walk with [is_nash] yields everything the
+   exhaustive consumers compute: the equilibria in order (with their
+   profile indices), their diameter range and histogram, the OPT
+   diameter and welfare, and both price pairs. *)
+let prop_exhaustive_consumers_agree =
+  qcheck ~count:100 "exhaustive consumers == one oracle pass"
+    (QCheck.pair (random_budget_gen ~n_min:3 ~n_max:5) QCheck.small_nat)
+    (fun (input, limit_seed) ->
+      let b = random_budget_of input in
+      Equilibrium.count_profiles b > 5_000
+      || List.for_all
+           (fun version ->
+             let game = Game.make version b in
+             let total = ref 0 and eqs = ref [] in
+             let opt_d = ref max_int and opt_w = ref max_int in
+             oracle_iter_profiles b (fun p ->
+                 let d = Cost.social_cost (Strategy.underlying p) in
+                 let w = Game.social_welfare game p in
+                 opt_d := min !opt_d d;
+                 opt_w := min !opt_w w;
+                 if Equilibrium.is_nash game p then
+                   eqs := (!total, p, d, w) :: !eqs;
+                 incr total);
+             let total = !total and eqs = List.rev !eqs in
+             let keys l = List.map (fun (_, p, _, _) -> Strategy.to_string p) l in
+             let diameters l = List.map (fun (_, p, d, _) -> (p, d)) l in
+             let range = extremes (List.map (fun (_, _, d, _) -> d) eqs) in
+             (* a limit in [1, #equilibria + 1]: the last one never binds *)
+             let limit = 1 + (limit_seed mod (List.length eqs + 1)) in
+             let first = List.filteri (fun i _ -> i < limit) eqs in
+             let limit_scanned =
+               if List.length first < limit then total
+               else
+                 let i, _, _, _ = List.nth first (limit - 1) in
+                 i + 1
+             in
+             List.map Strategy.to_string (Equilibrium.enumerate_equilibria game)
+             = keys eqs
+             && List.map Strategy.to_string
+                  (Equilibrium.enumerate_equilibria ~limit game)
+                = keys first
+             && Equilibrium.equilibrium_diameter_range game = range
+             && Poa.opt_diameter_exact b = Some !opt_d
+             (* n >= 3, so both OPTs are positive (test_edge_cases pins
+                n = 1's OPT of 0) *)
+             && Poa.exact_prices game = oracle_prices ~opt:!opt_d range
+             && Poa.exact_welfare_prices game
+                = oracle_prices ~opt:!opt_w
+                    (extremes (List.map (fun (_, _, _, w) -> w) eqs))
+             && census_is ~total ~scanned:total (diameters eqs)
+                  (Bbng_analysis.Census.run game)
+             && census_is ~total ~scanned:limit_scanned (diameters first)
+                  (Bbng_analysis.Census.run ~limit game))
+           Cost.all_versions)
 
 (* --- the refutation's current cost comes from the search --- *)
 
@@ -299,4 +405,5 @@ let suite =
     prop_refutation_current_cost;
     case "early exits skip players" test_early_exits_on_last_player;
     prop_range_partition_agrees;
+    prop_exhaustive_consumers_agree;
   ]

@@ -23,14 +23,11 @@ let test_counter_basics () =
   check_int "unknown name reads 0" 0 (Counter.find "test.obs.no-such-counter")
 
 let test_counter_monotonic_under_parallel () =
-  (* n concurrent bumps from Parallel.for_all workers lose nothing *)
+  (* n concurrent bumps from Parallel.map workers lose nothing *)
   let c = Counter.make "test.obs.parallel-bumps" in
   let base = Counter.get c in
   let n = 10_000 in
-  check_true "all workers succeed"
-    (Parallel.for_all ~domains:4 ~n (fun _ ->
-         Counter.bump c;
-         true));
+  ignore (Parallel.map ~domains:4 ~n (fun _ -> Counter.bump c));
   check_int "every bump counted" (base + n) (Counter.get c)
 
 let test_counter_snapshot_sorted () =
@@ -236,10 +233,7 @@ let test_histogram_parallel_record () =
   let h = Histogram.make "test.hist.parallel" in
   Histogram.reset h;
   let n = 10_000 in
-  check_true "all workers succeed"
-    (Parallel.for_all ~domains:4 ~n (fun i ->
-         Histogram.record h i;
-         true));
+  ignore (Parallel.map ~domains:4 ~n (fun i -> Histogram.record h i));
   check_int "every record counted" n (Histogram.count h);
   check_int "max exact under contention" (n - 1) (Histogram.max_value h);
   check_int "total exact under contention" (n * (n - 1) / 2) (Histogram.total h)
@@ -714,7 +708,7 @@ let test_span_counts_own_major_words () =
 let suite =
   [
     case "counter basics" test_counter_basics;
-    case "counter monotonic under Parallel.for_all"
+    case "counter monotonic under Parallel.map"
       test_counter_monotonic_under_parallel;
     case "counter snapshot sorted" test_counter_snapshot_sorted;
     case "span nesting" test_span_nesting;

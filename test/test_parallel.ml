@@ -1,24 +1,22 @@
 open Helpers
 open Bbng_core
 
-let test_for_all_true () =
-  check_true "all pass" (Parallel.for_all ~domains:3 ~n:100 (fun i -> i >= 0))
+let test_sequential_fallback () =
+  check_true "domains=1 found"
+    (Parallel.find_map ~domains:1 ~n:10 (fun i -> if i = 5 then Some i else None)
+    = Some 5);
+  check_true "domains=1 not found"
+    (Parallel.find_map ~domains:1 ~n:10 (fun _ -> None) = None);
+  check_true "domains=1 map" (Parallel.map ~domains:1 ~n:3 Fun.id = [| 0; 1; 2 |])
 
-let test_for_all_false () =
-  check_false "one fails" (Parallel.for_all ~domains:3 ~n:100 (fun i -> i <> 57))
-
-let test_for_all_sequential_fallback () =
-  check_true "domains=1" (Parallel.for_all ~domains:1 ~n:10 (fun i -> i < 10));
-  check_false "domains=1 failing" (Parallel.for_all ~domains:1 ~n:10 (fun i -> i < 5));
-  check_true "n=0 vacuous" (Parallel.for_all ~domains:4 ~n:0 (fun _ -> false))
-
-let test_for_all_covers_every_index () =
-  (* each index must be evaluated exactly once when nothing fails *)
+let test_find_map_covers_every_index () =
+  (* each index must be evaluated exactly once when nothing is found *)
   let hits = Array.init 64 (fun _ -> Atomic.make 0) in
-  check_true "runs"
-    (Parallel.for_all ~domains:4 ~n:64 (fun i ->
+  check_true "nothing found"
+    (Parallel.find_map ~domains:4 ~n:64 (fun i ->
          Atomic.incr hits.(i);
-         true));
+         None)
+    = None);
   Array.iteri
     (fun i c -> check_int (Printf.sprintf "index %d hit once" i) 1 (Atomic.get c))
     hits
@@ -53,18 +51,11 @@ let test_find_map_abandons_work () =
   check_true "early exit abandoned work"
     (Bbng_obs.Counter.get abandoned > before)
 
-let test_for_all_abandons_work () =
-  let abandoned = Bbng_obs.Counter.make "parallel.chunks_abandoned" in
-  let before = Bbng_obs.Counter.get abandoned in
-  check_false "early failure"
-    (Parallel.for_all ~domains:4 ~n:10_000 (fun i -> i <> 0));
-  check_true "early exit abandoned work"
-    (Bbng_obs.Counter.get abandoned > before)
-
 let test_no_abandonment_without_early_exit () =
   let abandoned = Bbng_obs.Counter.make "parallel.chunks_abandoned" in
   let before = Bbng_obs.Counter.get abandoned in
-  check_true "full scan" (Parallel.for_all ~domains:4 ~n:1_000 (fun _ -> true));
+  check_true "full scan"
+    (Parallel.find_map ~domains:4 ~n:1_000 (fun _ -> None) = None);
   check_int "nothing abandoned" before (Bbng_obs.Counter.get abandoned)
 
 let test_parallel_certification_agrees () =
@@ -129,14 +120,11 @@ let test_map_dynamic_empty () =
 
 let suite =
   [
-    case "for_all true" test_for_all_true;
-    case "for_all false" test_for_all_false;
-    case "sequential fallback" test_for_all_sequential_fallback;
-    case "covers every index once" test_for_all_covers_every_index;
+    case "sequential fallback" test_sequential_fallback;
+    case "covers every index once" test_find_map_covers_every_index;
     case "find_map" test_find_map;
     case "recommended domains" test_recommended_positive;
     case "find_map abandons work on early hit" test_find_map_abandons_work;
-    case "for_all abandons work on early failure" test_for_all_abandons_work;
     case "no abandonment without early exit" test_no_abandonment_without_early_exit;
     slow_case "parallel certification agrees" test_parallel_certification_agrees;
     prop_parallel_matches_sequential;

@@ -300,10 +300,9 @@ let test_worker_paths_rooted () =
 let test_concurrent_recording () =
   scoped (fun () ->
       let per_domain = 500 in
-      check_true "all workers ran"
-        (Parallel.for_all ~domains:4 ~n:(4 * per_domain) (fun _ ->
-             Span.with_ "conc" (fun () -> ());
-             true));
+      ignore
+        (Parallel.map ~domains:4 ~n:(4 * per_domain) (fun _ ->
+             Span.with_ "conc" (fun () -> ())));
       check_int "sharded table lost nothing" (4 * per_domain)
         (List.assoc "conc" (span_totals ())).Span.count)
 
