@@ -180,7 +180,6 @@ let suite =
     case "weighted Cinf" test_weighted_cost_unreachable;
     case "pp_ratio integer" test_pp_ratio_integer;
     case "canonical realization n=1" test_canonical_n1;
-    case "exact prices n=1" test_exact_prices_n1;
     case "fit 2^sqrt(log n)" test_fit_exp_sqrt_log;
     case "fit sqrt(n)" test_fit_sqrt;
     case "figure 3 on reversed ownership" test_figure3_reversed_tree;
@@ -190,4 +189,5 @@ let suite =
     case "serialize empty graph" test_serialize_empty_graph;
     case "census PoA on subcritical" test_census_poa_subcritical;
     case "deviation eval with braces" test_deviation_eval_brace;
+    case "exact prices n=1" test_exact_prices_n1;
   ]
