@@ -3,7 +3,7 @@
    Reads a CENSUS_*.jsonl golden, re-realizes every equilibrium class
    representative it names, and compares the kernel answers
    (direction-optimizing [Bfs.distances], iFUB [Distances.diameter])
-   against the retained top-down walker on each graph.  This is the
+   against the oracle top-down walker on each graph.  This is the
    out-of-process twin of the kernel-vs-legacy qchecks: random
    graphs exercise the engine broadly, but the goldens pin it on the
    exact graphs the paper's census artifacts were computed from —
@@ -56,7 +56,7 @@ let check_graph ~what g =
   in
   for u = 0 to n - 1 do
     let csr_row = Bbng_graph.Bfs.distances g u in
-    let legacy_row = Bbng_graph.Bfs.legacy_distances g u in
+    let legacy_row = Bbng_oracle.Bfs.legacy_distances g u in
     if csr_row <> legacy_row then bad "BFS rows from %d differ" u
   done;
   let ifub = Bbng_graph.Distances.diameter g in

@@ -107,13 +107,13 @@ let validate_metrics file =
           ~finally:(fun () -> close_in_noerr ic)
           (fun () -> really_input_string ic (in_channel_length ic))
   in
-  match Bbng_obs.Openmetrics.validate text with
+  match Bbng_oracle.Openmetrics.validate text with
   | Error msg -> fail "%s" msg
   | Ok families ->
       let samples =
         List.fold_left
           (fun acc f ->
-            acc + List.length f.Bbng_obs.Openmetrics.samples)
+            acc + List.length f.Bbng_oracle.Openmetrics.samples)
           0 families
       in
       Printf.printf "%s: ok (%d metric families, %d samples)\n" file

@@ -38,6 +38,22 @@ if [ "$found_golden" = 0 ]; then
   echo "check: no golden artifacts found (make artifacts, then copy from artifacts/)"
   exit 1
 fi
+# `report` and `top` read a recording through one fold; their output on
+# each committed recording is pinned byte for byte next to it (captured
+# from the repository root, where the digest line and the frame header
+# name the same relative path)
+for f in test/golden/DYN_*.jsonl test/golden/REPORT_*.jsonl; do
+  [ -e "$f" ] || continue
+  b=${f%.jsonl}
+  dune exec bin/bbng_cli.exe -- report "$f" | cmp - "$b.report.txt" || {
+    echo "check: report output for $f differs from $b.report.txt"
+    exit 1
+  }
+  dune exec bin/bbng_cli.exe -- top "$f" --once --no-clear | cmp - "$b.top.txt" || {
+    echo "check: top output for $f differs from $b.top.txt"
+    exit 1
+  }
+done
 # a budget-3 player scanned in full: player 0 of a 10-vertex path plus
 # three arcs decides all C(10,3) = 120 candidates on the rows engine,
 # each priced by the b >= 3 combine or bound-decided (most of them under

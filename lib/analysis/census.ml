@@ -426,18 +426,26 @@ let scan_shard ?(budget = Obs.Budgeted.unlimited) ?progress game shard =
   | _, false -> None
 
 let merge game plan results =
-  let acc, diams, found, scanned =
+  (* one result's classes are distinct already: only the later results'
+     classes are classified against them *)
+  let acc =
+    match results with
+    | [] -> Structure.Iso_acc.empty
+    | first :: rest ->
+        List.fold_left
+          (fun acc r ->
+            List.fold_left
+              (fun acc (rep, count) -> Structure.Iso_acc.add_class acc ~rep ~count)
+              acc r.classes)
+          (Structure.Iso_acc.of_classes first.classes)
+          rest
+  in
+  let diams, found, scanned =
     List.fold_left
-      (fun (acc, diams, found, scanned) r ->
-        let acc =
-          List.fold_left
-            (fun acc (rep, count) -> Structure.Iso_acc.add_class acc ~rep ~count)
-            acc r.classes
-        in
+      (fun (diams, found, scanned) r ->
         List.iter (fun (d, c) -> bump diams d c) r.diameters;
-        (acc, diams, found + r.found, scanned + (r.shard.hi - r.shard.lo)))
-      (Structure.Iso_acc.empty, Hashtbl.create 8, 0, 0)
-      results
+        (diams, found + r.found, scanned + (r.shard.hi - r.shard.lo)))
+      (Hashtbl.create 8, 0, 0) results
   in
   let diameter_histogram = histogram_of diams in
   let iso_class_counts = Structure.Iso_acc.classes acc in

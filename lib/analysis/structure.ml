@@ -163,6 +163,19 @@ module Iso_acc = struct
 
   let add_class acc ~rep ~count = add_weighted acc rep count
 
+  let of_classes classes =
+    List.fold_left
+      (fun acc (rep, count) ->
+        let fp = fingerprint rep in
+        let bucket = Option.value ~default:[] (Smap.find_opt fp acc.buckets) in
+        let cls = { rep; rep_key = Strategy.to_string rep; count } in
+        {
+          buckets = Smap.add fp (bucket @ [ cls ]) acc.buckets;
+          classes = acc.classes + 1;
+          total = acc.total + count;
+        })
+      empty classes
+
   let merge a b =
     Smap.fold
       (fun _ bucket acc ->

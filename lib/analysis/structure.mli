@@ -62,6 +62,11 @@ module Iso_acc : sig
   (** Re-inject a class deserialized from a checkpoint row: classified
       like [add] but carrying [count] members. *)
 
+  val of_classes : (Strategy.t * int) list -> t
+  (** Seed an accumulator with classes already known to be pairwise
+      non-isomorphic (one accumulator's {!classes}): each goes straight
+      into its bucket, with no isomorphism test and no counter bump. *)
+
   val merge : t -> t -> t
   (** Union of two accumulators; counts add, representatives minimize. *)
 

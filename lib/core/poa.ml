@@ -62,10 +62,10 @@ let canonical_low_diameter_realization budgets =
     Strategy.make budgets (Array.map Array.of_list targets)
   end
 
-(* The exhaustive walk behind the exact OPT and prices: the minimum of
+(* The exhaustive walk behind the exact prices: the minimum of
    [objective] over every profile, and its (min, max) over the
-   equilibria of [game] if given; [None] past [max_profiles]. *)
-let exact_extremes ~max_profiles ?game objective budgets =
+   equilibria of [game]; [None] past [max_profiles]. *)
+let exact_extremes ~max_profiles ~game objective budgets =
   if Equilibrium.count_profiles budgets > max_profiles then None
   else begin
     let opt = ref max_int in
@@ -73,18 +73,14 @@ let exact_extremes ~max_profiles ?game objective budgets =
     Equilibrium.iter_profiles budgets (fun p ->
         let v = objective p in
         if v < !opt then opt := v;
-        match game with
-        | Some game when Equilibrium.is_nash game p ->
-            if v < !ne_min then ne_min := v;
-            if v > !ne_max then ne_max := v
-        | Some _ | None -> ());
+        if Equilibrium.is_nash game p then begin
+          if v < !ne_min then ne_min := v;
+          if v > !ne_max then ne_max := v
+        end);
     Some (!opt, if !ne_max = min_int then None else Some (!ne_min, !ne_max))
   end
 
 let diameter p = Cost.social_cost (Strategy.underlying p)
-
-let opt_diameter_exact ?(max_profiles = 2_000_000) budgets =
-  Option.map fst (exact_extremes ~max_profiles diameter budgets)
 
 let opt_diameter_bounds budgets =
   let n = Budget.n budgets in
@@ -99,6 +95,24 @@ let opt_diameter_bounds budgets =
     let hi = Cost.social_cost (Strategy.underlying witness) in
     (lo, hi)
   end
+
+exception Reached_lower_bound
+
+(* The bounds bracket OPT, and hi is a profile's own diameter: when they
+   meet there is nothing to walk, and otherwise the walk may stop at the
+   first profile that reaches lo. *)
+let opt_diameter_exact ?(max_profiles = 2_000_000) budgets =
+  if Equilibrium.count_profiles budgets > max_profiles then None
+  else
+    let lo, hi = opt_diameter_bounds budgets in
+    let opt = ref hi in
+    (if lo < hi then
+       try
+         Equilibrium.iter_profiles budgets (fun p ->
+             opt := min !opt (diameter p);
+             if !opt = lo then raise Reached_lower_bound)
+       with Reached_lower_bound -> ());
+    Some !opt
 
 type ratio = { num : int; den : int }
 

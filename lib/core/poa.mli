@@ -21,8 +21,10 @@ val canonical_low_diameter_realization : Budget.t -> Strategy.t
     exactly possible); leftovers are dumped on arbitrary fresh targets. *)
 
 val opt_diameter_exact : ?max_profiles:int -> Budget.t -> int option
-(** Exact OPT by profile enumeration; [None] if the instance has more
-    than [max_profiles] (default [2_000_000]) profiles. *)
+(** Exact OPT; [None] if the instance has more than [max_profiles]
+    (default [2_000_000]) profiles.  Enumerates profiles only when
+    {!opt_diameter_bounds} leave a gap, and stops at the first profile
+    whose diameter reaches the lower bound. *)
 
 val opt_diameter_bounds : Budget.t -> int * int
 (** [(lo, hi)] with [lo <= OPT <= hi]:

@@ -121,19 +121,6 @@ let build ?(kind = Any_improvement) game =
     longest_path_lower_bound = longest;
   }
 
-let sinks_are_nash game t =
-  let sink_set = Hashtbl.create 64 in
-  List.iter (fun i -> Hashtbl.replace sink_set i ()) t.sinks;
-  let ok = ref true in
-  Array.iteri
-    (fun i p ->
-      let is_sink = Hashtbl.mem sink_set i in
-      if is_sink <> Equilibrium.is_nash game p then ok := false)
-    t.profiles;
-  !ok
-
-let fip_holds ?kind game = not (build ?kind game).has_cycle
-
 let to_dot t =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "digraph improvement {\n  rankdir=LR;\n";

@@ -41,14 +41,6 @@ val build : ?kind:move_kind -> Game.t -> t
     first; intended for a few thousand profiles.  [kind] defaults to
     [Any_improvement]. *)
 
-val sinks_are_nash : Game.t -> t -> bool
-(** Sanity: every sink certifies as a Nash equilibrium and vice versa.
-    Used by the tests. *)
-
-val fip_holds : ?kind:move_kind -> Game.t -> bool
-(** [not (build g).has_cycle]: better-response (or best-response)
-    dynamics converge from {e every} start under {e every} schedule. *)
-
 val to_dot : t -> string
 (** Graphviz rendering of the improvement graph: profiles as nodes
     (labelled by their serialization and diameter), improving moves as

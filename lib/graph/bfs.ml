@@ -12,56 +12,6 @@ let observe popped =
   Bbng_obs.Counter.add c_popped popped;
   if Bbng_obs.Span.enabled () then Bbng_obs.Histogram.record h_popped popped
 
-(* --- legacy engine: a plain top-down walker over the graph's rows ---
-
-   Kept as the qcheck oracle for the direction-optimizing sweep below
-   (and as the parent-recording walker, which is off the hot path).  The
-   queue is a preallocated ring over at most n vertices, so each run
-   allocates exactly two arrays.
-
-   Budget accounting is per-traversal: one checkpoint before the work
-   (an expired token stops a search between BFS runs, never mid-run —
-   a single run is O(n + m) and bounded) and one spend of the popped
-   count after, so work units line up with vertex visits across every
-   evaluator. *)
-let legacy_core ?(budget = Bbng_obs.Budgeted.unlimited) g sources ~record_parent =
-  Bbng_obs.Budgeted.checkpoint budget;
-  let n = Undirected.n g in
-  let offs = g.Undirected.offs and targets = g.Undirected.targets in
-  let dist = Array.make n unreachable in
-  let parent = if record_parent then Array.make n (-1) else [||] in
-  let queue = Array.make (max n 1) 0 in
-  let head = ref 0 and tail = ref 0 in
-  List.iter
-    (fun s ->
-      if dist.(s) = unreachable then begin
-        dist.(s) <- 0;
-        if record_parent then parent.(s) <- s;
-        queue.(!tail) <- s;
-        incr tail
-      end)
-    sources;
-  while !head < !tail do
-    let u = queue.(!head) in
-    incr head;
-    let du = dist.(u) in
-    for k = offs.(u) to offs.(u + 1) - 1 do
-      let v = targets.(k) in
-      if dist.(v) = unreachable then begin
-        dist.(v) <- du + 1;
-        if record_parent then parent.(v) <- u;
-        queue.(!tail) <- v;
-        incr tail
-      end
-    done
-  done;
-  Bbng_obs.Budgeted.spend budget !head;
-  observe !head;
-  (dist, parent)
-
-let legacy_distances ?budget g src =
-  fst (legacy_core ?budget g [ src ] ~record_parent:false)
-
 (* --- the kernel: a direction-optimizing (Beamer-style) level-
    synchronous BFS over the graph's own CSR arrays.
 
@@ -72,6 +22,12 @@ let legacy_distances ?budget g src =
    the sweep flips bottom-up: the unvisited pool — packed into the tail
    of [queue], which is exact because visited + unvisited = n — probes
    its own arcs and stops at the first parent in the current level.
+
+   Budget accounting is per-traversal: one checkpoint before the work
+   (an expired token stops a search between BFS runs, never mid-run —
+   a single run is O(n + m) and bounded) and one spend of the popped
+   count after, so work units line up with vertex visits across every
+   evaluator.
 
    All accesses are unsafe: [queue]/[dist] only ever hold vertices the
    seeding and the loop itself put in range, and [offs]/[targets]
@@ -228,7 +184,23 @@ let distance ?budget g u v =
     let dist = distances ?budget g u in
     if dist.(v) = unreachable then None else Some dist.(v)
 
-let parents ?budget g src = snd (legacy_core ?budget g [ src ] ~record_parent:true)
+(* rows are sorted, so the first neighbour one level closer is the
+   smallest-index parent *)
+let parents ?budget g src =
+  let dist = distances ?budget g src in
+  let offs = g.Undirected.offs and targets = g.Undirected.targets in
+  Array.mapi
+    (fun v d ->
+      if d = unreachable then -1
+      else if d = 0 then v
+      else begin
+        let k = ref offs.(v) in
+        while dist.(targets.(!k)) <> d - 1 do
+          incr k
+        done;
+        targets.(!k)
+      end)
+    dist
 
 let shortest_path ?budget g u v =
   let parent = parents ?budget g u in
@@ -237,12 +209,3 @@ let shortest_path ?budget g u v =
     let rec walk acc x = if x = u then u :: acc else walk (x :: acc) parent.(x) in
     Some (walk [] v)
   end
-
-let level_sets ?budget g src =
-  let dist = distances ?budget g src in
-  let ecc = Array.fold_left max 0 dist in
-  let levels = Array.make (ecc + 1) [] in
-  for v = Undirected.n g - 1 downto 0 do
-    if dist.(v) <> unreachable then levels.(dist.(v)) <- v :: levels.(dist.(v))
-  done;
-  levels

@@ -9,10 +9,10 @@
     over the graph's own flat CSR rows ({!Undirected.t}), with no
     snapshot or copy in between.  {!distances_into} runs it on caller
     scratch and allocates nothing; the one-shot walkers ({!distances},
-    {!distances_from_set}, {!distance}, {!level_sets}) use per-domain
-    frontier scratch, so each call allocates only its result row.
-    {!legacy_distances} is a plain top-down walker over the same rows,
-    kept as the qcheck oracle the kernel is pinned against. *)
+    {!distances_from_set}, {!distance}, {!parents}) use per-domain
+    frontier scratch, so each call allocates only its result rows.
+    The plain top-down walker the kernel is property-tested against
+    is a test oracle and lives outside the library. *)
 
 val unreachable : int
 (** [-1], the sentinel for "no path". *)
@@ -58,26 +58,14 @@ val distances_into :
     it.  [?budget] as in {!distances}.
     @raise Invalid_argument on a bad [src] or short scratch arrays. *)
 
-val legacy_distances :
-  ?budget:Bbng_obs.Budgeted.t -> Undirected.t -> int -> int array
-(** {!distances} computed by a plain top-down walker over the same rows
-    instead of the direction-optimizing kernel.  Same contract, slower:
-    this is the oracle the kernel is property-tested against, not an
-    API to build on. *)
-
 val parents : ?budget:Bbng_obs.Budgeted.t -> Undirected.t -> int -> int array
 (** BFS tree parents; [parents.(src) = src]; [-1] for unreachable.  Ties
-    broken toward the smallest-index parent, so the tree is canonical.
-    [?budget] as in {!distances}. *)
+    broken toward the smallest-index parent, so the tree is canonical:
+    [parents.(v)] is [v]'s smallest neighbour one hop closer to [src].
+    One {!distances} run, counted and charged as such.  [?budget] as in
+    {!distances}. *)
 
 val shortest_path :
   ?budget:Bbng_obs.Budgeted.t -> Undirected.t -> int -> int -> int list option
 (** A shortest [u -> v] vertex sequence including both endpoints.
     [?budget] as in {!distances}. *)
-
-val level_sets :
-  ?budget:Bbng_obs.Budgeted.t -> Undirected.t -> int -> int list array
-(** [level_sets g src] groups vertices by distance: element [d] lists the
-    vertices at distance exactly [d] (increasing index order).  The array
-    length is [ecc+1] where [ecc] is the largest finite distance;
-    unreachable vertices are not listed. *)

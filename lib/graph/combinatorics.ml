@@ -4,8 +4,6 @@ let count_to_string = function
   | Exact c -> string_of_int c
   | Saturated -> "saturated"
 
-let count_at_most limit = function Exact c -> c <= limit | Saturated -> false
-
 let rec gcd a b = if b = 0 then a else gcd b (a mod b)
 
 let binomial n k =
@@ -122,24 +120,6 @@ let iter_combinations ~n ~k f =
         done
       end
     done
-  end
-
-let exists_combination ~n ~k pred =
-  try
-    iter_combinations ~n ~k (fun c -> if pred c then raise Stop);
-    false
-  with Stop -> true
-
-let iter_combinations_of elements ~k f =
-  let n = Array.length elements in
-  if k = 0 then f [||]
-  else if k <= n then begin
-    let buf = Array.make k elements.(0) in
-    iter_combinations ~n ~k (fun c ->
-        for i = 0 to k - 1 do
-          buf.(i) <- elements.(c.(i))
-        done;
-        f buf)
   end
 
 let fold_best ~n ~k ~score ?stop_at () =

@@ -14,10 +14,6 @@ type count = Exact of int | Saturated
 val count_to_string : count -> string
 (** Decimal digits for [Exact], ["saturated"] otherwise. *)
 
-val count_at_most : int -> count -> bool
-(** [count_at_most limit c] is [true] iff [c] is exact and [<= limit].
-    A saturated count is never within any int limit. *)
-
 val binomial : int -> int -> count
 (** [binomial n k]; [Exact 0] when [k < 0] or [k > n]; [Saturated] when
     the true value exceeds [max_int]. *)
@@ -51,14 +47,6 @@ val iter_combinations : n:int -> k:int -> (int array -> unit) -> unit
     if they retain it.  [f] is called once with [[||]] when [k = 0], and
     never when [k > n].
     @raise Invalid_argument if [k < 0] or [n < 0]. *)
-
-val exists_combination : n:int -> k:int -> (int array -> bool) -> bool
-(** Short-circuiting variant: [true] iff some subset satisfies the
-    predicate.  Same reuse caveat. *)
-
-val iter_combinations_of : 'a array -> k:int -> ('a array -> unit) -> unit
-(** Subsets of an arbitrary element array (elements in input order);
-    same reuse caveat. *)
 
 val fold_best :
   n:int -> k:int -> score:(int array -> int) -> ?stop_at:int -> unit ->

@@ -67,9 +67,6 @@ val all_pairs : ?budget:Bbng_obs.Budgeted.t -> Undirected.t -> int array array
 val diameter_of_matrix : int array array -> int option
 (** Diameter from a precomputed {!all_pairs} matrix. *)
 
-val eccentricity_of_row : int array -> int option
-(** Eccentricity from a precomputed distance row. *)
-
 val farthest : ?budget:Bbng_obs.Budgeted.t -> Undirected.t -> int -> int * int
 (** [farthest g u] is [(v, d)] where [v] is a reachable vertex maximizing
     the distance [d] from [u] (smallest index among ties).  [(u, 0)] when

@@ -14,8 +14,6 @@ let create n =
   if n < 0 then invalid_arg "Flow.create: negative n";
   { n; adj = Array.init n (fun _ -> ref [||]); len = Array.make n 0 }
 
-let node_count t = t.n
-
 let push t u e =
   let a = !(t.adj.(u)) in
   let l = t.len.(u) in

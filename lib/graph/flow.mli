@@ -12,8 +12,6 @@ type t
 val create : int -> t
 (** [create n] is an empty flow network on nodes [0 .. n-1]. *)
 
-val node_count : t -> int
-
 val add_edge : t -> src:int -> dst:int -> capacity:int -> unit
 (** Adds a directed edge with the given capacity (and its residual
     reverse edge of capacity 0).

@@ -23,19 +23,6 @@ let refine ~n ~initial ~signature =
   done;
   !colors
 
-let undirected_colors g =
-  let n = Undirected.n g in
-  refine ~n
-    ~initial:(Array.init n (Undirected.degree g))
-    ~signature:(fun colors v ->
-      let row = g.Undirected.offs.(v) in
-      let nbrs =
-        Array.init (Undirected.degree g v) (fun i ->
-            colors.(g.Undirected.targets.(row + i)))
-      in
-      Array.sort Int.compare nbrs;
-      Array.to_list nbrs)
-
 let digraph_colors g =
   let n = Digraph.n g in
   refine ~n
@@ -100,22 +87,6 @@ let backtrack ~n ~colors1 ~colors2 ~compatible =
     if go 0 then Some mapping else None
   end
 
-let find_undirected_isomorphism g1 g2 =
-  let n = Undirected.n g1 in
-  if n <> Undirected.n g2 || Undirected.edge_count g1 <> Undirected.edge_count g2
-  then None
-  else
-    backtrack ~n ~colors1:(undirected_colors g1) ~colors2:(undirected_colors g2)
-      ~compatible:(fun u v mapping ->
-        (* consistency with every already-mapped vertex *)
-        let ok = ref true in
-        for w = 0 to n - 1 do
-          if mapping.(w) >= 0 then
-            if Undirected.mem_edge g1 u w <> Undirected.mem_edge g2 v mapping.(w)
-            then ok := false
-        done;
-        !ok)
-
 let find_digraph_isomorphism g1 g2 =
   let n = Digraph.n g1 in
   if n <> Digraph.n g2 || Digraph.arc_count g1 <> Digraph.arc_count g2 then None
@@ -133,76 +104,4 @@ let find_digraph_isomorphism g1 g2 =
         done;
         !ok)
 
-let undirected_isomorphic g1 g2 = find_undirected_isomorphism g1 g2 <> None
 let digraph_isomorphic g1 g2 = find_digraph_isomorphism g1 g2 <> None
-
-(* Canonical key: the lexicographically smallest row-major adjacency
-   encoding over color-class-respecting relabellings, found by
-   backtracking with prefix pruning. *)
-let canonical_key_undirected g =
-  let n = Undirected.n g in
-  if n = 0 then "0:"
-  else begin
-    let colors = undirected_colors g in
-    (* candidate orderings must list color classes in a canonical order:
-       sort classes by (size, color id); inside a class, branch. *)
-    let best = ref None in
-    let perm = Array.make n (-1) in (* perm.(new_pos) = old vertex *)
-    let used = Array.make n false in
-    (* candidates for each position: vertices sorted by color *)
-    let by_color = Array.init n Fun.id in
-    Array.sort (fun a b -> compare (colors.(a), a) (colors.(b), b)) by_color;
-    let position_color = Array.map (fun v -> colors.(v)) by_color in
-    (* encode the row prefix of vertex at position p against positions < p *)
-    let rec go pos (encoding : char list) =
-      if pos = n then begin
-        let s = String.init (List.length encoding) (List.nth (List.rev encoding)) in
-        match !best with
-        | Some b when b <= s -> ()
-        | Some _ | None -> best := Some s
-      end
-      else
-        Array.iter
-          (fun v ->
-            if (not used.(v)) && colors.(v) = position_color.(pos) then begin
-              (* bits of adjacency between v and already-placed vertices *)
-              let bits = ref [] in
-              for q = pos - 1 downto 0 do
-                bits := (if Undirected.mem_edge g v perm.(q) then '1' else '0') :: !bits
-              done;
-              let encoding' = List.rev_append !bits encoding in
-              (* prefix pruning against the current best *)
-              let viable =
-                match !best with
-                | None -> true
-                | Some b ->
-                    let len = List.length encoding' in
-                    let prefix =
-                      String.init len (List.nth (List.rev encoding'))
-                    in
-                    String.length b >= len && String.sub b 0 len >= prefix
-              in
-              if viable then begin
-                used.(v) <- true;
-                perm.(pos) <- v;
-                go (pos + 1) encoding';
-                used.(v) <- false;
-                perm.(pos) <- -1
-              end
-            end)
-          by_color
-    in
-    go 0 [];
-    match !best with
-    | Some s -> Printf.sprintf "%d:%s" n s
-    | None -> assert false
-  end
-
-let dedup_digraphs graphs =
-  let rec go kept = function
-    | [] -> List.rev kept
-    | g :: rest ->
-        if List.exists (fun k -> digraph_isomorphic k g) kept then go kept rest
-        else go (g :: kept) rest
-  in
-  go [] graphs

@@ -1,4 +1,4 @@
-(** Graph isomorphism for small graphs.
+(** Graph isomorphism for small arc-owned digraphs.
 
     The equilibrium-enumeration experiments produce hundreds of
     profiles whose realizations differ only by relabelling; reporting
@@ -8,26 +8,7 @@
     color-respecting bijections.  Exponential in the worst case, fine
     for the [n <= 12] graphs the experiments enumerate.
 
-    Both the undirected and the arc-owned digraph notions are provided;
-    digraph isomorphism preserves arc direction (hence ownership
-    structure), which is the right equivalence for strategy profiles. *)
-
-val undirected_isomorphic : Undirected.t -> Undirected.t -> bool
+    Isomorphism preserves arc direction (hence ownership structure),
+    which is the right equivalence for strategy profiles. *)
 
 val digraph_isomorphic : Digraph.t -> Digraph.t -> bool
-
-val find_undirected_isomorphism : Undirected.t -> Undirected.t -> int array option
-(** A vertex bijection [pi] with [u ~ v] iff [pi u ~ pi v], if any. *)
-
-val find_digraph_isomorphism : Digraph.t -> Digraph.t -> int array option
-
-val canonical_key_undirected : Undirected.t -> string
-(** A label-invariant certificate: two graphs on the same vertex count
-    share the key iff {e likely} isomorphic — the key is the
-    lexicographically smallest adjacency encoding over color-respecting
-    relabellings, so equality is exact (not a hash). Exponential in the
-    worst case; intended for [n <= 12]. *)
-
-val dedup_digraphs : Digraph.t list -> Digraph.t list
-(** Representatives of each isomorphism class, preserving first
-    occurrences (quadratic in the list length). *)

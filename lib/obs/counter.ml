@@ -15,7 +15,6 @@ let make name =
           c)
 
 let cell c = c.cells.((Domain.self () :> int) land (cells - 1))
-let name c = c.name
 let bump c = Atomic.incr (cell c)
 let add c k = ignore (Atomic.fetch_and_add (cell c) k)
 let get c = Array.fold_left (fun acc a -> acc + Atomic.get a) 0 c.cells

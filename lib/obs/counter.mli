@@ -22,7 +22,6 @@ val make : string -> t
 (** Register (or look up) the counter named [name].  The same name
     always yields the same counter. *)
 
-val name : t -> string
 val bump : t -> unit
 val add : t -> int -> unit
 

@@ -19,8 +19,6 @@ let describe = function
   | 137 -> "killed (SIGKILL; e.g. an injected kill fault)"
   | c -> Printf.sprintf "unknown exit code %d" c
 
-let all_documented = [ 0; 1; 2; 3; 4; 5; 124; 125; 137 ]
-
 let of_exn = function
   | Invalid_argument msg -> Some (input_error, msg)
   | Json.Parse_error msg ->

@@ -29,8 +29,6 @@ val internal_error : int
 
 val describe : int -> string
 
-val all_documented : int list
-
 val of_exn : exn -> (int * string) option
 (** Map a known exception class to [(code, message)]:
     [Invalid_argument] and {!Json.Parse_error} to {!input_error},

@@ -2,12 +2,6 @@ exception Injected of string
 
 type action = Raise | Delay_ms of float | Exit_code of int | Kill
 
-let action_name = function
-  | Raise -> "raise"
-  | Delay_ms ms -> Printf.sprintf "delay:%g" ms
-  | Exit_code c -> Printf.sprintf "exit:%d" c
-  | Kill -> "kill"
-
 type spec = { point : string; action : action; after : int }
 
 type armed_spec = { spec : spec; remaining : int Atomic.t }

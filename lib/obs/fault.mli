@@ -24,8 +24,6 @@ type action =
   | Exit_code of int   (** [Stdlib.exit] (at_exit hooks run) *)
   | Kill               (** SIGKILL self: no cleanup of any kind runs *)
 
-val action_name : action -> string
-
 type spec = {
   point : string;  (** probe point name, matched exactly *)
   action : action;

@@ -20,9 +20,6 @@ type snapshot = {
 
 val capture : unit -> snapshot
 
-val start : snapshot
-(** Snapshot taken when the library initialized (process baseline). *)
-
 type delta = snapshot
 
 val diff : snapshot -> snapshot -> delta
@@ -32,7 +29,6 @@ val diff : snapshot -> snapshot -> delta
 val since : snapshot -> delta
 val since_start : unit -> delta
 
-val to_fields : delta -> (string * Json.t) list
 val to_json : delta -> Json.t
 
 val pp_line : out_channel -> delta -> unit

@@ -31,8 +31,6 @@ let make name =
 
 let unregistered name = create name
 
-let name t = t.name
-
 let bucket_of v =
   (* number of significant bits of v, i.e. v \in [2^(i-1), 2^i) lands in
      bucket i and 0 lands in bucket 0 *)
@@ -55,8 +53,6 @@ let record t v =
 let count t = Atomic.get t.count
 let total t = Atomic.get t.total
 let max_value t = Atomic.get t.max_v
-
-let bucket_count () = n_buckets
 
 let bucket_counts t = Array.init n_buckets (fun i -> Atomic.get t.buckets.(i))
 

@@ -24,8 +24,6 @@ val unregistered : string -> t
 (** A private histogram outside the registry — {!Profile} keeps one per
     span path without polluting the domain-value listing. *)
 
-val name : t -> string
-
 val record : t -> int -> unit
 (** [record t v] adds one observation.  Negative values clamp to 0. *)
 
@@ -34,9 +32,6 @@ val total : t -> int
 
 val max_value : t -> int
 (** Exact maximum recorded value (0 when empty). *)
-
-val bucket_count : unit -> int
-(** Number of buckets every histogram has (64). *)
 
 val bucket_bounds : int -> int * int
 (** [(lo, hi)] inclusive value range of bucket [i]: [(0, 0)] for bucket

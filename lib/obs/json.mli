@@ -17,11 +17,6 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
-val escape : string -> string
-(** Body of a JSON string literal (no surrounding quotes): escapes
-    double quotes, backslashes and all control characters below
-    [0x20]. *)
-
 val to_buffer : Buffer.t -> t -> unit
 
 val to_string : t -> string

@@ -240,7 +240,6 @@ let set_context ~tool ~subcommand =
 let note_report path = if path <> "-" then state_report := Some path
 let note_outcome s = state_outcome := Some s
 let note_exit c = state_exit := c
-let disable () = enabled := false
 
 let add_metric k v =
   state_metrics := List.remove_assoc k !state_metrics @ [ (k, v) ]
@@ -308,14 +307,11 @@ let append_current () =
 
 (* --- rebuild from artifacts --- *)
 
-let last_event name events =
-  List.fold_left
-    (fun acc j -> if Json.event_name j = name then Some j else acc)
-    None events
-
 let of_report_events ~path events =
-  let summary = last_event "run.summary" events in
-  let outcome_ev = last_event "dynamics.outcome" events in
+  let st = Live_view.create_state () in
+  List.iter (Live_view.feed_event st) events;
+  let summary = st.summary in
+  let outcome_ev = List.nth_opt st.outcomes 0 in
   let run_id =
     match Option.bind summary (Json.str_field "run_id") with
     | Some id -> id

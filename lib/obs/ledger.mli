@@ -103,10 +103,6 @@ val note_outcome : string -> unit
 val note_exit : int -> unit
 val add_metric : string -> Json.t -> unit
 
-val disable : unit -> unit
-(** Drop the pending row (used when a viewer subcommand is detected
-    after {!set_context}). *)
-
 val append_current : unit -> unit
 (** Append the pending row (at most once; no-op when disabled or when
     {!resolve_file} says off).  Registered with [at_exit] by front

@@ -1,6 +1,9 @@
-(* The parsing/rendering half of `bbng_cli top`: tail a (possibly still
-   growing, possibly mid-write) --report JSONL stream and fold it into
-   a small live state a terminal frame renders from.
+(* The one reader of a --report JSONL stream: fold it, event by event,
+   into a small state.  `bbng_cli top` tails a (possibly still growing,
+   possibly mid-write) stream into it and renders a terminal frame;
+   `bbng_cli report` (Trace_export.summarize) and the ledger's rebuild
+   (Ledger.of_report_events) fold a finished recording and read their
+   sections off the same state.
 
    The reader is deliberately prefix-tolerant: it only consumes
    complete lines (a trailing half-written line stays buffered until
@@ -14,13 +17,19 @@ type state = {
   mutable skipped : int;
   mutable first_ts_us : float option;
   mutable last_ts_us : float option;
+  mutable min_ts_us : float option;
+  mutable max_ts_us : float option;
   mutable last_event : string option;
   mutable last_heartbeat : Json.t option;
   mutable heartbeats : int;
+  mutable last_beat_per_task : (string * Json.t) list;
   mutable last_step : Json.t option;
   mutable dynamics_start : Json.t option;
   mutable last_diagnosis : Json.t option;
   mutable last_outcome : Json.t option;
+  mutable diagnoses : Json.t list;
+  mutable outcomes : Json.t list;
+  mutable first_summary : Json.t option;
   mutable summary : Json.t option;
   (* live latency distributions rebuilt from the span events we tail —
      quantiles without waiting for the final run.summary *)
@@ -34,13 +43,19 @@ let create_state () =
     skipped = 0;
     first_ts_us = None;
     last_ts_us = None;
+    min_ts_us = None;
+    max_ts_us = None;
     last_event = None;
     last_heartbeat = None;
     heartbeats = 0;
+    last_beat_per_task = [];
     last_step = None;
     dynamics_start = None;
     last_diagnosis = None;
     last_outcome = None;
+    diagnoses = [];
+    outcomes = [];
+    first_summary = None;
     summary = None;
     spans = Hashtbl.create 16;
   }
@@ -58,21 +73,37 @@ let feed_event st j =
   (match Json.num_field "ts_us" j with
   | Some ts ->
       if st.first_ts_us = None then st.first_ts_us <- Some ts;
-      st.last_ts_us <- Some ts
+      st.last_ts_us <- Some ts;
+      let widen f = function Some b -> Some (f b ts) | None -> Some ts in
+      st.min_ts_us <- widen Float.min st.min_ts_us;
+      st.max_ts_us <- widen Float.max st.max_ts_us
   | None -> ());
   match name with
   | "progress.heartbeat" ->
       st.last_heartbeat <- Some j;
-      st.heartbeats <- st.heartbeats + 1
+      st.heartbeats <- st.heartbeats + 1;
+      let task = Option.value ~default:"?" (Json.str_field "task" j) in
+      st.last_beat_per_task <-
+        (if List.mem_assoc task st.last_beat_per_task then
+           List.map
+             (fun (t, b) -> (t, if t = task then j else b))
+             st.last_beat_per_task
+         else st.last_beat_per_task @ [ (task, j) ])
   | "dynamics.step" -> st.last_step <- Some j
   | "dynamics.start" ->
       st.dynamics_start <- Some j;
       (* a new run opens: the previous outcome is history *)
       st.last_outcome <- None;
       st.last_diagnosis <- None
-  | "dynamics.diagnosis" -> st.last_diagnosis <- Some j
-  | "dynamics.outcome" -> st.last_outcome <- Some j
-  | "run.summary" -> st.summary <- Some j
+  | "dynamics.diagnosis" ->
+      st.last_diagnosis <- Some j;
+      st.diagnoses <- j :: st.diagnoses
+  | "dynamics.outcome" ->
+      st.last_outcome <- Some j;
+      st.outcomes <- j :: st.outcomes
+  | "run.summary" ->
+      if st.first_summary = None then st.first_summary <- Some j;
+      st.summary <- Some j
   | "span" -> (
       match (Json.str_field "name" j, Json.num_field "dur_us" j) with
       | Some span_name, Some dur ->
@@ -96,9 +127,6 @@ let feed_line st line =
     | _ -> st.skipped <- st.skipped + 1
     | exception Json.Parse_error _ -> st.skipped <- st.skipped + 1
 
-let events st = st.events
-let skipped st = st.skipped
-let heartbeats st = st.heartbeats
 let finished st = st.summary <> None
 
 (* --- incremental tail over a growing file --- *)

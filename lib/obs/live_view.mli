@@ -1,11 +1,14 @@
-(** Tail-and-render engine behind [bbng_cli top].
+(** The fold over a recorded run, and the tail-and-render engine
+    behind [bbng_cli top].
 
     Folds a [--report] JSONL stream — finished, or still being written
     by a live run — into a {!state} and renders a compact terminal
     frame from it: current phase (last dynamics step / event), latest
     [progress.heartbeat] (rate, ETA, budget headroom), top counters
     from the heartbeat's embedded snapshot, and span latency quantiles
-    rebuilt from the tailed [span] events.
+    rebuilt from the tailed [span] events.  [bbng_cli report]
+    ({!Trace_export.summarize}) and {!Ledger.of_report_events} read
+    their sections off the same state.
 
     Robustness contract: the tail consumes only complete
     newline-terminated lines (a half-written trailing line stays
@@ -14,24 +17,41 @@
     watching a [.partial] mid-write, or after a SIGKILL tore the last
     line, cannot crash the viewer. *)
 
-type state
-(** Accumulated view of everything tailed so far. *)
+type state = private {
+  tally : (string, int) Hashtbl.t;  (** events per name *)
+  mutable events : int;  (** events folded in *)
+  mutable skipped : int;  (** lines that did not parse as events *)
+  mutable first_ts_us : float option;  (** [ts_us] stamps: first and last... *)
+  mutable last_ts_us : float option;
+  mutable min_ts_us : float option;  (** ...and smallest and largest *)
+  mutable max_ts_us : float option;
+  mutable last_event : string option;
+  mutable last_heartbeat : Json.t option;
+  mutable heartbeats : int;  (** [progress.heartbeat] events seen *)
+  mutable last_beat_per_task : (string * Json.t) list;
+      (** latest heartbeat per task, tasks in first-seen order *)
+  mutable last_step : Json.t option;
+  mutable dynamics_start : Json.t option;
+  mutable last_diagnosis : Json.t option;
+      (** since the latest [dynamics.start] *)
+  mutable last_outcome : Json.t option;  (** since the latest [dynamics.start] *)
+  mutable diagnoses : Json.t list;  (** every one, newest first *)
+  mutable outcomes : Json.t list;  (** every one, newest first *)
+  mutable first_summary : Json.t option;  (** [run.summary] events *)
+  mutable summary : Json.t option;  (** the latest *)
+  spans : (string, Histogram.t) Hashtbl.t;  (** [dur_us] per span name *)
+}
+(** Accumulated view of everything folded in so far. *)
 
 val create_state : unit -> state
+
+val feed_event : state -> Json.t -> unit
+(** Fold one event object in. *)
 
 val feed_line : state -> string -> unit
 (** Fold one complete line into the state.  Blank lines are ignored;
     non-JSON, truncated JSON and objects without an ["event"] field
     are counted as skipped; nothing raises. *)
-
-val events : state -> int
-(** Events successfully folded in. *)
-
-val skipped : state -> int
-(** Lines that did not parse as events. *)
-
-val heartbeats : state -> int
-(** [progress.heartbeat] events seen. *)
 
 val finished : state -> bool
 (** Whether a [run.summary] event has been seen — the recording is

@@ -102,13 +102,10 @@ val folded_lines : flavor -> (string * stat) list -> string list
 (** flamegraph.pl / speedscope folded-stack lines: ["a;b;c VALUE"],
     where VALUE is self nanoseconds or self minor words. *)
 
-val alloc_path : string -> string
-(** ["x.folded"] → ["x.alloc.folded"] — where {!write_folded} puts the
-    allocation flavor. *)
-
 val write_folded : string -> unit
 (** Write the current snapshot as folded stacks: wall-ns flavor to the
-    given path and minor-words flavor to {!alloc_path} of it, both
+    given path and minor-words flavor to [x.alloc.folded] for a path
+    [x.folded], both
     through {!Atomic_io} (a crash mid-write leaves no torn [.folded]).
     Fault probe: [profile.export]. *)
 

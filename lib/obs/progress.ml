@@ -3,8 +3,8 @@
    events (rate, ETA, budget headroom, GC deltas) plus a refreshed
    OpenMetrics snapshot when [--metrics-out] is set.
 
-   The ticker is cooperative, not a thread: [step]/[tick] compare the
-   monotonic sink clock against the last beat and emit when the
+   The ticker is cooperative, not a thread: [step] compares the
+   monotonic sink clock against the last beat and emits when the
    interval elapsed.  That makes it signal-safe by construction (beats
    happen at loop checkpoints, never mid-write from an async context),
    and free when nothing observes the run — [maybe_beat] is two atomic
@@ -47,7 +47,6 @@ let interval_ms () = Atomic.get interval
 let set_interval_ms ms = Atomic.set interval (Float.max 0. ms)
 
 let metrics_out : string option Atomic.t = Atomic.make None
-let metrics_out_path () = Atomic.get metrics_out
 let set_metrics_out p = Atomic.set metrics_out p
 
 let observed () = Sink.active () || Atomic.get metrics_out <> None
@@ -177,14 +176,7 @@ let start ?total ?(budget = Budgeted.unlimited) name =
   Mutex.protect live_mutex (fun () -> live := t :: !live);
   t
 
-let set_total t total = Atomic.set t.total (known_total (Some total))
 let annotate t fields = Atomic.set t.annotations fields
-let done_count t = Atomic.get t.done_
-
-let total_count t =
-  match Atomic.get t.total with -1 -> None | total -> Some total
-
-let tick t = try_beat t
 
 let step ?(n = 1) t =
   ignore (Atomic.fetch_and_add t.done_ n);

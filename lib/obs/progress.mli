@@ -1,7 +1,7 @@
 (** Progress heartbeats for long-running loops.
 
-    A {e task} declares work-done / work-total; {!step} and {!tick}
-    drive a cooperative ticker that emits a [progress.heartbeat] event
+    A {e task} declares work-done / work-total; {!step} drives
+    a cooperative ticker that emits a [progress.heartbeat] event
     (rate, ETA, {!Budgeted} headroom, GC deltas, a nonzero-counter
     snapshot) through the installed {!Sink}s whenever {!interval_ms}
     has elapsed, and refreshes the [--metrics-out] OpenMetrics file via
@@ -38,14 +38,6 @@ val step : ?n:int -> t -> unit
 (** Record [n] (default 1) units of work done, then beat if the
     interval has elapsed. *)
 
-val tick : t -> unit
-(** Beat if the interval has elapsed, without recording work — for
-    loops whose unit of progress is recorded elsewhere. *)
-
-val set_total : t -> int -> unit
-(** Revise the declared total (same saturation convention as
-    {!start}). *)
-
 val annotate : t -> (string * Json.t) list -> unit
 (** Attach free-form fields to every subsequent heartbeat of this task
     (replaces any previous annotation wholesale).  How the dynamics
@@ -59,9 +51,6 @@ val finish : t -> unit
 val with_task : ?total:int -> ?budget:Budgeted.t -> string -> (t -> 'a) -> 'a
 (** [start] / [finish] bracket (finishes on raise too). *)
 
-val done_count : t -> int
-val total_count : t -> int option
-
 (** {1 Ticker configuration} *)
 
 val interval_ms : unit -> float
@@ -69,14 +58,9 @@ val set_interval_ms : float -> unit
 (** Heartbeat interval (default 1000 ms; 0 beats at every
     opportunity).  Clamped at 0. *)
 
-val metrics_out_path : unit -> string option
 val set_metrics_out : string option -> unit
 (** The OpenMetrics snapshot file refreshed on every beat
     ([--metrics-out]); [None] disables. *)
-
-val observed : unit -> bool
-(** Whether beats currently go anywhere (a sink is active or a metrics
-    file is configured). *)
 
 val finalize : unit -> unit
 (** Closing beat for every still-open task plus a final metrics-file

@@ -24,7 +24,6 @@ let set s =
   Atomic.set sinks (normalize [ s ])
 
 let add s = Atomic.set sinks (normalize (s :: Atomic.get sinks))
-let installed () = Atomic.get sinks
 let active () = Atomic.get sinks <> []
 
 let scoped s f =

@@ -47,8 +47,6 @@ val flush_all : unit -> unit
     hook, so buffered report lines survive normal process exit; a sink
     whose channel was already closed is skipped silently. *)
 
-val installed : unit -> t list
-
 val active : unit -> bool
 (** [true] iff at least one non-[Null] sink is installed.  Call sites
     use this to skip building field lists. *)

@@ -10,10 +10,6 @@ val spans_json : unit -> Json.t
       "p99_ms": _, "minor_words": _, "major_words": _}].  Name-sorted
     for stable report diffs. *)
 
-val histograms_json : unit -> Json.t
-(** [Obj] of every registered domain-value histogram with at least one
-    sample ({!Histogram.to_json} per entry), sorted by name. *)
-
 val provenance_fields : unit -> (string * Json.t) list
 (** [argv], [ocaml_version] and [word_size] — stamped into
     [run.summary] so archived reports are self-describing. *)

@@ -5,6 +5,9 @@ let read_events ic =
 
 let ts_us j = Json.num_field "ts_us" j
 
+(* an integer field's digits, "?" when absent or not an integer *)
+let int_text k j = Option.fold ~none:"?" ~some:string_of_int (Json.int_field k j)
+
 (* --- Chrome trace-event conversion --- *)
 
 let common ?(tid = 1) ~name ~ph ~ts ~dur rest =
@@ -92,48 +95,31 @@ let to_chrome events =
 (* --- offline pretty summary of a recorded run --- *)
 
 let summarize events oc =
-  let n = List.length events in
+  let st = Live_view.create_state () in
+  List.iter (Live_view.feed_event st) events;
   Printf.fprintf oc "== bbng report summary ==\n";
-  Printf.fprintf oc "events: %d\n" n;
-  (match
-     List.filter_map ts_us events |> function
-     | [] -> None
-     | l -> Some (List.fold_left Float.min infinity l,
-                  List.fold_left Float.max neg_infinity l)
-   with
-  | Some (lo, hi) when hi >= lo ->
+  Printf.fprintf oc "events: %d\n" st.events;
+  (match (st.min_ts_us, st.max_ts_us) with
+  | Some lo, Some hi when hi >= lo ->
       Printf.fprintf oc "time range: +%.3fms .. +%.3fms (%.3fms recorded)\n"
         (lo /. 1e3) (hi /. 1e3) ((hi -. lo) /. 1e3)
   | _ -> ());
   (* event counts, most frequent first *)
-  let tally = Hashtbl.create 8 in
-  List.iter
-    (fun j ->
-      let k = Json.event_name j in
-      Hashtbl.replace tally k (1 + Option.value ~default:0 (Hashtbl.find_opt tally k)))
-    events;
   let counts =
     List.sort
       (fun (ka, a) (kb, b) -> compare (b, ka) (a, kb))
-      (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tally [])
+      (Hashtbl.fold (fun k v acc -> (k, v) :: acc) st.tally [])
   in
   List.iter (fun (k, v) -> Printf.fprintf oc "  %-24s %d\n" k v) counts;
   (* dynamics outcomes are the run's headline *)
-  let outcomes =
-    List.filter (fun j -> Json.event_name j = "dynamics.outcome") events
-  in
+  let outcomes = List.rev st.outcomes in
   if List.length outcomes <= 5 then
     List.iter
       (fun j ->
         Printf.fprintf oc "outcome: %s (rule %s) after %s steps, social cost %s\n"
           (Option.value ~default:"?" (Json.str_field "outcome" j))
           (Option.value ~default:"?" (Json.str_field "rule" j))
-          (match Json.member "steps" j with
-          | Some (Json.Int i) -> string_of_int i
-          | _ -> "?")
-          (match Json.member "social_cost" j with
-          | Some (Json.Int i) -> string_of_int i
-          | _ -> "?"))
+          (int_text "steps" j) (int_text "social_cost" j))
       outcomes;
   if outcomes <> [] then begin
     (* aggregated dynamics section: outcome tally by rule, steps shape *)
@@ -156,14 +142,7 @@ let summarize events oc =
       (fun ((rule, outcome), count) ->
         Printf.fprintf oc "  %-28s %d\n" (rule ^ "/" ^ outcome) count)
       rows;
-    let steps =
-      List.filter_map
-        (fun j ->
-          match Json.member "steps" j with
-          | Some (Json.Int i) -> Some i
-          | _ -> None)
-        outcomes
-    in
+    let steps = List.filter_map (Json.int_field "steps") outcomes in
     (match steps with
     | [] -> ()
     | _ :: _ ->
@@ -198,9 +177,7 @@ let summarize events oc =
   end;
   (* convergence diagnostics: the windowed detector's verdict history
      and its final word (see Dynamics.run) *)
-  let diags =
-    List.filter (fun j -> Json.event_name j = "dynamics.diagnosis") events
-  in
+  let diags = List.rev st.diagnoses in
   if diags <> [] then begin
     let tally = Hashtbl.create 4 in
     List.iter
@@ -216,12 +193,10 @@ let summarize events oc =
       (if List.length diags = 1 then "" else "s")
       (String.concat ", "
          (List.map (fun (k, v) -> Printf.sprintf "%s x%d" k v) counts));
-    let last = List.nth diags (List.length diags - 1) in
+    let last = List.hd st.diagnoses in
     Printf.fprintf oc "  last: %s at step %s"
       (Option.value ~default:"?" (Json.str_field "state" last))
-      (match Json.member "step" last with
-      | Some (Json.Int i) -> string_of_int i
-      | _ -> "?");
+      (int_text "step" last);
     (match Json.member "decay_pct" last with
     | Some (Json.Int i) ->
         Printf.fprintf oc ", improvement at %d%% of first window" i
@@ -235,23 +210,11 @@ let summarize events oc =
   end;
   (* telemetry: the last heartbeat per task, with the achieved overall
      rate — on a truncated .partial this line dates the death *)
-  let beats =
-    List.filter (fun j -> Json.event_name j = "progress.heartbeat") events
-  in
-  if beats <> [] then begin
-    let last = Hashtbl.create 4 in
-    let order = ref [] in
-    List.iter
-      (fun j ->
-        let task = Option.value ~default:"?" (Json.str_field "task" j) in
-        if not (Hashtbl.mem last task) then order := task :: !order;
-        Hashtbl.replace last task j)
-      beats;
+  if st.heartbeats > 0 then begin
     Printf.fprintf oc "heartbeats (%d recorded; last per task):\n"
-      (List.length beats);
+      st.heartbeats;
     List.iter
-      (fun task ->
-        let j = Hashtbl.find last task in
+      (fun (task, j) ->
         let done_ = Option.value ~default:0. (Json.num_field "done" j) in
         let progress =
           match Json.num_field "total" j with
@@ -268,7 +231,7 @@ let summarize events oc =
         Printf.fprintf oc "  %-24s %s done · %.1f/s achieved · last beat +%.3fms\n"
           task progress achieved
           (Option.value ~default:0. (ts_us j) /. 1e3))
-      (List.rev !order)
+      st.last_beat_per_task
   end;
   (* call-path attribution reconstructed from the recorded span events
      — the same folded stacks `bbng_cli flame` emits, top-10 by
@@ -285,7 +248,7 @@ let summarize events oc =
       hot
   end;
   (* the final run.summary, re-rendered *)
-  (match List.find_opt (fun j -> Json.event_name j = "run.summary") events with
+  (match st.first_summary with
   | None -> Printf.fprintf oc "(no run.summary event — truncated run?)\n"
   | Some s ->
       (match Json.str_field "run_id" s with

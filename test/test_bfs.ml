@@ -63,16 +63,32 @@ let test_shortest_path_is_shortest () =
   | Some p -> check_int "length" 4 (List.length p)
   | None -> Alcotest.fail "expected a path"
 
-let test_level_sets () =
-  let levels = Bfs.level_sets star7 0 in
-  check_int "two levels" 2 (Array.length levels);
-  check_int_list "level 0" [ 0 ] levels.(0);
-  check_int_list "level 1" [ 1; 2; 3; 4; 5; 6 ] levels.(1)
+(* two shortest 0-4 paths, 0-1-5-4 and 0-2-3-4: parent(4) is 3, the
+   smaller of its two neighbours at distance 2, whichever one a walker
+   happens to reach first *)
+let test_parents_smallest_index () =
+  let g = Undirected.of_edges ~n:6 [ (0, 1); (0, 2); (1, 5); (2, 3); (3, 4); (5, 4) ] in
+  let runs = Bbng_obs.Counter.find "bfs.runs" in
+  let p = Bfs.parents g 0 in
+  check_int_array "parents" [| 0; 0; 0; 2; 3; 1 |] p;
+  check_int "one BFS run" 1 (Bbng_obs.Counter.find "bfs.runs" - runs)
 
-let test_level_sets_skip_unreachable () =
-  let levels = Bfs.level_sets two_triangles 0 in
-  let total = Array.fold_left (fun acc l -> acc + List.length l) 0 levels in
-  check_int "only own component listed" 3 total
+let prop_parents_smallest_index =
+  qcheck "parents = smallest neighbour one level closer"
+    (gnp_gen ~n_min:1 ~n_max:15) (fun (n, seed) ->
+      (* sparse enough that many inputs are disconnected *)
+      let g = Bbng_graph.Generators.random_gnp (rng seed) ~n ~p:0.2 in
+      let src = seed mod n in
+      let d = Bfs.distances g src and p = Bfs.parents g src in
+      let expected v =
+        if v = src then src
+        else if d.(v) = Bfs.unreachable then -1
+        else
+          Array.fold_left
+            (fun acc u -> if d.(u) = d.(v) - 1 then min acc u else acc)
+            max_int (Undirected.neighbors g v)
+      in
+      List.for_all (fun v -> p.(v) = expected v) (List.init n Fun.id))
 
 let prop_distances_triangle_inequality =
   qcheck "edge endpoints differ by at most 1" (gnp_gen ~n_min:2 ~n_max:15)
@@ -140,8 +156,6 @@ let test_budget_threads_through_walkers () =
       ignore (Bfs.parents ~budget path5 0));
   first_runs_second_trips "shortest_path" (fun budget ->
       ignore (Bfs.shortest_path ~budget path5 0 3));
-  first_runs_second_trips "level_sets" (fun budget ->
-      ignore (Bfs.level_sets ~budget path5 0));
   (* the u = v early answer never touches the token *)
   let budget = Budgeted.create ~work_limit:0 () in
   check_int_option "self distance" (Some 0) (Bfs.distance ~budget path5 3 3);
@@ -162,10 +176,10 @@ let suite =
     case "parents unreachable" test_parents_unreachable;
     case "shortest path" test_shortest_path;
     case "shortest path minimal" test_shortest_path_is_shortest;
-    case "level sets" test_level_sets;
-    case "level sets skip unreachable" test_level_sets_skip_unreachable;
+    case "parents take the smallest-index parent" test_parents_smallest_index;
     case "budget threads through walkers" test_budget_threads_through_walkers;
     prop_distances_triangle_inequality;
     prop_bfs_matches_path_length;
     prop_multi_source_is_min;
+    prop_parents_smallest_index;
   ]

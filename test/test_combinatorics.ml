@@ -29,11 +29,7 @@ let test_binomial_saturates () =
   check_count "C(66,33) saturates" C.Saturated (C.binomial 66 33);
   check_count "way past the boundary" C.Saturated (C.binomial 200 100);
   check_int "binomial_sat clamps for estimates" max_int (C.binomial_sat 200 100);
-  check_int "binomial_sat exact when exact" 10 (C.binomial_sat 5 2);
-  check_true "saturated is never within a limit"
-    (not (C.count_at_most max_int C.Saturated));
-  check_true "exact within its own value" (C.count_at_most 10 (C.Exact 10));
-  check_false "exact above a limit" (C.count_at_most 9 (C.Exact 10))
+  check_int "binomial_sat exact when exact" 10 (C.binomial_sat 5 2)
 
 let test_iter_enumerates_all () =
   let subsets = collect ~n:4 ~k:2 in
@@ -50,15 +46,6 @@ let test_iter_k_gt_n () =
 
 let test_iter_full () =
   check_true "k=n single subset" (collect ~n:3 ~k:3 = [ [0;1;2] ])
-
-let test_exists () =
-  check_true "finds" (C.exists_combination ~n:5 ~k:2 (fun c -> c.(0) = 2));
-  check_false "exhausts" (C.exists_combination ~n:5 ~k:2 (fun c -> c.(0) = 9))
-
-let test_combinations_of () =
-  let acc = ref [] in
-  C.iter_combinations_of [| "a"; "b"; "c" |] ~k:2 (fun c -> acc := String.concat "" (Array.to_list c) :: !acc);
-  check_true "element subsets" (List.rev !acc = [ "ab"; "ac"; "bc" ])
 
 let test_fold_best () =
   (* minimize the sum of the chosen indices: {0,1} wins *)
@@ -167,8 +154,6 @@ let suite =
     case "k = 0" test_iter_k0;
     case "k > n" test_iter_k_gt_n;
     case "k = n" test_iter_full;
-    case "exists_combination" test_exists;
-    case "combinations of elements" test_combinations_of;
     case "fold_best" test_fold_best;
     case "fold_best early exit" test_fold_best_stop_at;
     case "fold_best empty" test_fold_best_none;

@@ -1,4 +1,4 @@
-(* The BFS kernel against the retained legacy walker: the flat CSR
+(* The BFS kernel against the legacy walker oracle: the flat CSR
    layout of [Undirected.t] itself, the scratch kernel entry, and qcheck
    oracles pinning the kernel's BFS and the iFUB diameter to the plain
    top-down walker over random gnp / tree / disconnected inputs. *)
@@ -61,7 +61,7 @@ let graphs_agree g =
   let n = Undirected.n g in
   let rows_ok = ref true in
   for u = 0 to n - 1 do
-    if Bfs.distances g u <> Bfs.legacy_distances g u then rows_ok := false
+    if Bfs.distances g u <> Bbng_oracle.Bfs.legacy_distances g u then rows_ok := false
   done;
   let legacy_diam =
     Distances.fold_eccentricities g (fun a _ e -> max a e) 0
@@ -88,7 +88,7 @@ let prop_multi_source_matches_legacy =
       let n = Undirected.n g in
       let sources = [ 0; n / 2; n - 1 ] in
       let multi = Bfs.distances_from_set g sources in
-      let singles = List.map (Bfs.legacy_distances g) sources in
+      let singles = List.map (Bbng_oracle.Bfs.legacy_distances g) sources in
       let ok = ref true in
       for v = 0 to n - 1 do
         let best =

@@ -4,6 +4,16 @@ module Ig = Bbng_dynamics.Improvement_graph
 
 let unit_game n version = Game.make version (Budget.unit_budgets n)
 
+(* every sink certifies as a Nash equilibrium and vice versa *)
+let sinks_are_nash game (t : Ig.t) =
+  Array.for_all Fun.id
+    (Array.mapi
+       (fun i p -> List.mem i t.sinks = Equilibrium.is_nash game p)
+       t.profiles)
+
+(* the finite improvement property: no improving cycle anywhere *)
+let fip_holds game = not (Ig.build game).has_cycle
+
 let test_node_count () =
   let g = unit_game 3 Cost.Sum in
   let t = Ig.build g in
@@ -14,7 +24,7 @@ let test_sinks_are_nash () =
     (fun version ->
       let g = unit_game 3 version in
       let t = Ig.build g in
-      check_true "sinks <-> Nash" (Ig.sinks_are_nash g t);
+      check_true "sinks <-> Nash" (sinks_are_nash g t);
       check_int "two equilibria" 2 (List.length t.Ig.sinks))
     Cost.all_versions
 
@@ -24,10 +34,10 @@ let test_fip_small_unit () =
     (fun version ->
       check_true
         (Printf.sprintf "FIP unit n=3 %s" (Cost.version_name version))
-        (Ig.fip_holds (unit_game 3 version));
+        (fip_holds (unit_game 3 version));
       check_true
         (Printf.sprintf "FIP unit n=4 %s" (Cost.version_name version))
-        (Ig.fip_holds (unit_game 4 version)))
+        (fip_holds (unit_game 4 version)))
     Cost.all_versions
 
 let test_best_only_subset () =
@@ -75,7 +85,7 @@ let test_tree_instance_graph () =
   let t = Ig.build g in
   check_int "profiles" 27 (Array.length t.Ig.profiles);
   check_true "sinks are the 4 equilibria" (List.length t.Ig.sinks = 4);
-  check_true "sinks certified" (Ig.sinks_are_nash g t)
+  check_true "sinks certified" (sinks_are_nash g t)
 
 let test_potential_is_ordinal () =
   (* every improving arc strictly decreases the extracted potential *)

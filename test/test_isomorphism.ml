@@ -4,11 +4,6 @@ module Digraph = Bbng_graph.Digraph
 module Undirected = Bbng_graph.Undirected
 module Generators = Bbng_graph.Generators
 
-(* relabel an undirected graph through a permutation *)
-let relabel_undirected g perm =
-  Undirected.of_edges ~n:(Undirected.n g)
-    (List.map (fun (u, v) -> (perm.(u), perm.(v))) (Undirected.edges g))
-
 let relabel_digraph g perm =
   Digraph.of_arcs ~n:(Digraph.n g)
     (List.map (fun (u, v) -> (perm.(u), perm.(v))) (Digraph.arcs g))
@@ -24,63 +19,35 @@ let random_perm st n =
   a
 
 let test_identical () =
-  check_true "self" (Iso.undirected_isomorphic path5 path5);
   check_true "self digraph"
     (Iso.digraph_isomorphic (Generators.tripod 2) (Generators.tripod 2))
 
 let test_relabelled_path () =
-  let g = relabel_undirected path5 [| 4; 2; 0; 1; 3 |] in
-  check_true "path relabelled" (Iso.undirected_isomorphic path5 g)
+  let p = Generators.directed_path 5 in
+  let g = relabel_digraph p [| 4; 2; 0; 1; 3 |] in
+  check_true "path relabelled" (Iso.digraph_isomorphic p g)
 
 let test_non_isomorphic_same_degrees () =
-  (* C6 vs two triangles: both 2-regular on 6 vertices *)
-  check_false "C6 vs 2xC3" (Iso.undirected_isomorphic cycle6 two_triangles)
+  (* a directed C6 vs two directed triangles: every vertex has in- and
+     out-degree 1 in both *)
+  let two_triangles =
+    Digraph.of_arcs ~n:6 [ (0, 1); (1, 2); (2, 0); (3, 4); (4, 5); (5, 3) ]
+  in
+  check_false "C6 vs 2xC3"
+    (Iso.digraph_isomorphic (Generators.directed_cycle 6) two_triangles)
 
 let test_different_sizes () =
-  check_false "sizes" (Iso.undirected_isomorphic path5 cycle6);
-  check_false "edge counts"
-    (Iso.undirected_isomorphic path5 (Generators.star_graph 5))
+  check_false "sizes"
+    (Iso.digraph_isomorphic (Generators.directed_path 5)
+       (Generators.directed_cycle 6));
+  check_false "arc counts"
+    (Iso.digraph_isomorphic (Generators.directed_path 5)
+       (Generators.directed_cycle 5))
 
 let test_direction_matters () =
   (* out-star vs in-star: same underlying graph, opposite ownership *)
   let o = Generators.out_star 4 and i = Generators.in_star 4 in
-  check_true "underlying isomorphic"
-    (Iso.undirected_isomorphic (Undirected.of_digraph o) (Undirected.of_digraph i));
   check_false "digraphs differ" (Iso.digraph_isomorphic o i)
-
-let test_witness_is_correct () =
-  let st = rng 4 in
-  let g = Generators.random_tree st 8 in
-  let perm = random_perm st 8 in
-  let h = relabel_undirected g perm in
-  match Iso.find_undirected_isomorphism g h with
-  | None -> Alcotest.fail "expected an isomorphism"
-  | Some pi ->
-      let ok = ref true in
-      Undirected.iter_edges
-        (fun u v -> if not (Undirected.mem_edge h pi.(u) pi.(v)) then ok := false)
-        g;
-      check_true "witness maps edges to edges" !ok
-
-let test_canonical_key () =
-  let st = rng 9 in
-  let g = Generators.random_tree st 7 in
-  let h = relabel_undirected g (random_perm st 7) in
-  check_true "same key for isomorphic graphs"
-    (Iso.canonical_key_undirected g = Iso.canonical_key_undirected h);
-  check_false "different key for different graphs"
-    (Iso.canonical_key_undirected cycle6 = Iso.canonical_key_undirected two_triangles)
-
-let test_canonical_key_trivial () =
-  check_true "empty graph" (Iso.canonical_key_undirected (Undirected.of_edges ~n:0 []) = "0:")
-
-let test_dedup () =
-  let a = Generators.directed_cycle 4 in
-  let b = relabel_digraph a [| 2; 0; 3; 1 |] in
-  let c = Generators.directed_path 4 in
-  let d = Iso.dedup_digraphs [ a; b; c; a ] in
-  check_int "two classes" 2 (List.length d);
-  check_true "first representative kept" (Digraph.equal (List.hd d) a)
 
 let prop_relabel_preserves_iso_digraph =
   qcheck "random relabellings are isomorphic (digraph)"
@@ -95,35 +62,17 @@ let prop_edge_count_separates =
   qcheck "graphs with different edge counts never isomorphic"
     (gnp_gen ~n_min:3 ~n_max:9) (fun (n, seed) ->
       let st = rng seed in
-      let g = Generators.random_gnp st ~n ~p:0.4 in
-      let extra =
-        (* add one missing edge if any exists *)
-        let missing = ref None in
-        (try
-           for u = 0 to n - 1 do
-             for v = u + 1 to n - 1 do
-               if not (Undirected.mem_edge g u v) then begin
-                 missing := Some (u, v);
-                 raise Exit
-               end
-             done
-           done
-         with Exit -> ());
-        !missing
-      in
-      match extra with
-      | None -> true (* complete graph: skip *)
-      | Some e ->
-          let h = Undirected.of_edges ~n (e :: Undirected.edges g) in
-          not (Iso.undirected_isomorphic g h))
-
-let prop_canonical_key_invariant =
-  qcheck "canonical key is relabelling-invariant" (gnp_gen ~n_min:1 ~n_max:8)
-    (fun (n, seed) ->
-      let st = rng seed in
-      let g = Generators.random_tree st n in
-      let h = relabel_undirected g (random_perm st n) in
-      Iso.canonical_key_undirected g = Iso.canonical_key_undirected h)
+      let g = Digraph.of_arcs ~n (Undirected.edges (Generators.random_gnp st ~n ~p:0.4)) in
+      (* add one missing arc if any exists *)
+      let missing = ref None in
+      for u = n - 1 downto 0 do
+        for v = n - 1 downto 0 do
+          if u <> v && not (Digraph.mem_arc g u v) then missing := Some (u, v)
+        done
+      done;
+      match !missing with
+      | None -> true (* complete digraph: skip *)
+      | Some a -> not (Iso.digraph_isomorphic g (Digraph.of_arcs ~n (a :: Digraph.arcs g))))
 
 let suite =
   [
@@ -132,11 +81,6 @@ let suite =
     case "same degrees, not isomorphic" test_non_isomorphic_same_degrees;
     case "different sizes" test_different_sizes;
     case "arc direction matters" test_direction_matters;
-    case "witness correctness" test_witness_is_correct;
-    case "canonical key" test_canonical_key;
-    case "canonical key trivial" test_canonical_key_trivial;
-    case "dedup" test_dedup;
     prop_relabel_preserves_iso_digraph;
     prop_edge_count_separates;
-    prop_canonical_key_invariant;
   ]

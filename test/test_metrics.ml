@@ -15,6 +15,7 @@ module Counter = Bbng_obs.Counter
 module Gauge = Bbng_obs.Gauge
 module Histogram = Bbng_obs.Histogram
 module Openmetrics = Bbng_obs.Openmetrics
+module Om_oracle = Bbng_oracle.Openmetrics
 module Progress = Bbng_obs.Progress
 module Live_view = Bbng_obs.Live_view
 module Sink = Bbng_obs.Sink
@@ -81,10 +82,10 @@ let test_gauge_labels () =
 
 let test_escape_roundtrip =
   qcheck ~count:200 "unescape ∘ escape_label_value = id" QCheck.string
-    (fun s -> Openmetrics.unescape (Openmetrics.escape_label_value s) = s)
+    (fun s -> Om_oracle.unescape (Openmetrics.escape_label_value s) = s)
 
 let find_family families name =
-  match List.find_opt (fun f -> f.Openmetrics.fam_name = name) families with
+  match List.find_opt (fun f -> f.Om_oracle.fam_name = name) families with
   | Some f -> f
   | None -> Alcotest.failf "family %S missing from exposition" name
 
@@ -101,7 +102,7 @@ let test_render_validate_roundtrip () =
   let text = Openmetrics.render () in
   check_true "ends with the EOF terminator" (contains ~needle:"# EOF" text);
   let families =
-    match Openmetrics.validate text with
+    match Om_oracle.validate text with
     | Ok fs -> fs
     | Error e -> Alcotest.failf "rendered exposition invalid: %s" e
   in
@@ -109,19 +110,19 @@ let test_render_validate_roundtrip () =
   check_true "counter value survives"
     (List.exists
        (fun s ->
-         s.Openmetrics.value >= 5.0
-         && contains ~needle:"_total" s.Openmetrics.sample_name)
-       cf.Openmetrics.samples);
+         s.Om_oracle.value >= 5.0
+         && contains ~needle:"_total" s.Om_oracle.sample_name)
+       cf.Om_oracle.samples);
   let gf = find_family families "bbng_test_metrics_rt_gauge" in
   check_true "nasty label value round-trips unescaped"
     (List.exists
        (fun s ->
-         List.mem_assoc "task" s.Openmetrics.labels
-         && List.assoc "task" s.Openmetrics.labels = "quote\" slash\\ nl\n")
-       gf.Openmetrics.samples);
+         List.mem_assoc "task" s.Om_oracle.labels
+         && List.assoc "task" s.Om_oracle.labels = "quote\" slash\\ nl\n")
+       gf.Om_oracle.samples);
   check_true "# HELP lines from other exporters still parse"
     (Result.is_ok
-       (Openmetrics.validate
+       (Om_oracle.validate
           "# HELP x help text\n# TYPE x counter\nx_total 1\n# EOF\n"))
 
 let test_histogram_buckets_cumulative =
@@ -132,7 +133,7 @@ let test_histogram_buckets_cumulative =
       List.iter (Histogram.record h) values;
       (* validate enforces: non-decreasing in le order, +Inf == _count,
          _sum/_count present — any violation fails the property *)
-      match Openmetrics.validate (Openmetrics.render ()) with
+      match Om_oracle.validate (Openmetrics.render ()) with
       | Ok _ -> true
       | Error _ -> false)
 
@@ -286,9 +287,9 @@ let test_feed_line_truncation_tolerant () =
       "{\"event\":";
       "\255\254 binary junk \000";
     ];
-  check_int "nothing parsed as an event" 0 (Live_view.events st);
+  check_int "nothing parsed as an event" 0 st.Live_view.events;
   (* blank lines are ignored, the five torn/garbage lines count *)
-  check_int "every torn line counted" 5 (Live_view.skipped st);
+  check_int "every torn line counted" 5 st.Live_view.skipped;
   let frame = Live_view.render st ~source:"torn.jsonl.partial" in
   check_true "renderer survives an all-skip state"
     (contains ~needle:"torn.jsonl.partial" frame)
@@ -310,11 +311,11 @@ let test_tail_consumes_only_complete_lines () =
       append "{\"event\":\"progress.heartbeat\",\"ts_us\":1.0,\"task\":\"t\",\"done\":1}\n";
       append "{\"event\":\"progress.he";
       check_int "only the complete line is fed" 1 (Live_view.poll tail st);
-      check_int "one event so far" 1 (Live_view.events st);
-      check_int "half-written line stays buffered" 0 (Live_view.skipped st);
+      check_int "one event so far" 1 st.Live_view.events;
+      check_int "half-written line stays buffered" 0 st.Live_view.skipped;
       append "artbeat\",\"ts_us\":2.0,\"task\":\"t\",\"done\":2}\n";
       check_int "finishing the line releases it" 1 (Live_view.poll tail st);
-      check_int "both heartbeats folded in" 2 (Live_view.heartbeats st);
+      check_int "both heartbeats folded in" 2 st.Live_view.heartbeats;
       check_false "no summary yet" (Live_view.finished st);
       append "{\"event\":\"run.summary\",\"ts_us\":3.0}\n";
       ignore (Live_view.poll tail st);
@@ -342,7 +343,7 @@ let test_tail_retarget_keeps_offset () =
       Live_view.retarget tail final;
       check_int "retarget resumes at the old offset, not 0" 1
         (Live_view.poll tail st);
-      check_int "no event replayed twice" 2 (Live_view.events st))
+      check_int "no event replayed twice" 2 st.Live_view.events)
 
 let suite =
   [

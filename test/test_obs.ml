@@ -7,6 +7,7 @@ module Json = Bbng_obs.Json
 module Histogram = Bbng_obs.Histogram
 module Gcstats = Bbng_obs.Gcstats
 module Trace_export = Bbng_obs.Trace_export
+module Live_view = Bbng_obs.Live_view
 module Stats = Bbng_obs.Stats
 
 (* --- counters --- *)
@@ -452,6 +453,32 @@ let test_summarize_dynamics_section () =
   check_true "tallies rule/outcome" (contains "exact-best/converged");
   check_true "steps stats present" (contains "steps:")
 
+(* Pinned output of the one fold over a recording: for each committed
+   recording golden/X.jsonl, golden/X.report.txt is `bbng_cli report`'s
+   output (summarize plus the CLI's digest line) and golden/X.top.txt is
+   `bbng_cli top --once --no-clear`'s frame, both captured from the
+   repository root. *)
+let test_report_and_top_pinned () =
+  let slurp file = In_channel.with_open_bin file In_channel.input_all in
+  List.iter
+    (fun base ->
+      let golden ext = Filename.concat "golden" (base ^ ext) in
+      let source = "test/golden/" ^ base ^ ".jsonl" in
+      let events, _ = In_channel.with_open_bin (golden ".jsonl") Trace_export.read_events in
+      let file = Filename.temp_file "bbng_obs" ".txt" in
+      Out_channel.with_open_bin file (Trace_export.summarize events);
+      let report =
+        Printf.sprintf "%sreport digest: %s (%s)\n" (slurp file)
+          (Digest.to_hex (Digest.file (golden ".jsonl"))) source
+      in
+      Sys.remove file;
+      Alcotest.(check string) (base ^ ": report") (slurp (golden ".report.txt")) report;
+      let st = Live_view.create_state () in
+      ignore (Live_view.poll (Live_view.open_tail (golden ".jsonl")) st);
+      Alcotest.(check string) (base ^ ": top") (slurp (golden ".top.txt"))
+        (Live_view.render st ~source))
+    [ "DYN_rr_best_unit8_max"; "DYN_rr_first_swap_n12_sum"; "REPORT_dyn_b2x10_seed7" ]
+
 let test_sink_active () =
   check_false "no sink by default here" (Sink.active ());
   Sink.add Sink.Null;
@@ -740,4 +767,5 @@ let suite =
       test_span_ignores_other_domains_gc;
     case "span counts its own major allocation"
       test_span_counts_own_major_words;
+    case "report and top pinned on recordings" test_report_and_top_pinned;
   ]
