@@ -334,6 +334,21 @@ cmp -s "$cendir/fresh/sharded.out" "$cendir/fresh/memory.out" || {
   diff "$cendir/fresh/sharded.out" "$cendir/fresh/memory.out" || true
   exit 1
 }
+# shards of 7 over groups of C(4,2) = 6 profiles (the last player's
+# strategies): every shard edge cuts a group, and the grouped verdict
+# walk must still print what the in-memory census prints
+mkdir -p "$cendir/cut"
+for cost in sum max; do
+  ( cd "$cendir/cut" && "$root/$cli" census -b 2,2,2,2,2 -c "$cost" \
+      --shard-size 7 --out "CUT_$cost.jsonl" > "sharded_$cost.out" )
+  ( cd "$cendir/cut" && "$root/$cli" census -b 2,2,2,2,2 -c "$cost" \
+      > "memory_$cost.out" )
+  cmp -s "$cendir/cut/sharded_$cost.out" "$cendir/cut/memory_$cost.out" || {
+    echo "check: $cost census sharded across groups differs from the in-memory one"
+    diff "$cendir/cut/sharded_$cost.out" "$cendir/cut/memory_$cost.out" || true
+    exit 1
+  }
+done
 # the recording has one span per shard (1024 profiles / 64) and none per
 # audited player: verdict certifications record no per-player span
 shard_spans=$(grep '"event":"span"' "$cendir/fresh/CEN.report.jsonl" \

@@ -380,13 +380,14 @@ let bump tbl d by =
 
 exception Limit_hit
 
-(* The census's one scan of an index range: certify [shard]'s profiles
-   in order, stopping early after [limit] equilibria or when [budget]
-   expires.  The result covers the scanned prefix (its shard ends where
-   the scan stopped); the flag is [false] iff the budget expired.  One
-   [census.shard] span per range: the verdict certifications inside
-   record none of their own, so a recording of a census of many tiny
-   profiles costs one close per shard, not one per player. *)
+(* The census's one scan of an index range: [shard]'s verdicts in
+   order, off the grouped walk, stopping early after [limit] equilibria
+   or when [budget] expires.  The result covers the scanned prefix (its
+   shard ends where the scan stopped); the flag is [false] iff the
+   budget expired.  One [census.shard] span per range: the verdict
+   certifications inside record none of their own, so a recording of a
+   census of many tiny profiles costs one close per shard, not one per
+   player. *)
 let scan ?(limit = max_int) ~budget ?progress game shard =
   let n = Game.n game in
   let acc = ref Structure.Iso_acc.empty in
@@ -396,13 +397,13 @@ let scan ?(limit = max_int) ~budget ?progress game shard =
     Obs.Span.with_ "census.shard" @@ fun () ->
     Obs.Budgeted.guard budget (fun () ->
         try
-          Equilibrium.iter_profiles_range (Game.budgets game) ~lo:shard.lo
-            ~hi:shard.hi (fun profile ->
+          Equilibrium.iter_verdicts_range game ~lo:shard.lo ~hi:shard.hi
+            (fun profile nash ->
               Obs.Budgeted.checkpoint ~cost:n budget;
               incr scanned;
               Obs.Counter.bump c_scanned;
               (match progress with Some p -> Obs.Progress.step p | None -> ());
-              if Equilibrium.is_nash game profile then begin
+              if nash then begin
                 incr found;
                 Obs.Counter.bump c_equilibria;
                 acc := Structure.Iso_acc.add !acc profile;
@@ -426,19 +427,12 @@ let scan_shard ?(budget = Obs.Budgeted.unlimited) ?progress game shard =
   | _, false -> None
 
 let merge game plan results =
-  (* one result's classes are distinct already: only the later results'
-     classes are classified against them *)
+  (* one result's classes are distinct already: each result is
+     classified only against the classes of the results before it *)
   let acc =
-    match results with
-    | [] -> Structure.Iso_acc.empty
-    | first :: rest ->
-        List.fold_left
-          (fun acc r ->
-            List.fold_left
-              (fun acc (rep, count) -> Structure.Iso_acc.add_class acc ~rep ~count)
-              acc r.classes)
-          (Structure.Iso_acc.of_classes first.classes)
-          rest
+    List.fold_left
+      (fun acc r -> Structure.Iso_acc.add_classes acc r.classes)
+      Structure.Iso_acc.empty results
   in
   let diams, found, scanned =
     List.fold_left

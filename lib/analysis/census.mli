@@ -91,14 +91,20 @@ val scan_shard :
   Game.t ->
   shard ->
   shard_result option
-(** Certify one shard's profiles; [None] if the budget expired before
-    the shard completed (partial shard work is dropped — only whole
-    shards checkpoint, which is what makes resume deterministic). *)
+(** Certify one shard's profiles through the grouped verdict walk
+    ({!Equilibrium.iter_verdicts_range}; a shard edge may cut a group
+    of profiles that differ only in the last player's strategy, and the
+    walk prices a cut group as it prices a whole one); [None] if the
+    budget expired before the shard completed (partial shard work is
+    dropped — only whole shards checkpoint, which is what makes resume
+    deterministic). *)
 
 val merge : Game.t -> plan -> shard_result list -> t
 (** Aggregate shard results (any order, any subset) into one census;
     iso classes merge through {!Structure.Iso_acc}, so the result is
-    independent of partitioning and merge order. *)
+    independent of partitioning and merge order.  One result's classes
+    are pairwise distinct, so each is tested only against the classes
+    of the results before it ({!Structure.Iso_acc.add_classes}). *)
 
 val unscanned_ranges : plan -> shard_result list -> (int * int) list
 (** Coalesced profile-index ranges of the shards missing from the
@@ -108,8 +114,8 @@ val unscanned_ranges : plan -> shard_result list -> (int * int) list
 
 val run : ?limit:int -> ?budget:Bbng_obs.Budgeted.t -> Game.t -> outcome
 (** Sequential in-memory scan (no checkpoint): the whole profile space
-    as one range through the shard scanner ({!scan_shard}'s per-profile
-    body, one [census.shard] span) and {!merge}.  With [limit], the scan
+    as one range through the shard scanner ({!scan_shard}'s grouped
+    walk, one [census.shard] span) and {!merge}.  With [limit], the scan
     stops after [limit] equilibria and returns [Complete] over the
     scanned prefix [[0, scanned_profiles)], so [scanned_profiles] may
     be below [total_profiles].  The budget token is checkpointed once

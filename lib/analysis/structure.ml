@@ -161,33 +161,56 @@ module Iso_acc = struct
 
   let add acc profile = add_weighted acc profile 1
 
-  let add_class acc ~rep ~count = add_weighted acc rep count
-
-  let of_classes classes =
-    List.fold_left
-      (fun acc (rep, count) ->
-        let fp = fingerprint rep in
-        let bucket = Option.value ~default:[] (Smap.find_opt fp acc.buckets) in
-        let cls = { rep; rep_key = Strategy.to_string rep; count } in
-        {
-          buckets = Smap.add fp (bucket @ [ cls ]) acc.buckets;
-          classes = acc.classes + 1;
-          total = acc.total + count;
-        })
-      empty classes
-
-  let merge a b =
-    Smap.fold
-      (fun _ bucket acc ->
-        List.fold_left
-          (fun acc c -> add_weighted acc c.rep c.count)
-          acc bucket)
-      b.buckets a
-
   let classes acc =
     Smap.fold (fun _ bucket l -> List.rev_append bucket l) acc.buckets []
     |> List.sort (fun a b -> compare a.rep_key b.rep_key)
     |> List.map (fun c -> (c.rep, c.count))
+
+  (* [classes] are pairwise non-isomorphic (one accumulator's classes),
+     so each is tested only against the buckets of [acc] as it stood
+     before them: a class can match at most one of those, and none of
+     its own batch.  New classes append to their bucket, so an old
+     class keeps its position and a match replaces it there. *)
+  let add_classes acc classes =
+    List.fold_left
+      (fun cur (rep, count) ->
+        let fp = fingerprint rep in
+        let rec find g i = function
+          | [] -> None
+          | c :: rest ->
+              Bbng_obs.Counter.bump c_iso_tests;
+              if Isomorphism.digraph_isomorphic (Strategy.realize c.rep) g then
+                Some i
+              else find g (i + 1) rest
+        in
+        let matched =
+          match Smap.find_opt fp acc.buckets with
+          | None | Some [] ->
+              Bbng_obs.Counter.bump c_iso_pruned;
+              None
+          | Some before -> find (Strategy.realize rep) 0 before
+        in
+        let fresh = { rep; rep_key = Strategy.to_string rep; count } in
+        let bucket = Option.value ~default:[] (Smap.find_opt fp cur.buckets) in
+        let bucket, classes =
+          match matched with
+          | None -> (bucket @ [ fresh ], cur.classes + 1)
+          | Some i ->
+              ( List.mapi
+                  (fun j c ->
+                    if j = i then { (min_rep c fresh) with count = c.count + count }
+                    else c)
+                  bucket,
+                cur.classes )
+        in
+        {
+          buckets = Smap.add fp bucket cur.buckets;
+          classes;
+          total = cur.total + count;
+        })
+      acc classes
+
+  let merge a b = add_classes a (classes b)
 
   let class_count acc = acc.classes
   let total acc = acc.total

@@ -58,14 +58,12 @@ module Iso_acc : sig
   val add : t -> Strategy.t -> t
   (** Classify one profile (weight 1). *)
 
-  val add_class : t -> rep:Strategy.t -> count:int -> t
-  (** Re-inject a class deserialized from a checkpoint row: classified
-      like [add] but carrying [count] members. *)
-
-  val of_classes : (Strategy.t * int) list -> t
-  (** Seed an accumulator with classes already known to be pairwise
-      non-isomorphic (one accumulator's {!classes}): each goes straight
-      into its bucket, with no isomorphism test and no counter bump. *)
+  val add_classes : t -> (Strategy.t * int) list -> t
+  (** Re-inject classes deserialized from one checkpoint row (one
+      accumulator's {!classes}, so pairwise non-isomorphic): each is
+      classified like [add] but carrying its member count, and is
+      tested only against the classes [t] held before the call, never
+      against another class of the same list. *)
 
   val merge : t -> t -> t
   (** Union of two accumulators; counts add, representatives minimize. *)

@@ -38,11 +38,11 @@ let evidence_upto_refutation n audit_of =
   in
   from 0
 
-(* The one sequential loop: players are audited in order and the first
-   refutation ends it — an early exit when players were left
-   unaudited. *)
-let audit_in_order auditor game profile =
-  let n = Game.n game in
+(* The one sequential loop: players [0, upto) (default all) are
+   audited in order and the first refutation ends it — an early exit
+   when players were left unaudited. *)
+let audit_in_order ?upto auditor game profile =
+  let n = Option.value upto ~default:(Game.n game) in
   let evidence =
     evidence_upto_refutation n (audit_player auditor game profile)
   in
@@ -805,8 +805,12 @@ let pp_verdict ppf = function
    digit a combination rank, so the order is lexicographic).  A census
    shard is exactly such a pair, so restarting one needs no state
    beyond it; every exhaustive consumer (the whole-space walk below,
-   the Nash filter, Poa's exact prices, the census) goes through it. *)
-let iter_profiles_range budgets ~lo ~hi f =
+   the grouped verdict walk behind the Nash filter, Poa's exact prices
+   and the census) goes through it.  [f] also gets the last player's
+   digit: the odometer's fastest digit, so the walk's profiles come in
+   runs (groups) that share every other strategy, and a run starts
+   wherever that digit is 0 or the range starts. *)
+let walk budgets ~lo ~hi f =
   let n = Budget.n budgets in
   let radices =
     Array.init n (fun i ->
@@ -842,9 +846,11 @@ let iter_profiles_range budgets ~lo ~hi f =
       Array.map (fun i -> if i < player then i else i + 1) c
     in
     let strategies = Array.init n (fun i -> unshift i combos.(i)) in
-    let emit () =
-      f (Strategy.make budgets (Array.map Array.copy strategies))
-    in
+    let last = ref digits.(n - 1) in
+    (* a strategy array is replaced, never mutated, when its digit
+       moves, so consecutive profiles share the arrays of the digits
+       that stayed *)
+    let emit () = f !last (Strategy.of_sorted budgets (Array.copy strategies)) in
     (* odometer step: advance the least significant digit that has a
        successor, reset the suffix to first combinations *)
     let rec advance i =
@@ -865,9 +871,13 @@ let iter_profiles_range budgets ~lo ~hi f =
       if not (advance (n - 1)) then
         (* hi <= total: the odometer cannot run out inside the range *)
         assert false;
+      last := (!last + 1) mod radices.(n - 1);
       emit ()
     done
   end
+
+let iter_profiles_range budgets ~lo ~hi f =
+  walk budgets ~lo ~hi (fun _ profile -> f profile)
 
 let count_profiles budgets =
   let n = Budget.n budgets in
@@ -881,19 +891,67 @@ let count_profiles budgets =
 let iter_profiles budgets f =
   iter_profiles_range budgets ~lo:0 ~hi:(count_profiles budgets) f
 
+let c_group_refuted = Bbng_obs.Counter.make "equilibrium.group_refuted"
+
+(* The grouped Nash filter.  A group shares G∖(n-1), so one context for
+   the last player prices all k = C(n-1, b_{n-1}) of its strategies at
+   the group's first profile (or the range's: the context does not
+   depend on the last player's own strategy, so a range that cuts a
+   group prices it the same way).  A profile whose last player costs
+   more than the group minimum is refuted by that alone; at the minimum
+   the last player has no improving move, so the profile is an
+   equilibrium iff players 0..n-2 have none either, audited in order as
+   [certify] does.  At k = 1 the last player has no alternative and
+   nothing is priced. *)
+let iter_verdicts_range game ~lo ~hi f =
+  let budgets = Game.budgets game in
+  let n = Game.n game in
+  let last = n - 1 in
+  let b = Budget.get budgets last in
+  let k = Combinatorics.binomial_sat last b in
+  (* allocated at the first group: the walk rejects a saturated space
+     before calling back *)
+  let costs = ref [||] and group_min = ref 0 in
+  walk budgets ~lo ~hi (fun digit profile ->
+      if k > 1 && (digit = 0 || Array.length !costs = 0) then begin
+        if Array.length !costs = 0 then costs := Array.make k 0;
+        let ctx =
+          Deviation_eval.make (Game.version game) profile ~player:last
+        in
+        let i = ref 0 in
+        group_min := max_int;
+        (* the last player's strategies are the b-subsets of
+           {0..n-2}, in its digit's (lexicographic) order *)
+        Combinatorics.iter_combinations ~n:last ~k:b (fun targets ->
+            let c = Deviation_eval.cost ctx targets in
+            !costs.(!i) <- c;
+            if c < !group_min then group_min := c;
+            incr i)
+      end;
+      let nash =
+        if k > 1 && !costs.(digit) > !group_min then begin
+          Bbng_obs.Counter.bump c_group_refuted;
+          false
+        end
+        else
+          verdict_of_evidence
+            (audit_in_order ~upto:last Best_response.audit_exact game profile)
+          = Equilibrium
+      in
+      f profile nash)
+
 exception Limit_reached
 
 (* The Nash filter over the whole profile space, under one "enumerate"
    heartbeat task; [f] stops the walk early by raising
    [Limit_reached]. *)
 let iter_equilibria game f =
-  let budgets = Game.budgets game in
-  Bbng_obs.Progress.with_task ~total:(count_profiles budgets) "enumerate"
-    (fun progress ->
+  let total = count_profiles (Game.budgets game) in
+  Bbng_obs.Progress.with_task ~total "enumerate" (fun progress ->
       try
-        iter_profiles budgets (fun profile ->
+        iter_verdicts_range game ~lo:0 ~hi:total (fun profile nash ->
             Bbng_obs.Progress.step progress;
-            if is_nash game profile then f profile)
+            if nash then f profile)
       with Limit_reached -> ())
 
 let enumerate_equilibria ?limit game =

@@ -185,14 +185,41 @@ val iter_profiles : Budget.t -> (Strategy.t -> unit) -> unit
 val iter_profiles_range :
   Budget.t -> lo:int -> hi:int -> (Strategy.t -> unit) -> unit
 (** Profiles at lexicographic indices [[lo, hi)] of {!iter_profiles}'s
-    order — the restartable slice a census shard scans, and the
-    library's only walk of the profile space: {!iter_profiles},
+    order — the restartable slice a census shard scans.  Its odometer
+    is the library's only walk of the profile space: {!iter_profiles},
+    Poa's exact OPT, and {!iter_verdicts_range} (behind
     {!enumerate_equilibria}, {!equilibrium_diameter_range}, Poa's exact
-    OPT and prices and the census all go through it.  Seeks to [lo]
-    by combination unranking (no replay of predecessors), then steps
-    the per-player odometer.
+    prices and the census) all go through it.  Seeks to [lo] by
+    combination unranking (no replay of predecessors), then steps the
+    per-player odometer, whose fastest digit is the last player's.
     @raise Invalid_argument on a saturated profile space or a range
     outside [[0, count_profiles budgets]]. *)
+
+val iter_verdicts_range :
+  Game.t -> lo:int -> hi:int -> (Strategy.t -> bool -> unit) -> unit
+(** [iter_verdicts_range game ~lo ~hi f] calls [f profile nash] for
+    every profile of {!iter_profiles_range}[ ~lo ~hi], in order, with
+    [nash = is_nash game profile].  It is the one Nash filter of every
+    exhaustive consumer: {!enumerate_equilibria},
+    {!equilibrium_diameter_range}, [Poa.exact_prices] /
+    [Poa.exact_welfare_prices] and [Census.scan].
+
+    The walk prices a {e group} at a time.  The odometer's fastest
+    digit is the last player's, so each run of k = C(n-1, b_{n-1})
+    consecutive profiles shares every other strategy, hence G∖(n-1).
+    At each group start (and at [lo], which may cut a group: the
+    pricing does not depend on the last player's own strategy) one
+    {!Deviation_eval} context for player n-1 prices all k of its
+    strategies.  A profile whose last player costs more than the group
+    minimum is refuted with no further work
+    ([equilibrium.group_refuted]); any other is audited over players
+    0..n-2 in order, as {!certify} audits them, stopping at the first
+    refutation ([equilibrium.players_certified] and
+    [equilibrium.early_exits] count those audits).  At k = 1 nothing
+    is priced.  Per profile this costs one context per group (k
+    candidate prices) plus the survivors' audits, where a per-profile
+    {!is_nash} audits from player 0 on every profile.
+    @raise Invalid_argument as {!iter_profiles_range} does. *)
 
 val count_profiles : Budget.t -> int
 (** [prod_i C(n-1, b_i)], saturating at [max_int]. *)

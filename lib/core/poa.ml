@@ -64,16 +64,18 @@ let canonical_low_diameter_realization budgets =
 
 (* The exhaustive walk behind the exact prices: the minimum of
    [objective] over every profile, and its (min, max) over the
-   equilibria of [game]; [None] past [max_profiles]. *)
-let exact_extremes ~max_profiles ~game objective budgets =
-  if Equilibrium.count_profiles budgets > max_profiles then None
+   equilibria of [game], both read off one grouped verdict walk;
+   [None] past [max_profiles]. *)
+let exact_extremes ~max_profiles game objective =
+  let total = Equilibrium.count_profiles (Game.budgets game) in
+  if total > max_profiles then None
   else begin
     let opt = ref max_int in
     let ne_min = ref max_int and ne_max = ref min_int in
-    Equilibrium.iter_profiles budgets (fun p ->
+    Equilibrium.iter_verdicts_range game ~lo:0 ~hi:total (fun p nash ->
         let v = objective p in
         if v < !opt then opt := v;
-        if Equilibrium.is_nash game p then begin
+        if nash then begin
           if v < !ne_min then ne_min := v;
           if v > !ne_max then ne_max := v
         end);
@@ -131,7 +133,7 @@ let prices ~opt (ne_min, ne_max) =
   }
 
 let exact_prices ?(max_profiles = 200_000) game =
-  match exact_extremes ~max_profiles ~game diameter (Game.budgets game) with
+  match exact_extremes ~max_profiles game diameter with
   | None | Some (_, None) -> None
   (* A diameter-0 OPT only happens for n = 1, where the unique profile
      is also the unique equilibrium; report 1/1. *)
@@ -140,8 +142,7 @@ let exact_prices ?(max_profiles = 200_000) game =
 
 let exact_welfare_prices ?(max_profiles = 200_000) game =
   match
-    exact_extremes ~max_profiles ~game (Game.social_welfare game)
-      (Game.budgets game)
+    exact_extremes ~max_profiles game (Game.social_welfare game)
   with
   | Some (opt, Some range) when opt > 0 -> Some (prices ~opt range)
   | None | Some _ -> None

@@ -33,6 +33,26 @@ let make budgets s =
   in
   { budgets; strategies }
 
+let of_sorted budgets s =
+  let n = Budget.n budgets in
+  if Array.length s <> n then
+    invalid_arg "Strategy.of_sorted: profile length differs from player count";
+  Array.iteri
+    (fun i targets ->
+      let b = Array.length targets in
+      let ok = ref (b = Budget.get budgets i) in
+      for k = 0 to b - 1 do
+        let v = targets.(k) in
+        if v < 0 || v >= n || v = i || (k > 0 && targets.(k - 1) >= v) then
+          ok := false
+      done;
+      if not !ok then
+        invalid_arg
+          (Printf.sprintf
+             "Strategy.of_sorted: player %d does not play a sorted strategy" i))
+    s;
+  { budgets; strategies = s }
+
 let n p = Budget.n p.budgets
 let budgets p = p.budgets
 let strategy p i = p.strategies.(i)

@@ -15,6 +15,16 @@ val make : Budget.t -> int array array -> t
     normalizes each to sorted order.
     @raise Invalid_argument otherwise. *)
 
+val of_sorted : Budget.t -> int array array -> t
+(** [of_sorted budgets s] is [make budgets s] for strategies already in
+    sorted order, without a copy: the validation allocates nothing and
+    the profile keeps [s] and its arrays, so the caller must never
+    mutate them again.  Profiles may share strategy arrays this way —
+    the profile walk hands each player's array to every profile of the
+    run it belongs to.
+    @raise Invalid_argument on a strategy {!make} rejects or one that is
+    not strictly increasing. *)
+
 val n : t -> int
 
 val budgets : t -> Budget.t

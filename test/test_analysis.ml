@@ -284,13 +284,22 @@ let test_iso_acc_merge_order_independent () =
   check_true "b+a = whole"
     (class_strings (Structure.Iso_acc.merge (add_all b) (add_all a)) = whole);
   (* re-injecting serialized classes (the checkpoint path) agrees too *)
+  let iso_tests () = Bbng_obs.Counter.find "census.iso_tests" in
+  let before = iso_tests () in
   let reinjected =
-    List.fold_left
-      (fun acc (rep, count) ->
-        Structure.Iso_acc.add_class acc ~rep:(Strategy.of_string rep) ~count)
-      Structure.Iso_acc.empty whole
+    Structure.Iso_acc.add_classes Structure.Iso_acc.empty
+      (List.map (fun (rep, count) -> (Strategy.of_string rep, count)) whole)
   in
-  check_true "add_class round-trip" (class_strings reinjected = whole)
+  check_true "add_classes round-trip" (class_strings reinjected = whole);
+  (* one list's classes are distinct: none is tested against another *)
+  check_int "no iso test within one list" before (iso_tests ());
+  (* a merge tests b's classes against a's only *)
+  let acc_a = add_all a and acc_b = add_all b in
+  let before = iso_tests () in
+  ignore (Structure.Iso_acc.merge acc_a acc_b);
+  check_true "merge tests across sides only"
+    (iso_tests () - before
+    <= Structure.Iso_acc.class_count acc_a * Structure.Iso_acc.class_count acc_b)
 
 let test_iso_acc_groups_relabellings () =
   (* the directed triangle under two labelings: one class, count 2 *)

@@ -222,27 +222,29 @@ let oracle_prices ~opt = function
 
 (* [eqs] are the oracle's equilibria of the scanned prefix, as
    (profile, diameter) pairs in walk order *)
+let census_matches ~total ~scanned eqs c =
+  let open Bbng_analysis.Census in
+  let ds = List.map snd eqs in
+  let keys = List.map (fun (p, _) -> Strategy.to_string p) eqs in
+  c.total_profiles = total
+  && c.scanned_profiles = scanned
+  && c.equilibria = List.length eqs
+  && c.diameter_histogram
+     = List.map
+         (fun d -> (d, List.length (List.filter (( = ) d) ds)))
+         (List.sort_uniq compare ds)
+  && (match extremes ds with
+     | None -> c.min_diameter = None && c.max_diameter = None
+     | Some (lo, hi) -> c.min_diameter = Some lo && c.max_diameter = Some hi)
+  && List.fold_left (fun a (_, k) -> a + k) 0 c.iso_class_counts
+     = List.length eqs
+  && List.for_all
+       (fun rep -> List.mem (Strategy.to_string rep) keys)
+       c.iso_classes
+
 let census_is ~total ~scanned eqs = function
   | Bbng_analysis.Census.Partial _ -> false
-  | Bbng_analysis.Census.Complete c ->
-      let open Bbng_analysis.Census in
-      let ds = List.map snd eqs in
-      let keys = List.map (fun (p, _) -> Strategy.to_string p) eqs in
-      c.total_profiles = total
-      && c.scanned_profiles = scanned
-      && c.equilibria = List.length eqs
-      && c.diameter_histogram
-         = List.map
-             (fun d -> (d, List.length (List.filter (( = ) d) ds)))
-             (List.sort_uniq compare ds)
-      && (match extremes ds with
-         | None -> c.min_diameter = None && c.max_diameter = None
-         | Some (lo, hi) -> c.min_diameter = Some lo && c.max_diameter = Some hi)
-      && List.fold_left (fun a (_, k) -> a + k) 0 c.iso_class_counts
-         = List.length eqs
-      && List.for_all
-           (fun rep -> List.mem (Strategy.to_string rep) keys)
-           c.iso_classes
+  | Bbng_analysis.Census.Complete c -> census_matches ~total ~scanned eqs c
 
 (* One recursive oracle walk with [is_nash] yields everything the
    exhaustive consumers compute: the equilibria in order (with their
@@ -298,6 +300,127 @@ let prop_exhaustive_consumers_agree =
              && census_is ~total ~scanned:limit_scanned (diameters first)
                   (Bbng_analysis.Census.run ~limit game))
            Cost.all_versions)
+
+(* --- the grouped verdict walk agrees with per-profile is_nash --- *)
+
+(* A random budget vector whose last budget is kept, forced to 0 or
+   forced to n - 1 (the last two leave groups of one profile), and a
+   random range, a one-profile range and the whole space. *)
+let grouped_gen =
+  QCheck.make
+    ~print:(fun ((n, total, seed), last, (a, b)) ->
+      Printf.sprintf "n=%d total=%d seed=%d last=%d range=(%d,%d)" n total seed
+        last a b)
+    QCheck.Gen.(
+      triple
+        (int_range 1 5 >>= fun n ->
+         int_range 0 (n * (n - 1)) >>= fun total ->
+         int_range 0 10_000 >>= fun seed -> return (n, total, seed))
+        (int_range 0 2)
+        (pair (int_range 0 1_000_000) (int_range 0 1_000_000)))
+
+let grouped_budgets ((n, _, _) as input) last =
+  let b = Budget.to_array (random_budget_of input) in
+  (match last with
+  | 1 -> b.(n - 1) <- 0
+  | 2 -> b.(n - 1) <- n - 1
+  | _ -> ());
+  Budget.of_list (Array.to_list b)
+
+let verdicts_in_range game ~lo ~hi =
+  let acc = ref [] in
+  Equilibrium.iter_verdicts_range game ~lo ~hi (fun p nash ->
+      acc := (Strategy.to_string p, nash) :: !acc);
+  List.rev !acc
+
+let prop_grouped_walk_agrees =
+  qcheck ~count:100 "grouped verdict walk == per-profile is_nash" grouped_gen
+    (fun (input, last, (a, b)) ->
+      let budgets = grouped_budgets input last in
+      let total = Equilibrium.count_profiles budgets in
+      total > 3_000
+      || List.for_all
+           (fun version ->
+             let game = Game.make version budgets in
+             let oracle = ref [] in
+             oracle_iter_profiles budgets (fun p ->
+                 oracle :=
+                   (Strategy.to_string p, Equilibrium.is_nash game p) :: !oracle);
+             let oracle = Array.of_list (List.rev !oracle) in
+             let slice lo hi = Array.to_list (Array.sub oracle lo (hi - lo)) in
+             let lo = a mod (total + 1) and x = b mod (total + 1) in
+             let lo, hi = (min lo x, max lo x) in
+             let one = a mod total in
+             List.for_all
+               (fun (lo, hi) -> verdicts_in_range game ~lo ~hi = slice lo hi)
+               [ (0, total); (lo, hi); (one, one + 1) ])
+           Cost.all_versions)
+
+(* A census cut mid-group, by an expired work budget or by [~limit],
+   aggregates exactly the oracle's equilibria of its scanned prefix:
+   the same equilibria, diameters and isomorphism classes. *)
+let test_census_cut_mid_group () =
+  List.iter
+    (fun (budgets, version) ->
+      let game = Game.make version budgets in
+      let n = Budget.n budgets in
+      let k =
+        Bbng_graph.Combinatorics.binomial_sat (n - 1) (Budget.get budgets (n - 1))
+      in
+      let total = Equilibrium.count_profiles budgets in
+      let eqs = ref [] and i = ref 0 in
+      oracle_iter_profiles budgets (fun p ->
+          if Equilibrium.is_nash game p then
+            eqs := (!i, p, Game.social_cost game p) :: !eqs;
+          incr i);
+      let eqs = List.rev !eqs in
+      let prefix scanned =
+        List.filter_map
+          (fun (i, p, d) -> if i < scanned then Some (p, d) else None)
+          eqs
+      in
+      let classes scanned =
+        List.fold_left
+          (fun acc (p, _) -> Bbng_analysis.Structure.Iso_acc.add acc p)
+          Bbng_analysis.Structure.Iso_acc.empty (prefix scanned)
+        |> Bbng_analysis.Structure.Iso_acc.classes
+        |> List.map (fun (rep, c) -> (Strategy.to_string rep, c))
+      in
+      let agrees what scanned c =
+        let open Bbng_analysis.Census in
+        check_true (what ^ ": scanned prefix")
+          (census_matches ~total ~scanned (prefix scanned) c);
+        check_true (what ^ ": classes")
+          (List.map (fun (rep, c) -> (Strategy.to_string rep, c)) c.iso_class_counts
+          = classes scanned)
+      in
+      (* the census charges n work units a profile: a limit of
+         n * (3k + 1) expires past profile 3k + 1, inside the 4th group *)
+      let budget = Bbng_obs.Budgeted.create ~work_limit:(n * ((3 * k) + 1)) () in
+      (match Bbng_analysis.Census.run ~budget game with
+      | Bbng_analysis.Census.Complete _ -> Alcotest.fail "expected a partial census"
+      | Bbng_analysis.Census.Partial { census; unscanned; _ } ->
+          let scanned = census.Bbng_analysis.Census.scanned_profiles in
+          check_int "budget expired mid-group" ((3 * k) + 1) scanned;
+          check_true "unscanned suffix" (unscanned = [ (scanned, total) ]);
+          agrees "expired" scanned census);
+      (* the first equilibrium that ends its scan mid-group *)
+      match List.find_opt (fun (i, _, _) -> (i + 1) mod k <> 0) eqs with
+      | None -> Alcotest.fail "no equilibrium inside a group"
+      | Some (i, _, _) ->
+          let limit = List.length (prefix (i + 1)) in
+          (match Bbng_analysis.Census.run ~limit game with
+          | Bbng_analysis.Census.Partial _ -> Alcotest.fail "a limit stop is complete"
+          | Bbng_analysis.Census.Complete c ->
+              check_int "limit: scanned through its last equilibrium" (i + 1)
+                c.Bbng_analysis.Census.scanned_profiles;
+              agrees "limit" (i + 1) c))
+    [
+      (Budget.unit_budgets 5, Cost.Sum);
+      (Budget.unit_budgets 5, Cost.Max);
+      (Budget.of_list [ 1; 2; 0; 1; 2 ], Cost.Sum);
+      (Budget.of_list [ 1; 2; 0; 1; 2 ], Cost.Max);
+    ]
 
 (* --- the refutation's current cost comes from the search --- *)
 
@@ -406,4 +529,6 @@ let suite =
     case "early exits skip players" test_early_exits_on_last_player;
     prop_range_partition_agrees;
     prop_exhaustive_consumers_agree;
+    prop_grouped_walk_agrees;
+    case "census cut mid-group" test_census_cut_mid_group;
   ]

@@ -27,6 +27,28 @@ let test_validation () =
       ignore
         (Strategy.make (Budget.of_list [ 2; 0; 0 ]) [| [| 2; 2 |]; [||]; [||] |]))
 
+let test_of_sorted () =
+  let s = [| [| 1; 2 |]; [| 0 |]; [||] |] in
+  let b = Budget.of_list [ 2; 1; 0 ] in
+  let p = Strategy.of_sorted b s in
+  check_true "same profile as make" (Strategy.equal p (Strategy.make b s));
+  check_true "keeps the array" (Strategy.strategy p 0 == s.(0));
+  List.iter
+    (fun (what, player, b, s) ->
+      Alcotest.check_raises what
+        (Invalid_argument
+           (Printf.sprintf
+              "Strategy.of_sorted: player %d does not play a sorted strategy"
+              player))
+        (fun () -> ignore (Strategy.of_sorted b s)))
+    [
+      ("budget mismatch", 0, b3, [| [| 1; 2 |]; [| 2 |]; [| 0 |] |]);
+      ("self target", 1, b3, [| [| 1 |]; [| 1 |]; [| 0 |] |]);
+      ("out of range", 2, b3, [| [| 1 |]; [| 2 |]; [| 3 |] |]);
+      ("duplicate", 0, b, [| [| 1; 1 |]; [| 0 |]; [||] |]);
+      ("unsorted", 0, b, [| [| 2; 1 |]; [| 0 |]; [||] |]);
+    ]
+
 let test_realize () =
   let g = Strategy.realize (triangle ()) in
   check_true "arc 0->1" (Digraph.mem_arc g 0 1);
@@ -190,4 +212,5 @@ let suite =
     prop_random_valid;
     prop_string_roundtrip;
     prop_realize_arc_count;
+    case "of_sorted" test_of_sorted;
   ]
